@@ -173,72 +173,41 @@ def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9,
 def gap_probability_hardedge(params_or_bundle, s: float, target_tol: float = 1e-9,
                              method: str = "substitution",
                              kind: str = "gauss_legendre") -> GapPoint:
-    """E_M(0;(0,s)) by direct Nystrom discretization of K_M.
+    """E_M(0;(0,s)) by Nystrom discretization of K_M with node doubling.
 
     M=1 kernels are discretized on (0, s) as they stand.  For M=2 the default
-    path substitutes x = (t/2)^2, which maps the x^{nu_1} endpoint behaviour
-    onto an analytic kernel on (0, 2 sqrt(s)); method="jacobi" instead keeps
-    the raw variable and absorbs the y^{nu_1} factor into a Gauss-Jacobi
-    rule (secondary cross-check only); method="mb" routes through the
-    theta=2 Muttalib-Borodin determinant at r = 2 sqrt(s).
+    method="substitution" sets x = (t/2)^2, which maps the x^{nu_1} endpoint
+    behaviour onto an analytic kernel on (0, 2 sqrt(s)); method="mb" routes
+    through the theta=2 Muttalib-Borodin determinant at r = 2 sqrt(s).
+    Node doubling converges exponentially when the discretized kernel is
+    analytic at the left endpoint: at M=1 when nu_1 is an integer, at M=2
+    when 2 nu_1 and 2 nu_2 are.  Other index sets keep an algebraic
+    endpoint factor, converge slowly and may hit the node cap.
     """
     if not s > 0:
         raise ValueError("s must be positive")
+    if method not in ("substitution", "mb"):
+        raise ValueError(f"unknown method {method!r}")
     if isinstance(params_or_bundle, KernelBundle):
         bundle = params_or_bundle
     else:
         bundle = build_kernel_bundle(params_or_bundle)
     params = bundle.params
 
-    if params.M == 1 or method == "direct":
+    if params.M == 1:
         def kfn(xs, ys):
             return kernel_matrix(bundle, xs, ys)
 
-        logdet, n, est = _converge_logdet(kfn, s, target_tol, kind)
-        return GapPoint(s, math.exp(logdet), logdet, n, est)
-
-    if method == "mb":
+        length = s
+    elif method == "mb":
         mb = mb_params_for_hardedge(params)
         pt = gap_probability_mb(mb, 2.0 * math.sqrt(s), target_tol, kind)
         return GapPoint(s, pt.E, pt.logE, pt.node_count_used, pt.est_error)
-
-    if method == "substitution":
+    else:
         # x = (t/2)^2 on (0, 2 sqrt(s)); kernel picks up the Jacobian u/2
         def kfn(ts, us):
             return kernel_matrix(bundle, (ts / 2.0) ** 2, (us / 2.0) ** 2) * (us / 2.0)
 
-        logdet, n, est = _converge_logdet(kfn, 2.0 * math.sqrt(s), target_tol, kind)
-        return GapPoint(s, math.exp(logdet), logdet, n, est)
-
-    if method == "jacobi":
-        # Secondary cross-check only.  The rule absorbs the y^{nu_1} weight,
-        # but the second kernel family still carries y^{nu_2 - nu_1} (a half
-        # power for the validated sets), so raw convergence is O(n^-2); one
-        # Richardson step in n recovers ~1e-7 accuracy by n = 512.
-        from scipy.special import roots_jacobi
-
-        nu1 = params.nu[1]
-
-        def jacobi_logdet(n):
-            xi, wj = roots_jacobi(n, 0.0, nu1)
-            y = 0.5 * s * (1.0 + xi)
-            w = (0.5 * s) ** (nu1 + 1.0) * wj
-            K = kernel_matrix(bundle, y, y) * (w * y ** (-nu1))[None, :]
-            sign, logdet = np.linalg.slogdet(np.eye(n) - K)
-            if sign <= 0:
-                raise FloatingPointError("Fredholm determinant lost positivity")
-            return float(logdet)
-
-        prev_raw = jacobi_logdet(16)
-        prev_ext = None
-        n = 32
-        while n <= 2 * _N_MAX:
-            raw = jacobi_logdet(n)
-            ext = raw + (raw - prev_raw) / 3.0
-            if prev_ext is not None and abs(ext - prev_ext) < 10 * target_tol:
-                return GapPoint(s, math.exp(ext), ext, n, abs(ext - prev_ext))
-            prev_raw, prev_ext = raw, ext
-            n *= 2
-        raise NonConvergedError("jacobi path did not converge")
-
-    raise ValueError(f"unknown method {method!r}")
+        length = 2.0 * math.sqrt(s)
+    logdet, n, est = _converge_logdet(kfn, length, target_tol, kind)
+    return GapPoint(s, math.exp(logdet), logdet, n, est)

@@ -5,6 +5,9 @@ Two kernel families live here:
 * ``KernelBundle`` — the integrable-form kernel
   ``K_M(x, y) = sum_j phi_j(x) psi_j(y) / (x - y)`` for one matrix (M=1,
   Bessel functions) and two matrices (M=2, regularized 0F2 series).
+  ``kernel_matrix`` is its only evaluator: one Horner sweep over the
+  stacked series gives phi_j, phi_j' and psi_j at every abscissa, and the
+  0/0 diagonal is the exact limit K(x, x) = sum_j phi_j'(x) psi_j(x).
 * ``borodin_kernel`` — the hard-edge kernel of the Laguerre Muttalib-Borodin
   ensemble, a u-integral of two Wright Bessel factors, evaluated with a
   fixed Gauss-Legendre rule.
@@ -46,7 +49,9 @@ __all__ = [
     "mb_params_for_hardedge",
 ]
 
-# Relative diagonal window for the symmetric-offset limit.
+# Pairs with |x - y| < _DIAG_DELTA * max(x, y) take the exact diagonal value.
+# Distinct Nystrom nodes are at least ~1e-4 apart relative to their size, so
+# in practice only x == y (or a rounding-level offset) falls inside.
 _DIAG_DELTA = 1e-5
 # M=2 needs nu2 - nu1 bounded away from the integers.
 _GENERIC_TOL = 1e-6
@@ -103,10 +108,12 @@ class HardEdgeParams:
 class KernelBundle:
     """Evaluators for the kernel functions phi_j, psi_j of K_M.
 
-    Each function is a finite linear combination of terms
-    ``coeff * x**power * P(sign * x)`` where P is a truncated power series;
-    the series coefficients are frozen at construction so evaluation is a
-    plain Horner sweep over arrays.  Immutable after construction.
+    Each phi_j and psi_j is a fixed linear combination of terms
+    ``x**power * P(sign * x)`` where P is one of a few truncated power
+    series.  The distinct series, followed by the derivatives of those that
+    phi uses, are stacked into one coefficient array at construction, so
+    phi_j, phi_j' and psi_j at every abscissa come out of a single Horner
+    sweep.  Immutable after construction.
     """
 
     def __init__(self, params: HardEdgeParams, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -118,81 +125,79 @@ class KernelBundle:
         self.ctl = ctl
         n_terms = ctl.max_terms
         nu = params.nu
+        # phi_j = sum_t phi_w[j, t] x**phi_pow[t] P_t(sign_t x) over the first
+        # series rows; psi_j likewise over its (power, row) terms with psi_w
         if params.M == 1:
             n0, n1 = nu
             v = n1 - n0
             # J_v(2 sqrt(x)) = x^(v/2) * P_v(x); the alternating sign is
             # already folded into the P coefficients, so the argument is +x
-            pj = bessel_j_coefficients(v, n_terms)
-            pj1 = bessel_j_coefficients(v + 1.0, n_terms)
-            # phi/psi as (coeff, power, series coeffs, argument sign) terms
-            self._phi = [
-                [(1.0, -n0, pj, 1.0)],
-                [(n0, -n0, pj, 1.0), (1.0, 1.0 - n0, pj1, 1.0)],
-            ]
-            self._psi = [
-                [(-n0, n1, pj, 1.0), (-1.0, n1 + 1.0, pj1, 1.0)],
-                [(1.0, n1, pj, 1.0)],
-            ]
+            series = [bessel_j_coefficients(v, n_terms),
+                      bessel_j_coefficients(v + 1.0, n_terms)]
+            signs = [1.0, 1.0]
+            phi_pow = [-n0, 1.0 - n0]
+            psi_terms = [(n1, 0), (n1 + 1.0, 1)]
+            phi_w = [[1.0, 0.0], [n0, 1.0]]
+            psi_w = [[-n0, -1.0], [1.0, 0.0]]
         else:
             n0, n1, n2 = nu
             a1, a2 = n1 - n0, n2 - n0
             g12 = gamma_real(n2 - n1) * gamma_real(n1 - n2 + 1.0)
             g21 = gamma_real(n1 - n2) * gamma_real(n2 - n1 + 1.0)
-            r1 = hyp0f2_reg_coefficients(a1 + 1.0, a2 + 1.0, n_terms)
-            r2 = hyp0f2_reg_coefficients(a1 + 2.0, a2 + 2.0, n_terms)
-            r3 = hyp0f2_reg_coefficients(a1 + 3.0, a2 + 3.0, n_terms)
-            self._phi = [
-                [(-1.0, -n0, r1, -1.0)],
-                [(-n0, -n0, r1, -1.0), (-1.0, 1.0 - n0, r2, -1.0)],
-                [(-n0 ** 2, -n0, r1, -1.0), (1.0 - 2.0 * n0, 1.0 - n0, r2, -1.0),
-                 (-1.0, 2.0 - n0, r3, -1.0)],
-            ]
+            series = [hyp0f2_reg_coefficients(a1 + k, a2 + k, n_terms)
+                      for k in (1.0, 2.0, 3.0)]
+            for shift in (-1.0, 0.0, 1.0):
+                series += [hyp0f2_reg_coefficients(a1 + shift, n1 - n2 + 1.0, n_terms),
+                           hyp0f2_reg_coefficients(a2 + shift, n2 - n1 + 1.0, n_terms)]
+            signs = [-1.0] * 3 + [1.0] * 6
+            phi_pow = [-n0, 1.0 - n0, 2.0 - n0]
+            psi_terms = [(n1 if r % 2 else n2, r) for r in range(3, 9)]
+            phi_w = [[-1.0, 0.0, 0.0],
+                     [-n0, -1.0, 0.0],
+                     [-n0 ** 2, 1.0 - 2.0 * n0, -1.0]]
+            # psi_j mixes the (n1, n2) pairs at shifts -1, 0, +1
+            psi_w = np.kron([[1.0, n0 - n1 - n2 + 1.0, n1 * n2],
+                             [0.0, 1.0, -(n1 + n2)],
+                             [0.0, 0.0, 1.0]], [g12, g21])
+        coeffs = np.array(series)
+        n_phi = len(phi_pow)
+        deriv = coeffs[:n_phi, 1:] * np.arange(1.0, n_terms)
+        deriv = np.hstack([deriv, np.zeros((n_phi, 1))])
+        # (n_terms, rows, 1) against (rows, n) arguments in one Horner sweep
+        self._coeffs = np.ascontiguousarray(np.vstack([coeffs, deriv]).T[:, :, None])
+        self._signs = np.array(signs + signs[:n_phi])[:, None]
+        self._n_series = len(series)
+        self._phi_pow = np.array(phi_pow)[:, None]
+        self._psi_pow = np.array([p for p, _ in psi_terms])[:, None]
+        self._psi_rows = [r for _, r in psi_terms]
+        self._phi_w = np.array(phi_w)
+        self._psi_w = np.array(psi_w)
 
-            def pair(shift):
-                qa = hyp0f2_reg_coefficients(a1 + shift, n1 - n2 + 1.0, n_terms)
-                qb = hyp0f2_reg_coefficients(a2 + shift, n2 - n1 + 1.0, n_terms)
-                return [(g12, n1, qa, 1.0), (g21, n2, qb, 1.0)]
-
-            pm1, p0, pp1 = pair(-1.0), pair(0.0), pair(1.0)
-
-            def scaled(terms, c):
-                return [(c * a, p, coef, sign) for (a, p, coef, sign) in terms]
-
-            self._psi = [
-                pm1 + scaled(p0, n0 - n1 - n2 + 1.0) + scaled(pp1, n1 * n2),
-                p0 + scaled(pp1, -(n1 + n2)),
-                pp1,
-            ]
-
-    @staticmethod
-    def _eval_terms(terms, x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for coeff, power, series, sign in terms:
-            if coeff == 0.0:
-                continue
-            total += coeff * x ** power * horner(series, sign * x)
-        return total
+    def evaluate(self, x):
+        """(phi, phi', psi), each of shape (M+1, len(x)), at x > 0."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        vals = horner(self._coeffs, self._signs * x)
+        n_phi = len(self._phi_pow)
+        rows, drows = vals[:n_phi], vals[self._n_series:]
+        xp = x ** self._phi_pow
+        phi = self._phi_w @ (xp * rows)
+        dphi = self._phi_w @ (xp * (self._phi_pow / x * rows
+                                    + self._signs[:n_phi] * drows))
+        psi = self._psi_w @ (x ** self._psi_pow * vals[self._psi_rows])
+        return phi, dphi, psi
 
     def phi(self, j: int, x):
         """phi_j(x) for x > 0 (vectorized)."""
-        return self._eval_terms(self._phi[j], x)
+        return self.evaluate(x)[0][j]
 
     def psi(self, j: int, x):
         """psi_j(x) for x > 0 (vectorized)."""
-        return self._eval_terms(self._psi[j], x)
-
-    def phi_all(self, x) -> np.ndarray:
-        return np.stack([self.phi(j, x) for j in range(self.params.M + 1)])
-
-    def psi_all(self, x) -> np.ndarray:
-        return np.stack([self.psi(j, x) for j in range(self.params.M + 1)])
+        return self.evaluate(x)[2][j]
 
     def orthogonality_residual(self, x) -> float:
         """max |sum_j phi_j psi_j| / max_j |phi_j psi_j| over the given x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        prods = self.phi_all(x) * self.psi_all(x)
+        phi, _, psi = self.evaluate(x)
+        prods = phi * psi
         scale = np.max(np.abs(prods))
         return float(np.max(np.abs(prods.sum(axis=0))) / scale)
 
@@ -203,47 +208,32 @@ def build_kernel_bundle(params: HardEdgeParams,
     return KernelBundle(params, ctl)
 
 
-def _kernel_offdiag(bundle: KernelBundle, x: float, y: float) -> float:
-    num = float(np.dot(bundle.phi_all(np.array([x]))[:, 0],
-                       bundle.psi_all(np.array([y]))[:, 0]))
-    return num / (x - y)
-
-
 def kernel_value(bundle: KernelBundle, x: float, y: float) -> float:
-    """K_M(x, y) for x, y > 0.
-
-    Near the diagonal the 0/0 form is resolved by the symmetric-offset
-    average at relative offsets delta and delta/2 with one Richardson step,
-    which removes the O(delta^2) error of the plain average.
-    """
-    if x <= 0 or y <= 0:
-        raise ValueError("kernel_value requires x, y > 0")
-    if abs(x - y) >= _DIAG_DELTA * max(x, 1.0):
-        return _kernel_offdiag(bundle, x, y)
-
-    def sym_avg(delta):
-        return 0.5 * (_kernel_offdiag(bundle, x * (1 + delta), x)
-                      + _kernel_offdiag(bundle, x * (1 - delta), x))
-
-    d0, d1 = sym_avg(_DIAG_DELTA), sym_avg(_DIAG_DELTA / 2)
-    return (4.0 * d1 - d0) / 3.0
+    """K_M(x, y) for x, y > 0; the 1x1 case of ``kernel_matrix``."""
+    return float(kernel_matrix(bundle, [x], [y])[0, 0])
 
 
 def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """K_M on the grid xs x ys; near-diagonal pairs go through kernel_value."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    phi = bundle.phi_all(xs)        # (M+1, nx)
-    psi = bundle.psi_all(ys)        # (M+1, ny)
-    num = phi.T @ psi               # (nx, ny)
+    """K_M on the grid xs x ys, for xs, ys > 0.
+
+    Off the diagonal K = sum_j phi_j(x) psi_j(y) / (x - y).  Pairs inside
+    the relative window |x - y| < _DIAG_DELTA * max(x, y) take the exact
+    limit K(x, x) = sum_j phi_j'(x) psi_j(x) at the row abscissa x, which
+    holds because sum_j phi_j(x) psi_j(x) = 0.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("kernel_matrix requires x, y > 0")
+    nx = len(xs)
+    same = np.array_equal(xs, ys)
+    phi, dphi, psi = bundle.evaluate(xs if same else np.concatenate([xs, ys]))
+    psi_x, psi_y = psi[:, :nx], (psi if same else psi[:, nx:])
+    diag = np.sum(dphi[:, :nx] * psi_x, axis=0)
     diff = xs[:, None] - ys[None, :]
-    near = np.abs(diff) < _DIAG_DELTA * np.maximum(xs[:, None], 1.0)
-    safe = np.where(near, 1.0, diff)
-    K = num / safe
-    if np.any(near):
-        for i, j in zip(*np.nonzero(near)):
-            K[i, j] = kernel_value(bundle, float(xs[i]), float(ys[j]))
-    return K
+    near = np.abs(diff) < _DIAG_DELTA * np.maximum(xs[:, None], ys[None, :])
+    K = (phi[:, :nx].T @ psi_y) / np.where(near, 1.0, diff)
+    return np.where(near, diag[:, None], K)
 
 
 @dataclass(frozen=True)

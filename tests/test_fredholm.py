@@ -114,10 +114,12 @@ def test_rule_independence():
     assert abs(gl.logE - cc.logE) <= 1e-8
 
 
-def test_hardedge_m1_small_interval():
+@pytest.mark.parametrize("s", [1e-4, 12.5, 16.0])
+def test_hardedge_m1_exact_law(s):
+    # E = exp(-s) at nu = (0, 0) for every s
     params = HardEdgeParams.from_nu((0.0, 0.0))
-    pt = gap_probability_hardedge(params, 1e-4)
-    assert pt.E == pytest.approx(1.0, abs=1e-3)
+    pt = gap_probability_hardedge(params, s)
+    assert abs(pt.logE + s) <= 1e-9
 
 
 def test_hardedge_m1_against_trapezoid_oracle():
@@ -136,19 +138,14 @@ def test_hardedge_m1_against_trapezoid_oracle():
     assert abs(pt.E - math.exp(float(oracle))) <= 1e-6
 
 
-def test_hardedge_m2_matches_mb_identity():
-    params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
-    sub = gap_probability_hardedge(params, 4.0, method="substitution")
-    mb = gap_probability_mb(MBParams(c=0.0), 4.0)
+@pytest.mark.parametrize("s", [0.01, 0.1, 4.0, 7.14])
+@pytest.mark.parametrize("nu,c", [((0.0, -0.5, 0.0), 0.0), ((0.0, 0.0, 0.5), 1.0)],
+                         ids=["c0", "c1"])
+def test_hardedge_m2_matches_mb_identity(nu, c, s):
+    params = HardEdgeParams.from_nu(nu)
+    sub = gap_probability_hardedge(params, s, method="substitution")
+    mb = gap_probability_mb(MBParams(c=c), 2.0 * math.sqrt(s))
     assert abs(sub.logE - mb.logE) <= 1e-8
-
-
-def test_hardedge_m2_jacobi_cross_check():
-    params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
-    jac = gap_probability_hardedge(params, 1.0, target_tol=1e-7,
-                                   method="jacobi")
-    mb = gap_probability_hardedge(params, 1.0, method="mb")
-    assert abs(jac.logE - mb.logE) <= 1e-6
 
 
 def test_gap_curve_monotone_and_bounded():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +109,26 @@ def test_kernel_matrix_matches_scalar():
             assert K[i, j] == pytest.approx(kernel_value(b, x, y), rel=1e-12)
 
 
+@pytest.mark.parametrize("v", [-0.5, 0.0, 1.0, 2.5])
+def test_m1_diagonal_against_mpmath(v):
+    # K(x, x) = d/dx sum_j phi_j(x) psi_j(y) at y = x, with
+    # phi = (x^(-v/2) J_v, x^((1-v)/2) J_{v+1}) and
+    # psi = (-y^((v+1)/2) J_{v+1}, y^(v/2) J_v) at argument 2 sqrt(.)
+    b = build_kernel_bundle(HardEdgeParams.from_nu((0.0, v)))
+
+    def numerator(x, y):
+        jx = [mpmath.besselj(v + k, 2 * mpmath.sqrt(x)) for k in (0, 1)]
+        jy = [mpmath.besselj(v + k, 2 * mpmath.sqrt(y)) for k in (0, 1)]
+        return (-x ** (-v / 2) * jx[0] * y ** ((v + 1) / 2) * jy[1]
+                + x ** ((1 - v) / 2) * jx[1] * y ** (v / 2) * jy[0])
+
+    with mpmath.workdps(40):
+        for x in (0.05, 0.7, 3.0, 9.0):
+            xm = mpmath.mpf(x)
+            ref = float(mpmath.diff(lambda t: numerator(t, xm), xm))
+            assert kernel_value(b, x, x) == pytest.approx(ref, rel=1e-12)
+
+
 def test_borodin_trivial_values():
     assert borodin_kernel(MBParams(c=0.0), 0.0, 0.0) == pytest.approx(
         2.0 / SQRT_PI, rel=1e-13)
@@ -140,7 +161,7 @@ def test_mb_hardedge_kernel_identity(c):
     assert mb.c == pytest.approx(float(c))
     grid = np.linspace(0.4, 4.0, 5)
     for x in grid:
-        for y in grid + 1e-3:   # keep away from the diagonal window
+        for y in np.concatenate([grid, grid + 1e-3]):   # diagonal included
             lhs = kernel_value(b, x, y)
             rhs = y ** (-0.5) * borodin_kernel(mb, 2 * math.sqrt(y),
                                                2 * math.sqrt(x))
