@@ -3,7 +3,9 @@
 Subcommands
 -----------
 table1    reproduce the embedded log-E reference table with its a_1 columns
-verify    run the residual/consistency suites (cases: m1, m2-special)
+verify    one verification report over a flow trajectory (cases: m1,
+          m2-special): per category the max residual, its tolerance and
+          the abscissa where it peaked; stderr names each failing one
 mc        Monte Carlo gap curves with analytic oracle column for M=1
 gap       single-point Muttalib-Borodin Fredholm evaluation
 ode       trajectory export as CSV (columns: s, re/im of every variable,
@@ -40,6 +42,7 @@ from .ginibre_mc import (McConfig, sample_min_singular_sq, empirical_gap,
                          save_samples)
 from .reference_data import TABLE1
 from .fredholm import gap_probability_hardedge
+from .verification import TOLERANCES, verify
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE = 0, 1, 2
 
@@ -149,122 +152,32 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-# verification tolerances per category
-_VERIFY_TOL = {
-    "first_integrals": 1e-8,
-    "imag_leakage": 1e-9,
-    "schlesinger": 1e-8,
-    "rank_one": 1e-10,
-    "folding": 1e-10,
-    "tracy_widom": 1e-8,
-    "sigma_m1": 1e-8,
-    "quartic": 1e-6,
-    "quartic_dual_path": 1e-9,
-    "third_order": 1e-6,
-    "f_identity": 1e-6,
-    "appendix_recovery": 1e-6,
-    "gap_vs_fredholm": 1e-6,
+# perfbench reads the tolerances under this name
+_VERIFY_TOL = TOLERANCES
+
+# verify case -> (index set, output grid, cut at --s-max)
+_VERIFY_CASES = {
+    "m1": ((0.0, 0.0), (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)),
+    "m2-special": (sigma_forms.SPECIAL_NU,
+                   (1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 5.0,
+                    10.0)),
 }
 
 
-def _verify_m1(s_max: float, tol: float) -> dict:
-    params = HardEdgeParams.from_nu((0.0, 0.0))
-    targets = [t for t in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-               if t <= s_max] or [s_max]
-    traj = flow.integrate(params, 1e-5, targets, tol=tol)
-    cat = {k: 0.0 for k in ("first_integrals", "imag_leakage", "schlesinger",
-                            "rank_one", "folding", "tracy_widom", "sigma_m1",
-                            "gap_vs_fredholm")}
-    for st in traj.states:
-        fir = flow.first_integral_residuals(st)
-        cat["imag_leakage"] = max(cat["imag_leakage"], fir.pop("imag_leakage"))
-        cat["first_integrals"] = max(cat["first_integrals"], max(fir.values()))
-        struct = flow.structural_residuals(st)
-        cat["schlesinger"] = max(cat["schlesinger"], struct["schlesinger_A"],
-                                 struct["schlesinger_C"])
-        cat["rank_one"] = max(cat["rank_one"], struct["rank_one"])
-        cat["folding"] = max(cat["folding"], struct["fold_x1"],
-                             struct["fold_y1"])
-        cat["tracy_widom"] = max(cat["tracy_widom"],
-                                 *(v for k, v in struct.items()
-                                   if k.startswith("tw_")))
-        # sigma form needs eta0'' from the flow
-        dx, dy, _, _ = flow.rhs(st)
-        d1 = (st.x[0] * st.y[1]).real
-        d2 = (dx[0] * st.y[1] + st.x[0] * dy[1]).real
-        e1, e2 = params.e
-        cat["sigma_m1"] = max(cat["sigma_m1"], sigma_forms.p3_sigma_residual(
-            st.s, st.eta[0].real, d1, d2, e1, e2))
-    for st, lg in zip(traj.states, traj.log_gap):
-        if st.s < 0.05:
-            continue
-        pt = gap_probability_hardedge(params, st.s, target_tol=1e-9)
-        cat["gap_vs_fredholm"] = max(cat["gap_vs_fredholm"],
-                                     abs(lg - pt.logE))
-    return cat
-
-
-def _verify_m2_special(s_max: float, tol: float) -> dict:
-    params = HardEdgeParams.from_nu(sigma_forms.SPECIAL_NU)
-    targets = [t for t in (1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0,
-                           5.0, 10.0) if t <= s_max] or [s_max]
-    traj = flow.integrate(params, 1e-5, targets, tol=tol)
-    cat = {k: 0.0 for k in ("first_integrals", "imag_leakage", "schlesinger",
-                            "rank_one", "quartic", "quartic_dual_path",
-                            "third_order", "f_identity", "appendix_recovery",
-                            "gap_vs_fredholm")}
-    for st in traj.states:
-        fir = flow.first_integral_residuals(st)
-        cat["imag_leakage"] = max(cat["imag_leakage"], fir.pop("imag_leakage"))
-        cat["first_integrals"] = max(cat["first_integrals"], max(fir.values()))
-        struct = flow.structural_residuals(st)
-        cat["schlesinger"] = max(cat["schlesinger"], struct["schlesinger_A"],
-                                 struct["schlesinger_C"])
-        cat["rank_one"] = max(cat["rank_one"], struct["rank_one"])
-        if st.s >= 0.05:
-            jet = flow.eta_derivatives(st)
-            cat["quartic"] = max(cat["quartic"],
-                                 abs(sigma_forms.quartic_ode_residual(jet)))
-            p_t = sigma_forms.quartic_typeset_raw(jet)
-            p_p = sigma_forms.quartic_pipeline_raw(jet)
-            blocks = sigma_forms.quartic_blocks(jet)
-            scale = sum(abs(v) for v in blocks.values())
-            cat["quartic_dual_path"] = max(cat["quartic_dual_path"],
-                                           abs(p_t - p_p) / scale)
-            third, fid = sigma_forms.special_case_residuals(jet)
-            cat["third_order"] = max(cat["third_order"], abs(third))
-            cat["f_identity"] = max(cat["f_identity"], fid)
-            rec = sigma_forms.appendix_recover(st)
-            cat["appendix_recovery"] = max(cat["appendix_recovery"],
-                                           max(rec.values()))
-    for st, lg in zip(traj.states, traj.log_gap):
-        if st.s not in (0.25, 0.5, 1.0, 2.0, 4.0):
-            continue
-        pt = gap_probability_mb(MBParams(c=0.0), 2.0 * math.sqrt(st.s),
-                                target_tol=1e-9)
-        cat["gap_vs_fredholm"] = max(cat["gap_vs_fredholm"],
-                                     abs(lg - pt.logE))
-    return cat
-
-
 def cmd_verify(args) -> int:
-    if args.case == "m1":
-        cat = _verify_m1(args.s_max, args.tol)
-    elif args.case == "m2-special":
-        cat = _verify_m2_special(args.s_max, args.tol)
-    else:  # pragma: no cover - argparse limits choices
-        print(f"unknown case {args.case!r}", file=sys.stderr)
-        return EXIT_USAGE
+    nu, grid = _VERIFY_CASES[args.case]
+    targets = [t for t in grid if t <= args.s_max] or [args.s_max]
+    traj = flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, targets,
+                          tol=args.tol)
+    checks = verify(traj)
     report = {"case": args.case, "s_max": args.s_max, "tol": args.tol,
-              "categories": {}}
-    failed = []
-    for name, value in cat.items():
-        limit = _VERIFY_TOL[name]
-        ok = bool(value <= limit)
-        report["categories"][name] = {"max_residual": float(value),
-                                      "tolerance": limit, "pass": ok}
-        if not ok:
-            failed.append(name)
+              "categories": {
+                  name: {"max_residual": c.max_residual,
+                         "tolerance": c.tolerance, "worst_s": c.worst_s,
+                         "pass": c.ok}
+                  for name, c in checks.items()}}
+    failed = [f"{name} {c.max_residual:.3e} > {c.tolerance:.1e} at s={c.worst_s:g}"
+              for name, c in checks.items() if not c.ok]
     report["pass"] = not failed
     text = json.dumps(report, indent=2)
     if args.out:
@@ -277,7 +190,7 @@ def cmd_verify(args) -> int:
                          "tol": args.tol}, [path])
     print(text)
     if failed:
-        print(f"FAILED categories: {', '.join(failed)}", file=sys.stderr)
+        print(f"FAILED categories: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

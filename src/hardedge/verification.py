@@ -1,0 +1,122 @@
+"""One verification report over a Hamiltonian-flow trajectory.
+
+``verify(traj)`` walks the states of a trajectory once and returns, per
+residual category, the largest residual, its tolerance and the abscissa
+where it peaked.  The categories are the identities the reduced flow must
+satisfy: the first integrals and Schlesinger structure at every M, the
+folding relations, the Tracy-Widom map and the Painleve III' sigma-form at
+M=1, the quartic ODE (on two evaluation paths), the recovery formulas and
+the special-index third-order and F identities at M=2, and agreement of the
+flow's log E with the Fredholm determinant.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import fredholm, sigma_forms
+from . import hamiltonian_flow as flow
+
+__all__ = ["TOLERANCES", "Check", "verify"]
+
+# tolerance per category
+TOLERANCES = {
+    "first_integrals": 1e-8,
+    "imag_leakage": 1e-9,
+    "schlesinger": 1e-8,
+    "rank_one": 1e-10,
+    "folding": 1e-10,
+    "tracy_widom": 1e-8,
+    "sigma_m1": 1e-8,
+    "quartic": 1e-6,
+    "quartic_dual_path": 1e-9,
+    "third_order": 1e-6,
+    "f_identity": 1e-6,
+    "appendix_recovery": 1e-6,
+    "gap_vs_fredholm": 1e-6,
+}
+
+# categories reported at each M, in report order
+_CATEGORIES = {
+    1: ("first_integrals", "imag_leakage", "schlesinger", "rank_one",
+        "folding", "tracy_widom", "sigma_m1", "gap_vs_fredholm"),
+    2: ("first_integrals", "imag_leakage", "schlesinger", "rank_one",
+        "quartic", "quartic_dual_path", "third_order", "f_identity",
+        "appendix_recovery", "gap_vs_fredholm"),
+}
+
+# the eta_0-jet and Fredholm checks start at this abscissa
+_S_JET = 0.05
+
+
+@dataclass(frozen=True)
+class Check:
+    """Largest residual of one category, its tolerance and where it peaked.
+
+    ``worst_s`` is the first abscissa attaining ``max_residual``; it is None
+    when no state of the trajectory qualified for the category.
+    """
+
+    max_residual: float
+    tolerance: float
+    worst_s: float | None
+
+    @property
+    def ok(self) -> bool:
+        return self.max_residual <= self.tolerance
+
+
+def verify(traj: flow.Trajectory) -> dict:
+    """Category -> Check over every state of the trajectory.
+
+    The gap check calls ``gap_probability_hardedge(method="mb")``: the
+    Bessel-kernel determinant at M=1 and the theta=2 Muttalib-Borodin one at
+    M=2, so an M=2 index pair outside that correspondence raises ValueError.
+    """
+    params = traj.params
+    rows = {name: [] for name in _CATEGORIES[params.M]}
+    for st, log_gap in zip(traj.states, traj.log_gap):
+        res = {}
+        fir = flow.first_integral_residuals(st)
+        res["imag_leakage"] = fir.pop("imag_leakage")
+        res["first_integrals"] = max(fir.values())
+        struct = flow.structural_residuals(st)
+        res["schlesinger"] = max(struct["schlesinger_A"], struct["schlesinger_C"])
+        res["rank_one"] = struct["rank_one"]
+        if params.M == 1:
+            res["folding"] = max(struct["fold_x1"], struct["fold_y1"])
+            res["tracy_widom"] = max(v for k, v in struct.items()
+                                     if k.startswith("tw_"))
+            # the sigma form needs eta0'' from the flow
+            dx, dy, _, _ = flow.rhs(st)
+            d1 = (st.x[0] * st.y[1]).real
+            d2 = (dx[0] * st.y[1] + st.x[0] * dy[1]).real
+            e1, e2 = params.e
+            res["sigma_m1"] = sigma_forms.p3_sigma_residual(
+                st.s, st.eta[0].real, d1, d2, e1, e2)
+        if st.s >= _S_JET:
+            if params.M == 2:
+                jet = flow.eta_derivatives(st)
+                res["quartic"] = abs(sigma_forms.quartic_ode_residual(jet))
+                scale = sum(abs(v) for v in sigma_forms.quartic_blocks(jet).values())
+                res["quartic_dual_path"] = abs(
+                    sigma_forms.quartic_typeset_raw(jet)
+                    - sigma_forms.quartic_pipeline_raw(jet)) / scale
+                if params.nu == sigma_forms.SPECIAL_NU:
+                    third, fid = sigma_forms.special_case_residuals(jet)
+                    res["third_order"] = abs(third)
+                    res["f_identity"] = fid
+                res["appendix_recovery"] = max(
+                    sigma_forms.appendix_recover(st).values())
+            pt = fredholm.gap_probability_hardedge(params, st.s, target_tol=1e-9,
+                                                   method="mb")
+            res["gap_vs_fredholm"] = abs(log_gap - pt.logE)
+        for name, value in res.items():
+            rows[name].append((float(value), st.s))
+
+    report = {}
+    for name, vals in rows.items():
+        # max keeps the first row attaining the maximum
+        value, s = max(vals, key=lambda row: row[0], default=(0.0, None))
+        report[name] = Check(value, TOLERANCES[name], s)
+    return report

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hardedge import verification
 from hardedge.cli import main
 from hardedge.reference_data import table1_logE
 
@@ -47,12 +48,24 @@ def test_verify_usage_error():
     assert exc.value.code == 2
 
 
-def test_verify_m1_passes(tmp_path, capsys):
-    rc = main(["verify", "m1", "--s-max", "1.0", "--out", str(tmp_path)])
+@pytest.mark.parametrize("case", ["m1", "m2-special"])
+def test_verify_m1_passes(case, tmp_path, capsys):
+    rc = main(["verify", case, "--s-max", "1.0", "--out", str(tmp_path)])
     assert rc == 0
-    report = json.loads((tmp_path / "verify_m1.json").read_text())
+    report = json.loads((tmp_path / f"verify_{case}.json").read_text())
     assert report["pass"]
-    assert all(c["pass"] for c in report["categories"].values())
+    for check in report["categories"].values():
+        assert check["pass"]
+        assert check["worst_s"] is None or 0.0 < check["worst_s"] <= 1.0
+
+
+def test_verify_failure_names_category_and_abscissa(monkeypatch, capsys):
+    monkeypatch.setitem(verification.TOLERANCES, "folding", 0.0)
+    assert main(["verify", "m1", "--s-max", "1.0"]) == 1
+    out, err = capsys.readouterr()
+    check = json.loads(out)["categories"]["folding"]
+    assert not check["pass"] and check["max_residual"] > 0.0
+    assert "folding" in err and f"s={check['worst_s']:g}" in err
 
 
 def test_mc_rejects_zero_samples(tmp_path):
