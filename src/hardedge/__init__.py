@@ -9,7 +9,6 @@ sigma-form/first-integral machinery that cross-validates them.
 __version__ = "0.1.0"
 
 from .special_functions import (
-    SeriesControl,
     gamma_real,
     reciprocal_gamma,
     hyp0f2_reg,
@@ -39,7 +38,6 @@ from .fredholm import (
 from .hamiltonian_flow import (
     HamiltonianState,
     Trajectory,
-    initial_state,
     launch_state,
     integrate,
     first_integral_residuals,

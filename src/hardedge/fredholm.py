@@ -23,7 +23,6 @@ from .kernels import (
     build_kernel_bundle,
     kernel_matrix,
     borodin_kernel_matrix,
-    mb_params_for_hardedge,
 )
 
 __all__ = [
@@ -171,23 +170,19 @@ def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9,
 
 
 def gap_probability_hardedge(params_or_bundle, s: float, target_tol: float = 1e-9,
-                             method: str = "substitution",
                              kind: str = "gauss_legendre") -> GapPoint:
     """E_M(0;(0,s)) by Nystrom discretization of K_M with node doubling.
 
-    M=1 kernels are discretized on (0, s) as they stand.  For M=2 the default
-    method="substitution" sets x = (t/2)^2, which maps the x^{nu_1} endpoint
-    behaviour onto an analytic kernel on (0, 2 sqrt(s)); method="mb" routes
-    through the theta=2 Muttalib-Borodin determinant at r = 2 sqrt(s).
-    Node doubling converges exponentially when the discretized kernel is
-    analytic at the left endpoint: at M=1 when nu_1 is an integer, at M=2
-    when 2 nu_1 and 2 nu_2 are.  Other index sets keep an algebraic
-    endpoint factor, converge slowly and may hit the node cap.
+    M=1 kernels are discretized on (0, s) as they stand.  For M=2 the
+    substitution x = (t/2)^2 maps the x^{nu_1} endpoint behaviour onto an
+    analytic kernel on (0, 2 sqrt(s)).  Node doubling converges
+    exponentially when the discretized kernel is analytic at the left
+    endpoint: at M=1 when nu_1 is an integer, at M=2 when 2 nu_1 and 2 nu_2
+    are.  Other index sets keep an algebraic endpoint factor, converge
+    slowly and may hit the node cap.
     """
     if not s > 0:
         raise ValueError("s must be positive")
-    if method not in ("substitution", "mb"):
-        raise ValueError(f"unknown method {method!r}")
     if isinstance(params_or_bundle, KernelBundle):
         bundle = params_or_bundle
     else:
@@ -199,10 +194,6 @@ def gap_probability_hardedge(params_or_bundle, s: float, target_tol: float = 1e-
             return kernel_matrix(bundle, xs, ys)
 
         length = s
-    elif method == "mb":
-        mb = mb_params_for_hardedge(params)
-        pt = gap_probability_mb(mb, 2.0 * math.sqrt(s), target_tol, kind)
-        return GapPoint(s, pt.E, pt.logE, pt.node_count_used, pt.est_error)
     else:
         # x = (t/2)^2 on (0, 2 sqrt(s)); kernel picks up the Jacobian u/2
         def kfn(ts, us):

@@ -3,19 +3,20 @@
 For one or two matrix factors the gap probability satisfies
 ``E_M(0;(0,s)) = exp( int_0^s eta_0(t)/t dt )`` where eta_0 rides along a
 system of 4(M+1) coupled first-order ODEs in the variables
-(x_m, y_m, xi_m, eta_m).  This module launches that system from series data
-near s = 0, integrates it with an adaptive embedded Runge-Kutta pair in
-complex arithmetic, and monitors every first integral and structural
-identity (folding, Schlesinger consistency, the Tracy-Widom map) along the
+(x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0 (from
+the closed form at M=1, nu=(0,0), and from small-s eta_0 series at M=2),
+integrates it with an adaptive embedded Runge-Kutta pair in complex
+arithmetic, and monitors every first integral and structural identity
+(folding, Schlesinger consistency, the Tracy-Widom map) along the
 trajectory.
 
-Launching is the delicate part: the state is built from a small-s jet of
-eta_0 through the recovery relations, so every integral of motion holds at
-the launch point to roundoff and stays flat along the flow.  The x/y gauge
-(x -> lam x, y -> y/lam is a symmetry) is pinned by the boundary behaviour
-of the decoupling factor G = x_0/y_2; its printed expansion is leading-order
-only, so gauge-sensitive quantities carry an O(sqrt(s0)) offset that no
-invariant or gap quantity sees.
+At M=2 launching is the delicate part: the state is built from a small-s
+jet of eta_0 through the recovery relations, so every integral of motion
+holds at the launch point to roundoff and stays flat along the flow.  The
+x/y gauge (x -> lam x, y -> y/lam is a symmetry) is pinned by the boundary
+behaviour of the decoupling factor G = x_0/y_2; its printed expansion is
+leading-order only, so gauge-sensitive quantities carry an O(sqrt(s0))
+offset that no invariant or gap quantity sees.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "Trajectory",
     "SchlesingerView",
     "FlowError",
-    "initial_state",
     "launch_state",
     "rhs",
     "integrate",
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-6
-_S0_MAX = 1e-3
-_TRUNC_LIMIT = 1e-8
 
 
 class FlowError(RuntimeError):
@@ -66,8 +64,6 @@ class HamiltonianState:
     x, y, xi, eta are complex arrays of length M+1.  On the physical branch
     x and y are purely imaginary while xi and eta are real; imaginary leakage
     into xi/eta doubles as an integration sanity check.
-    ``truncation_exponent`` marks the first neglected series order when the
-    state came from a small-s expansion.
     """
 
     M: int
@@ -77,7 +73,6 @@ class HamiltonianState:
     xi: np.ndarray
     eta: np.ndarray
     params: HardEdgeParams
-    truncation_exponent: float | None = None
 
     def pack(self, aux: float = 0.0) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.xi, self.eta,
@@ -158,153 +153,54 @@ def rhs(state: HamiltonianState):
 
 
 # ---------------------------------------------------------------------------
-# series initial data
+# launch data
 # ---------------------------------------------------------------------------
-
-def initial_state(params: HardEdgeParams, s0: float) -> HamiltonianState:
-    """Populate the state from the printed small-s expansions.
-
-    Only the strictly-leading term of each variable is complete; the state
-    carries the first neglected eta_0 exponent in ``truncation_exponent``
-    and launching is refused when s0 to that power exceeds 1e-8.
-    """
-    if not 0 < s0 <= _S0_MAX:
-        raise FlowError(f"series launch needs 0 < s0 <= {_S0_MAX}")
-    nu = params.nu
-    if params.M == 1:
-        n0, n1 = nu
-        v = n1 - n0
-        g1, g2, g3 = gamma_real(v + 1), gamma_real(v + 2), gamma_real(v + 3)
-        x = 1j * np.array([
-            s0 ** (-n0) / g1,
-            n0 * s0 ** (-n0) / g1 + (1 - n0) * s0 ** (1 - n0) / g2,
-        ])
-        y = 1j * np.array([
-            -n0 * s0 ** n1 / g1 + (n0 - 1) * s0 ** (n1 + 1) / g2,
-            s0 ** n1 / g1,
-        ])
-        eta0 = -s0 ** (v + 1) / (g2 * g1)
-        eta1 = (-n0 * s0 ** (v + 1) / (g2 * g1)
-                + (1 - 2 * n0) * s0 ** (v + 2) / (g3 * g1))
-        xi0 = (n0 * n1 + n0 * (v + 1) * s0 ** (v + 1) / g2 ** 2
-               + (1 - 2 * n0) * s0 ** (v + 2) / (g3 * g1))
-        xi1 = -n0 - n1 - s0 ** (v + 1) / (g2 * g1)
-        xi = np.array([xi0, xi1], dtype=complex)
-        eta = np.array([eta0, eta1], dtype=complex)
-        trunc = v + 2.0
-    else:
-        if not params.generic:
-            raise FlowError("non-generic indices: nu_2 - nu_1 too close to "
-                            "an integer")
-        n0, n1, n2 = nu
-        a1, a2 = n1 - n0, n2 - n0
-        if min(a1, a2) <= -1.0:
-            raise FlowError("series launch needs min(nu_1, nu_2) - nu_0 > -1")
-        ga = [gamma_real(a1 + k) for k in (1, 2, 3)]
-        gb = [gamma_real(a2 + k) for k in (1, 2, 3)]
-        g12, g21 = gamma_real(n2 - n1), gamma_real(n1 - n2)
-        g12m, g21m = gamma_real(n2 - n1 - 1), gamma_real(n1 - n2 - 1)
-        e1, e2, e3 = params.e
-        x = -1j * np.array([
-            s0 ** (-n0) / (ga[0] * gb[0]),
-            n0 * s0 ** (-n0) / (ga[0] * gb[0])
-            + (1 - n0) * s0 ** (1 - n0) / (ga[1] * gb[1]),
-            n0 ** 2 * s0 ** (-n0) / (ga[0] * gb[0])
-            - (1 - n0) ** 2 * s0 ** (1 - n0) / (ga[1] * gb[1]),
-        ])
-        y = 1j * np.array([
-            n0 * n2 * g12 * s0 ** n1 / ga[0]
-            - (n0 * n2 - n0 + n1 - n2 + 1) * g12m * s0 ** (n1 + 1) / ga[1]
-            + n0 * n1 * g21 * s0 ** n2 / gb[0]
-            - (n0 * n1 - n0 + n2 - n1 + 1) * g21m * s0 ** (n2 + 1) / gb[1],
-            -(n0 + n2) * g12 * s0 ** n1 / ga[0]
-            - (n0 + n1) * g21 * s0 ** n2 / gb[0],
-            g12 * s0 ** n1 / ga[0] + g21 * s0 ** n2 / gb[0],
-        ])
-        # the shared eta/xi building blocks: one per 0F2 family
-        tA1 = g12 * s0 ** (a1 + 1) / (ga[1] * ga[0] * gb[0])
-        tA2 = g12m * s0 ** (a1 + 2) / (ga[2] * ga[0] * gb[1])
-        tB1 = g21 * s0 ** (a2 + 1) / (ga[0] * gb[1] * gb[0])
-        tB2 = g21m * s0 ** (a2 + 2) / (ga[1] * gb[2] * gb[0])
-        eta0 = -tA1 - tB1
-        eta1 = (-n0 * tA1 + (-n0 ** 2 - n0 * n1 + 2 * n0 * n2 + n1 - n2 + 1) * tA2
-                - n0 * tB1 + (-n0 ** 2 - n0 * n2 + 2 * n0 * n1 + n2 - n1 + 1) * tB2)
-        eta2 = (-n0 ** 2 * tA1
-                - (n0 ** 3 - 2 * n0 - (2 * n0 ** 2 - 2 * n0 + 1) * n2
-                   + (1 - n0) ** 2 * n1 + 1) * tA2
-                - n0 ** 2 * tB1
-                - (n0 ** 3 - 2 * n0 - (2 * n0 ** 2 - 2 * n0 + 1) * n1
-                   + (1 - n0) ** 2 * n2 + 1) * tB2)
-        xi0 = (-e3 - n0 * n2 * tA1
-               - (n2 * n0 ** 2 - n0 ** 2 - 2 * n2 ** 2 * n0 + n1 * n2 * n0
-                  + n1 * n0 + 2 * n0 + n2 ** 2 - n1 * n2 - n1 - 1) * tA2
-               - n0 * n1 * tB1
-               - (n1 * n0 ** 2 - n0 ** 2 - 2 * n1 ** 2 * n0 + n1 * n2 * n0
-                  + n2 * n0 + 2 * n0 + n1 ** 2 - n1 * n2 - n2 - 1) * tB2)
-        xi1 = e2 + (n0 + n2) * tA1 + (n0 + n1) * tB1
-        xi2 = -e1 - tA1 - tB1
-        xi = np.array([xi0, xi1, xi2], dtype=complex)
-        eta = np.array([eta0, eta1, eta2], dtype=complex)
-        trunc = min(a1, a2) + 2.0
-    if s0 ** trunc > _TRUNC_LIMIT:
-        raise FlowError(f"s0={s0} too large: series truncation ~s0^{trunc:.3g} "
-                        f"exceeds {_TRUNC_LIMIT}")
-    return HamiltonianState(M=params.M, s=s0, x=x, y=y, xi=xi, eta=eta,
-                            params=params, truncation_exponent=trunc)
-
 
 def _m2_series_jet(params: HardEdgeParams, s: float):
     """(jet, loghead) for M=2 from the best available small-s series."""
     if tuple(params.nu) == sigma_forms.SPECIAL_NU:
-        return sigma_forms.special_eta0_jet(s), sigma_forms.special_eta0_loghead(s)
-    n0, n1, n2 = params.nu
-    a1, a2 = n1 - n0, n2 - n0
-    pA, pB = a1 + 1.0, a2 + 1.0
-    cA = -gamma_real(n2 - n1) / (gamma_real(a1 + 2) * gamma_real(a1 + 1)
-                                 * gamma_real(a2 + 1))
-    cB = -gamma_real(n1 - n2) / (gamma_real(a1 + 1) * gamma_real(a2 + 2)
-                                 * gamma_real(a2 + 1))
-    d = [0.0] * 5
-    for c, p in ((cA, pA), (cB, pB)):
-        fac = 1.0
-        for m in range(5):
-            d[m] += c * fac * s ** (p - m)
-            fac *= (p - m)
-    loghead = cA * s ** pA / pA + cB * s ** pB / pB
-    return tuple(d), loghead
+        terms = sigma_forms.SPECIAL_ETA0_TERMS
+    else:
+        n0, n1, n2 = params.nu
+        a1, a2 = n1 - n0, n2 - n0
+        cA = -gamma_real(n2 - n1) / (gamma_real(a1 + 2) * gamma_real(a1 + 1)
+                                     * gamma_real(a2 + 1))
+        cB = -gamma_real(n1 - n2) / (gamma_real(a1 + 1) * gamma_real(a2 + 2)
+                                     * gamma_real(a2 + 1))
+        terms = ((cA, a1 + 1.0), (cB, a2 + 1.0))
+    return sigma_forms.eta0_power_series(terms, s)
 
 
 def launch_state(params: HardEdgeParams, s0: float):
     """(state, loghead): the most accurate available launch at s0.
 
-    M=1 at nu=(0,0) uses the exact closed-form trajectory.  M=2 builds the
-    state from the eta_0 jet through the recovery relations, so all integrals
-    of motion hold at launch to roundoff; the special index set
+    M=1 at nu=(0,0) uses the exact closed-form trajectory; every other M=1
+    index set is refused, since no launch for it is certified yet.  M=2
+    builds the state from the eta_0 jet through the recovery relations, so
+    all integrals of motion hold at launch to roundoff; the special index set
     (0, -1/2, 0) gets the six-term series, anything else the leading one.
-    Other M=1 indices fall back to the printed series.
     """
     nu = params.nu
     if params.M == 1:
-        if nu == (0.0, 0.0):
-            s = s0
-            state = HamiltonianState(
-                M=1, s=s, x=np.array([1j, 1j * s]),
-                y=np.array([-1j * s, 1j]),
-                xi=np.array([s * s / 2, -s], dtype=complex),
-                eta=np.array([-s, -s * s / 2], dtype=complex),
-                params=params, truncation_exponent=None)
-            return state, -s0
-        state = initial_state(params, s0)
-        v = nu[1] - nu[0]
-        loghead = -s0 ** (v + 1) / ((v + 1) * gamma_real(v + 2) * gamma_real(v + 1))
-        return state, loghead
+        if nu != (0.0, 0.0):
+            raise FlowError(
+                f"no certified M=1 launch at nu_1={nu[1]:g}: only nu=(0,0) "
+                "launches (a Fredholm-data launch is ROADMAP item 3)")
+        s = s0
+        state = HamiltonianState(
+            M=1, s=s, x=np.array([1j, 1j * s]),
+            y=np.array([-1j * s, 1j]),
+            xi=np.array([s * s / 2, -s], dtype=complex),
+            eta=np.array([-s, -s * s / 2], dtype=complex),
+            params=params)
+        return state, -s0
     d, loghead = _m2_series_jet(params, s0)
     n0, n1, n2 = nu
     g_inv = (-gamma_real(n2 - n1) * gamma_real(n2 - n0 + 1) * s0 ** (n1 + n0)
              - gamma_real(n1 - n2) * gamma_real(n1 - n0 + 1) * s0 ** (n2 + n0))
     x, y, xi, eta = sigma_forms.state_arrays_from_jet(s0, d, params, g_inv)
     state = HamiltonianState(M=2, s=s0, x=x, y=y, xi=xi, eta=eta,
-                             params=params, truncation_exponent=None)
+                             params=params)
     return state, loghead
 
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special_functions import (
-    SeriesControl,
-    DEFAULT_CONTROL,
+    N_TERMS,
     gamma_real,
     bessel_j_coefficients,
     hyp0f2_reg_coefficients,
@@ -116,14 +115,12 @@ class KernelBundle:
     sweep.  Immutable after construction.
     """
 
-    def __init__(self, params: HardEdgeParams, ctl: SeriesControl = DEFAULT_CONTROL):
+    def __init__(self, params: HardEdgeParams):
         if params.M == 2 and not params.generic:
             raise ValueError(
                 "nu_2 - nu_1 is within 1e-6 of an integer; the 0F2 kernel "
                 "representation is not valid there")
         self.params = params
-        self.ctl = ctl
-        n_terms = ctl.max_terms
         nu = params.nu
         # phi_j = sum_t phi_w[j, t] x**phi_pow[t] P_t(sign_t x) over the first
         # series rows; psi_j likewise over its (power, row) terms with psi_w
@@ -132,8 +129,8 @@ class KernelBundle:
             v = n1 - n0
             # J_v(2 sqrt(x)) = x^(v/2) * P_v(x); the alternating sign is
             # already folded into the P coefficients, so the argument is +x
-            series = [bessel_j_coefficients(v, n_terms),
-                      bessel_j_coefficients(v + 1.0, n_terms)]
+            series = [bessel_j_coefficients(v, N_TERMS),
+                      bessel_j_coefficients(v + 1.0, N_TERMS)]
             signs = [1.0, 1.0]
             phi_pow = [-n0, 1.0 - n0]
             psi_terms = [(n1, 0), (n1 + 1.0, 1)]
@@ -144,11 +141,11 @@ class KernelBundle:
             a1, a2 = n1 - n0, n2 - n0
             g12 = gamma_real(n2 - n1) * gamma_real(n1 - n2 + 1.0)
             g21 = gamma_real(n1 - n2) * gamma_real(n2 - n1 + 1.0)
-            series = [hyp0f2_reg_coefficients(a1 + k, a2 + k, n_terms)
+            series = [hyp0f2_reg_coefficients(a1 + k, a2 + k, N_TERMS)
                       for k in (1.0, 2.0, 3.0)]
             for shift in (-1.0, 0.0, 1.0):
-                series += [hyp0f2_reg_coefficients(a1 + shift, n1 - n2 + 1.0, n_terms),
-                           hyp0f2_reg_coefficients(a2 + shift, n2 - n1 + 1.0, n_terms)]
+                series += [hyp0f2_reg_coefficients(a1 + shift, n1 - n2 + 1.0, N_TERMS),
+                           hyp0f2_reg_coefficients(a2 + shift, n2 - n1 + 1.0, N_TERMS)]
             signs = [-1.0] * 3 + [1.0] * 6
             phi_pow = [-n0, 1.0 - n0, 2.0 - n0]
             psi_terms = [(n1 if r % 2 else n2, r) for r in range(3, 9)]
@@ -161,9 +158,9 @@ class KernelBundle:
                              [0.0, 0.0, 1.0]], [g12, g21])
         coeffs = np.array(series)
         n_phi = len(phi_pow)
-        deriv = coeffs[:n_phi, 1:] * np.arange(1.0, n_terms)
+        deriv = coeffs[:n_phi, 1:] * np.arange(1.0, N_TERMS)
         deriv = np.hstack([deriv, np.zeros((n_phi, 1))])
-        # (n_terms, rows, 1) against (rows, n) arguments in one Horner sweep
+        # (N_TERMS, rows, 1) against (rows, n) arguments in one Horner sweep
         self._coeffs = np.ascontiguousarray(np.vstack([coeffs, deriv]).T[:, :, None])
         self._signs = np.array(signs + signs[:n_phi])[:, None]
         self._n_series = len(series)
@@ -202,10 +199,9 @@ class KernelBundle:
         return float(np.max(np.abs(prods.sum(axis=0))) / scale)
 
 
-def build_kernel_bundle(params: HardEdgeParams,
-                        ctl: SeriesControl = DEFAULT_CONTROL) -> KernelBundle:
+def build_kernel_bundle(params: HardEdgeParams) -> KernelBundle:
     """Construct the phi/psi evaluators for K_M; M=2 requires generic nu."""
-    return KernelBundle(params, ctl)
+    return KernelBundle(params)
 
 
 def kernel_value(bundle: KernelBundle, x: float, y: float) -> float:
@@ -247,7 +243,6 @@ class MBParams:
 
     c: float
     theta: float = 2.0
-    ctl: SeriesControl = DEFAULT_CONTROL
     inner_nodes: int = 64
 
     def __post_init__(self):
@@ -264,8 +259,8 @@ def _mb_pieces(mb: MBParams):
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     ca = wright_bessel_coefficients((mb.c + 1.0) / mb.theta, 1.0 / mb.theta,
-                                    mb.ctl.max_terms)
-    cb = wright_bessel_coefficients(mb.c + 1.0, mb.theta, mb.ctl.max_terms)
+                                    N_TERMS)
+    cb = wright_bessel_coefficients(mb.c + 1.0, mb.theta, N_TERMS)
     return u, wu * u ** mb.c, ca, cb
 
 
@@ -286,7 +281,7 @@ def borodin_kernel(mb: MBParams, x: float, y: float) -> float:
     return float(borodin_kernel_matrix(mb, np.array([x]), np.array([y]))[0, 0])
 
 
-def mb_params_for_hardedge(params: HardEdgeParams, ctl: SeriesControl = DEFAULT_CONTROL,
+def mb_params_for_hardedge(params: HardEdgeParams,
                            inner_nodes: int = 64) -> MBParams:
     """The theta=2 Muttalib-Borodin parameters matching an M=2 index pair.
 
@@ -298,4 +293,4 @@ def mb_params_for_hardedge(params: HardEdgeParams, ctl: SeriesControl = DEFAULT_
     n1, n2 = params.nu[1], params.nu[2]
     if abs(n2 - n1 - 0.5) > 1e-12:
         raise ValueError("theta=2 correspondence needs nu_2 = nu_1 + 1/2")
-    return MBParams(c=2.0 * n1 + 1.0, theta=2.0, ctl=ctl, inner_nodes=inner_nodes)
+    return MBParams(c=2.0 * n1 + 1.0, theta=2.0, inner_nodes=inner_nodes)

@@ -33,8 +33,8 @@ from .kernels import HardEdgeParams
 __all__ = [
     "ResolventJet",
     "SPECIAL_NU",
+    "eta0_power_series",
     "special_eta0_jet",
-    "special_eta0_loghead",
     "f_squared",
     "radical_F",
     "radical_F_bilinear",
@@ -56,15 +56,16 @@ __all__ = [
 SPECIAL_NU = (0.0, -0.5, 0.0)
 
 _PI = math.pi
-# eta_0 = sum_k c_k s^(k/2) for nu = (0, -1/2, 0); next order is O(s^{7/2})
-SPECIAL_ETA0_COEFFS = (
-    -2.0 / math.sqrt(_PI),
-    -2.0 * (4.0 - _PI) / _PI,
-    -(32.0 / 3.0) * (3.0 - _PI) / _PI ** 1.5,
-    -(16.0 / 9.0) * (72.0 - 32.0 * _PI + 3.0 * _PI ** 2) / _PI ** 2,
-    -(64.0 / 45.0) * (360.0 - 200.0 * _PI + 27.0 * _PI ** 2) / _PI ** 2.5,
-    -(512.0 / 675.0) * (2700.0 - 1800.0 * _PI + 347.0 * _PI ** 2
-                        - 15.0 * _PI ** 3) / _PI ** 3,
+# eta_0 = sum_k c_k s^(k/2) for nu = (0, -1/2, 0) as (c_k, k/2) terms; next
+# order is O(s^{7/2})
+SPECIAL_ETA0_TERMS = (
+    (-2.0 / math.sqrt(_PI), 0.5),
+    (-2.0 * (4.0 - _PI) / _PI, 1.0),
+    (-(32.0 / 3.0) * (3.0 - _PI) / _PI ** 1.5, 1.5),
+    (-(16.0 / 9.0) * (72.0 - 32.0 * _PI + 3.0 * _PI ** 2) / _PI ** 2, 2.0),
+    (-(64.0 / 45.0) * (360.0 - 200.0 * _PI + 27.0 * _PI ** 2) / _PI ** 2.5, 2.5),
+    (-(512.0 / 675.0) * (2700.0 - 1800.0 * _PI + 347.0 * _PI ** 2
+                         - 15.0 * _PI ** 3) / _PI ** 3, 3.0),
 )
 
 
@@ -88,26 +89,30 @@ class ResolventJet:
     params: HardEdgeParams
 
 
+def eta0_power_series(terms, s: float) -> tuple:
+    """(jet, loghead) of eta_0 = sum c s^p over the (c, p) terms.
+
+    jet is (eta0, ..., eta0'''') at s and loghead is int_0^s eta0(t)/t dt,
+    the head of the tau formula; every p must be positive.
+    """
+    d = [0.0] * 5
+    loghead = 0.0
+    for c, p in terms:
+        fac = 1.0
+        for m in range(5):
+            d[m] += c * fac * s ** (p - m)
+            fac *= (p - m)
+        loghead += c * s ** p / p
+    return tuple(d), loghead
+
+
 def special_eta0_jet(s: float) -> tuple:
     """(eta0, ..., eta0'''') from the six-term small-s series at nu=(0,-1/2,0).
 
     Absolute truncation error is O(s^{7/2}) for the value, one power of s
     less per derivative order.
     """
-    d = [0.0] * 5
-    for k, c in enumerate(SPECIAL_ETA0_COEFFS, start=1):
-        p = k / 2.0
-        fac = 1.0
-        for m in range(5):
-            d[m] += c * fac * s ** (p - m)
-            fac *= (p - m)
-    return tuple(d)
-
-
-def special_eta0_loghead(s: float) -> float:
-    """int_0^s eta0(t)/t dt from the six-term series (head of the tau formula)."""
-    return sum(c * s ** (k / 2.0) / (k / 2.0)
-               for k, c in enumerate(SPECIAL_ETA0_COEFFS, start=1))
+    return eta0_power_series(SPECIAL_ETA0_TERMS, s)[0]
 
 
 def f_squared(s: float, d, e1: float, e2: float) -> float:

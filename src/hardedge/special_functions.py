@@ -2,10 +2,12 @@
 
 Everything here is a plain power series in double precision: regularized
 hypergeometric 0F2, the Wright Bessel function, the classical Bessel J, plus
-real Gamma / reciprocal Gamma and elementary symmetric polynomials.  Series
-are summed forward with an early exit once two consecutive terms drop below
-``tail_tol`` relative to the running sum; alternating-series cancellation is
-monitored through the largest intermediate term.
+real Gamma / reciprocal Gamma and elementary symmetric polynomials.  Each
+series is its first ``N_TERMS`` Taylor coefficients (the ``*_coefficients``
+functions) evaluated by ``horner``, the same path the kernels take.  Horner's
+rule in floating point is exact for slightly perturbed coefficients, so the
+error of p(x) is at most gamma_2N * sum_j |c_j| |x|^j (Higham, *Accuracy and
+Stability of Numerical Algorithms*, section 5.1).
 
 All functions are pure and safe to call concurrently.
 """
@@ -13,23 +15,18 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
-    "SeriesEval",
+    "N_TERMS",
     "GammaPoleError",
     "gamma_real",
     "reciprocal_gamma",
     "hyp0f2_reg",
-    "hyp0f2_reg_eval",
     "hyp0f2",
     "wright_bessel",
-    "wright_bessel_eval",
     "bessel_j",
-    "bessel_j_eval",
     "elementary_symmetric",
     "hyp0f2_reg_coefficients",
     "wright_bessel_coefficients",
@@ -37,59 +34,12 @@ __all__ = [
     "horner",
 ]
 
-# Cancellation beyond this many digits marks a series evaluation unreliable.
-_MAX_DIGITS_LOST = 10.0
+# Taylor terms kept in every series
+N_TERMS = 100
 
 
 class GammaPoleError(ValueError):
     """Gamma evaluated at a non-positive integer."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for all series in this module.
-
-    max_terms: hard cap on the number of summed terms.
-    tail_tol:  relative magnitude at which summation stops early (two
-               consecutive terms must both fall below it).
-    """
-
-    max_terms: int = 100
-    tail_tol: float = 1e-18
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-
-@dataclass(frozen=True)
-class SeriesEval:
-    """A series value together with its convergence diagnostics.
-
-    converged is False when max_terms was exhausted before the tail test
-    passed.  max_abs_term tracks the largest intermediate magnitude, so
-    ``max_abs_term / |value|`` estimates the digits lost to cancellation.
-    """
-
-    value: float
-    terms_used: int
-    converged: bool
-    max_abs_term: float
-
-    @property
-    def digits_lost(self) -> float:
-        if self.value == 0.0:
-            return math.inf if self.max_abs_term > 0 else 0.0
-        return max(0.0, math.log10(self.max_abs_term / abs(self.value)))
-
-    @property
-    def reliable(self) -> bool:
-        return self.converged and self.digits_lost <= _MAX_DIGITS_LOST
 
 
 def gamma_real(x: float) -> float:
@@ -126,25 +76,6 @@ def horner(coeffs: np.ndarray, x: np.ndarray | float):
     return result
 
 
-def _sum_series(term_fn, ctl: SeriesControl) -> SeriesEval:
-    """Forward summation with the two-consecutive-small-terms exit rule."""
-    total = 0.0
-    max_abs = 0.0
-    below = 0
-    j = 0
-    for j in range(ctl.max_terms):
-        t = term_fn(j)
-        total += t
-        max_abs = max(max_abs, abs(t))
-        if abs(t) <= ctl.tail_tol * max(abs(total), 1e-300):
-            below += 1
-            if below >= 2:
-                return SeriesEval(total, j + 1, True, max_abs)
-        else:
-            below = 0
-    return SeriesEval(total, j + 1, False, max_abs)
-
-
 def hyp0f2_reg_coefficients(b1: float, b2: float, n_terms: int) -> np.ndarray:
     """Taylor coefficients c_j = 1/(j! Gamma(b1+j) Gamma(b2+j))."""
     c = np.empty(n_terms)
@@ -156,35 +87,16 @@ def hyp0f2_reg_coefficients(b1: float, b2: float, n_terms: int) -> np.ndarray:
     return c
 
 
-def hyp0f2_reg_eval(b1: float, b2: float, x: float,
-                    ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesEval:
-    """Regularized 0F2: sum_j x^j / (j! Gamma(b1+j) Gamma(b2+j)), with info."""
+def hyp0f2_reg(b1: float, b2: float, x: float) -> float:
+    """Regularized 0F2(;b1,b2;x); entire in b1, b2 and x."""
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
-    # rg1*rg2 grouped first: float products commute, so the sum is exactly
-    # symmetric under b1 <-> b2
-    rg = [reciprocal_gamma(b1 + j) * reciprocal_gamma(b2 + j)
-          for j in range(ctl.max_terms)]
-
-    xpow = [1.0]
-    fact = [1.0]
-    for j in range(1, ctl.max_terms):
-        xpow.append(xpow[-1] * x)
-        fact.append(fact[-1] * j)
-
-    return _sum_series(lambda j: xpow[j] * rg[j] / fact[j], ctl)
+    return float(horner(hyp0f2_reg_coefficients(b1, b2, N_TERMS), x))
 
 
-def hyp0f2_reg(b1: float, b2: float, x: float,
-               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Regularized 0F2(;b1,b2;x); entire in b1, b2 and x."""
-    return hyp0f2_reg_eval(b1, b2, x, ctl).value
-
-
-def hyp0f2(b1: float, b2: float, x: float,
-           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def hyp0f2(b1: float, b2: float, x: float) -> float:
     """Unregularized 0F2(;b1,b2;x) = Gamma(b1) Gamma(b2) * hyp0f2_reg."""
-    return gamma_real(b1) * gamma_real(b2) * hyp0f2_reg(b1, b2, x, ctl)
+    return gamma_real(b1) * gamma_real(b2) * hyp0f2_reg(b1, b2, x)
 
 
 def wright_bessel_coefficients(a: float, b: float, n_terms: int) -> np.ndarray:
@@ -198,25 +110,13 @@ def wright_bessel_coefficients(a: float, b: float, n_terms: int) -> np.ndarray:
     return c
 
 
-def wright_bessel_eval(a: float, b: float, x: float,
-                       ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesEval:
-    """Wright Bessel sum_j (-x)^j / (j! Gamma(a + j b)), with info."""
+def wright_bessel(a: float, b: float, x: float) -> float:
+    """Wright Bessel sum_j (-x)^j / (j! Gamma(a + j b)), b > 0."""
     if not b > 0:
         raise ValueError("Wright Bessel requires b > 0")
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
-    rg = [reciprocal_gamma(a + j * b) for j in range(ctl.max_terms)]
-    xpow = [1.0]
-    fact = [1.0]
-    for j in range(1, ctl.max_terms):
-        xpow.append(xpow[-1] * (-x))
-        fact.append(fact[-1] * j)
-    return _sum_series(lambda j: xpow[j] * rg[j] / fact[j], ctl)
-
-
-def wright_bessel(a: float, b: float, x: float,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    return wright_bessel_eval(a, b, x, ctl).value
+    return float(horner(wright_bessel_coefficients(a, b, N_TERMS), x))
 
 
 def bessel_j_coefficients(nu: float, n_terms: int) -> np.ndarray:
@@ -230,33 +130,20 @@ def bessel_j_coefficients(nu: float, n_terms: int) -> np.ndarray:
     return c
 
 
-def bessel_j_eval(nu: float, x: float,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesEval:
+def bessel_j(nu: float, x: float) -> float:
     """Classical J_nu(x), x >= 0, via the ascending series in (x/2)^2.
 
-    Adequate for moderate arguments (x below roughly 40); the cancellation
-    monitor flags anything beyond that range as unreliable.
+    Adequate for moderate arguments (x below roughly 40); beyond that the
+    alternating terms cancel more digits than double precision holds.
     """
     if x < 0:
         raise ValueError("bessel_j requires x >= 0")
-    t = (x / 2.0) ** 2
-    rg = [reciprocal_gamma(nu + k + 1) for k in range(ctl.max_terms)]
-    tpow = [1.0]
-    fact = [1.0]
-    for k in range(1, ctl.max_terms):
-        tpow.append(tpow[-1] * (-t))
-        fact.append(fact[-1] * k)
-    inner = _sum_series(lambda k: tpow[k] * rg[k] / fact[k], ctl)
+    inner = float(horner(bessel_j_coefficients(nu, N_TERMS), (x / 2.0) ** 2))
     if x == 0.0:
         pref = 1.0 if nu == 0.0 else 0.0
     else:
         pref = (x / 2.0) ** nu
-    return SeriesEval(pref * inner.value, inner.terms_used, inner.converged,
-                      abs(pref) * inner.max_abs_term)
-
-
-def bessel_j(nu: float, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    return bessel_j_eval(nu, x, ctl).value
+    return pref * inner
 
 
 def elementary_symmetric(nus) -> tuple:

@@ -12,9 +12,10 @@ flow's log E with the Fredholm determinant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import fredholm, sigma_forms
+from . import fredholm, kernels, sigma_forms
 from . import hamiltonian_flow as flow
 
 __all__ = ["TOLERANCES", "Check", "verify"]
@@ -69,11 +70,23 @@ class Check:
 def verify(traj: flow.Trajectory) -> dict:
     """Category -> Check over every state of the trajectory.
 
-    The gap check calls ``gap_probability_hardedge(method="mb")``: the
-    Bessel-kernel determinant at M=1 and the theta=2 Muttalib-Borodin one at
-    M=2, so an M=2 index pair outside that correspondence raises ValueError.
+    The gap check compares with the Bessel-kernel determinant at M=1 and
+    with the theta=2 Muttalib-Borodin one at M=2, so an M=2 index pair
+    outside that correspondence raises ValueError.
     """
     params = traj.params
+    if params.M == 1:
+        bundle = kernels.build_kernel_bundle(params)
+
+        def fredholm_log_gap(s):
+            return fredholm.gap_probability_hardedge(bundle, s,
+                                                     target_tol=1e-9).logE
+    else:
+        mb = kernels.mb_params_for_hardedge(params)
+
+        def fredholm_log_gap(s):
+            return fredholm.gap_probability_mb(mb, 2.0 * math.sqrt(s),
+                                               target_tol=1e-9).logE
     rows = {name: [] for name in _CATEGORIES[params.M]}
     for st, log_gap in zip(traj.states, traj.log_gap):
         res = {}
@@ -108,9 +121,7 @@ def verify(traj: flow.Trajectory) -> dict:
                     res["f_identity"] = fid
                 res["appendix_recovery"] = max(
                     sigma_forms.appendix_recover(st).values())
-            pt = fredholm.gap_probability_hardedge(params, st.s, target_tol=1e-9,
-                                                   method="mb")
-            res["gap_vs_fredholm"] = abs(log_gap - pt.logE)
+            res["gap_vs_fredholm"] = abs(log_gap - fredholm_log_gap(st.s))
         for name, value in res.items():
             rows[name].append((float(value), st.s))
 

@@ -143,7 +143,7 @@ def test_hardedge_m1_against_trapezoid_oracle():
                          ids=["c0", "c1"])
 def test_hardedge_m2_matches_mb_identity(nu, c, s):
     params = HardEdgeParams.from_nu(nu)
-    sub = gap_probability_hardedge(params, s, method="substitution")
+    sub = gap_probability_hardedge(params, s)
     mb = gap_probability_mb(MBParams(c=c), 2.0 * math.sqrt(s))
     assert abs(sub.logE - mb.logE) <= 1e-8
 

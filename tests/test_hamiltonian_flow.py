@@ -6,29 +6,14 @@ import pytest
 from hardedge.kernels import HardEdgeParams, MBParams
 from hardedge.fredholm import gap_probability_mb, gap_probability_hardedge
 from hardedge import hamiltonian_flow as flow
+from hardedge.cli import main
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
-# series initial data
+# launch data
 # ---------------------------------------------------------------------------
-
-def test_initial_state_m2_leading_values(params_m2):
-    st = flow.initial_state(params_m2, 1e-6)
-    assert st.x[0] == pytest.approx(-1j / SQRT_PI, rel=1e-12)
-    # eta_0 leading term -2 sqrt(s)/sqrt(pi); the printed subleading order
-    # is O(s), and only the leading term is complete
-    lead = -2.0 * math.sqrt(1e-6) / SQRT_PI
-    assert abs(st.eta[0].real - lead) <= 3.0 * 1e-6
-
-
-def test_initial_state_first_integral_limit(params_m2):
-    # xi_2 + e_1 - eta_0 -> 0 as s0 -> 0 (here exactly, term by term)
-    for s0 in (1e-6, 1e-8):
-        st = flow.initial_state(params_m2, s0)
-        assert abs(st.xi[2] + params_m2.e[0] - st.eta[0]) <= 1e-14
-
 
 def test_launch_state_residuals_small_at_tiny_s0(params_m2):
     # the exact-series launch satisfies every integral of motion
@@ -38,25 +23,18 @@ def test_launch_state_residuals_small_at_tiny_s0(params_m2):
     assert max(r.values()) <= 1e-6
 
 
-def test_initial_state_printed_series_consistency(params_m2):
-    # the printed expansions are leading-order only; their integral-of-motion
-    # residuals shrink with s0 but stay at the truncation scale
-    st = flow.initial_state(params_m2, 1e-8)
-    r = flow.first_integral_residuals(st)
-    r.pop("imag_leakage")
-    assert max(r.values()) <= 1e-3
+@pytest.mark.parametrize("v", [-0.5, 0.3, 1.0, 2.5])
+def test_m1_launch_refused_before_integrating(v, monkeypatch, tmp_path):
+    # M=1 has a certified launch only at nu=(0,0); any other nu_1 is refused
+    # at launch, without running the integrator
+    def no_integration(*args, **kwargs):
+        raise AssertionError("solve_ivp called for a refused launch")
 
-
-def test_initial_state_truncation_guard(params_m2):
-    with pytest.raises(flow.FlowError):
-        flow.initial_state(params_m2, 1e-3)   # s0^(3/2) ~ 3e-5 > 1e-8
-    with pytest.raises(flow.FlowError):
-        flow.initial_state(params_m2, 0.5)
-
-
-def test_initial_state_rejects_non_generic():
-    with pytest.raises(flow.FlowError):
-        flow.initial_state(HardEdgeParams.from_nu((0.0, 0.0, 1.0)), 1e-6)
+    monkeypatch.setattr(flow, "solve_ivp", no_integration)
+    with pytest.raises(flow.FlowError, match=f"nu_1={v:g}"):
+        flow.integrate(HardEdgeParams.from_nu((0.0, v)), 1e-5, [1e-4, 1.0])
+    assert main(["ode", "--m", "1", "--nu1", str(v), "--s-max", "1.0",
+                 "--points", "4", "--out", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------

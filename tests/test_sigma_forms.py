@@ -203,7 +203,7 @@ def test_small_s_series_against_fredholm(params_m2):
     from hardedge.fredholm import gap_probability_mb
     from hardedge.kernels import MBParams
     s = 0.01
-    series = sf.special_eta0_loghead(s)
+    series = sf.eta0_power_series(sf.SPECIAL_ETA0_TERMS, s)[1]
     mb = gap_probability_mb(MBParams(c=0.0), 2.0 * math.sqrt(s))
     assert series == pytest.approx(mb.logE, abs=5.0 * s ** 3.5)
 

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardedge.special_functions import (
-    SeriesControl,
+    N_TERMS,
     GammaPoleError,
     gamma_real,
     reciprocal_gamma,
     hyp0f2_reg,
-    hyp0f2_reg_eval,
     hyp0f2,
     wright_bessel,
-    wright_bessel_eval,
     bessel_j,
+    bessel_j_coefficients,
     elementary_symmetric,
+    horner,
+    hyp0f2_reg_coefficients,
+    wright_bessel_coefficients,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -108,34 +110,66 @@ def test_bessel_trivial():
     assert bessel_j(1.0, 0.0) == 0.0
 
 
-def test_series_tail_bound_when_converged():
-    ev = wright_bessel_eval(1.0, 2.0, 3.0)
-    assert ev.converged
-    # truncation error is bounded by the tail-test threshold
-    ctl = SeriesControl()
+# Higham's a-priori bound for Horner's rule on N_TERMS coefficients:
+# |fl(p(x)) - p(x)| <= gamma_2N * sum_j |c_j| |x|^j
+_U = 2.0 ** -53
+_GAMMA_2N = 2 * N_TERMS * _U / (1.0 - 2 * N_TERMS * _U)
+
+
+def _series_rows():
+    """(float coefficients, exact term j, arguments) for every series that
+    KernelBundle and _mb_pieces stack, over the arguments they reach.
+
+    The exact terms take the float parameters as exact binary values.
+    """
+    rows = []
+    # M=1: J_w(2 sqrt x) / x^(w/2) for w = v, v+1, at x up to s = 20
+    for v in (-0.5, 0.0, 1.0, 2.5):
+        for w in (v, v + 1.0):
+            rows.append((bessel_j_coefficients(w, N_TERMS),
+                         lambda j, w=mpmath.mpf(w):
+                         (-1) ** j * mpmath.rgamma(w + j + 1) / mpmath.factorial(j),
+                         np.linspace(0.0, 20.0, 11)))
+    # M=2: the r1-r3 rows and the (nu_1, nu_2) pairs at shifts -1, 0, +1,
+    # at x = (t/2)^2 up to s = 12, with either sign
+    for nu in ((0.0, -0.5, 0.0), (0.0, 0.0, 0.5), (0.0, 0.3, 1.1),
+               (0.0, 0.25, -0.25), (0.0, 1.5, 0.0)):
+        n0, n1, n2 = nu
+        a1, a2 = n1 - n0, n2 - n0
+        pairs = [(a1 + k, a2 + k) for k in (1.0, 2.0, 3.0)]
+        for shift in (-1.0, 0.0, 1.0):
+            pairs += [(a1 + shift, n1 - n2 + 1.0), (a2 + shift, n2 - n1 + 1.0)]
+        for b1, b2 in pairs:
+            rows.append((hyp0f2_reg_coefficients(b1, b2, N_TERMS),
+                         lambda j, b1=mpmath.mpf(b1), b2=mpmath.mpf(b2):
+                         mpmath.rgamma(b1 + j) * mpmath.rgamma(b2 + j)
+                         / mpmath.factorial(j),
+                         np.linspace(-12.0, 12.0, 13)))
+    # theta=2 Muttalib-Borodin: W((c+1)/2, 1/2; x u) with x u <= r = 15 and
+    # W(c+1, 2; (y u)^2) with (y u)^2 <= 225
+    for c in (0.0, 1.0):
+        for a, b, x_max in (((c + 1.0) / 2.0, 0.5, 15.0), (c + 1.0, 2.0, 225.0)):
+            rows.append((wright_bessel_coefficients(a, b, N_TERMS),
+                         lambda j, a=mpmath.mpf(a), b=mpmath.mpf(b):
+                         (-1) ** j * mpmath.rgamma(a + j * b) / mpmath.factorial(j),
+                         np.linspace(0.0, x_max, 9)))
+    return rows
+
+
+def test_series_rows_within_horner_bound():
+    # each row and its derivative, as the kernels evaluate them, against the
+    # exact series at 40 digits (120 terms, so the truncation counts too)
     with mpmath.workdps(40):
-        exact = float(mpmath.nsum(
-            lambda j: (-3) ** j / (mpmath.factorial(j) * mpmath.gamma(1 + 2 * j)),
-            [0, mpmath.inf]))
-    assert abs(ev.value - exact) <= max(ctl.tail_tol * abs(ev.value), 1e-16)
-
-
-def test_non_convergence_flag():
-    ev = hyp0f2_reg_eval(1.0, 1.0, 50.0, SeriesControl(max_terms=5))
-    assert not ev.converged
-
-
-def test_cancellation_monitor():
-    ev = wright_bessel_eval(1.0, 2.0, 500.0)
-    assert ev.max_abs_term > abs(ev.value)
-    assert ev.digits_lost > 0
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(ValueError):
-        SeriesControl(tail_tol=0.0)
+        for coeffs, term, xs in _series_rows():
+            exact = [term(j) for j in range(120)]
+            dcoeffs = coeffs[1:] * np.arange(1.0, N_TERMS)
+            for x in xs:
+                for c, terms in ((coeffs, exact),
+                                 (dcoeffs, [j * t for j, t in enumerate(exact)][1:])):
+                    ref = mpmath.polyval(terms[::-1], mpmath.mpf(float(x)))
+                    err = abs(float(horner(c, x)) - ref)
+                    bound = _GAMMA_2N * float(horner(np.abs(c), abs(x)))
+                    assert err <= bound, (x, err, bound)
 
 
 def test_elementary_symmetric_examples():

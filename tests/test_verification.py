@@ -1,7 +1,11 @@
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from hardedge import fredholm
+from hardedge import hamiltonian_flow as flow
 from hardedge.verification import verify
 
 
@@ -22,3 +26,34 @@ def test_category_without_states_reads_zero(traj_m2):
     for name in ("quartic", "appendix_recovery", "gap_vs_fredholm"):
         assert (report[name].max_residual, report[name].worst_s) == (0.0, None)
     assert report["first_integrals"].worst_s is not None
+
+
+def test_jet_and_gap_checks_cover_states_from_cut(traj_m1, traj_m2, monkeypatch):
+    # the eta_0 jet and the Fredholm gap are taken at exactly the states with
+    # s >= 0.05, at both M
+    seen = {"jet": [], "gap": []}
+    eta_derivatives = flow.eta_derivatives
+
+    def record_jet(st):
+        seen["jet"].append(st.s)
+        return eta_derivatives(st)
+
+    def record_gap(kind):
+        def oracle(params, x, target_tol):
+            seen["gap"].append((kind, x))
+            return SimpleNamespace(logE=0.0)
+        return oracle
+
+    monkeypatch.setattr(flow, "eta_derivatives", record_jet)
+    monkeypatch.setattr(fredholm, "gap_probability_hardedge", record_gap("s"))
+    monkeypatch.setattr(fredholm, "gap_probability_mb", record_gap("r"))
+    for traj, kind in ((traj_m1, "s"), (traj_m2, "r")):
+        seen["jet"].clear()
+        seen["gap"].clear()
+        verify(traj)
+        kept = [st.s for st in traj.states if st.s >= 0.05]
+        assert kept and len(kept) < len(traj.states)
+        # appendix_recover takes the jet a second time at each state
+        assert set(seen["jet"]) == (set(kept) if traj.params.M == 2 else set())
+        assert seen["gap"] == [(kind, s if kind == "s" else 2.0 * math.sqrt(s))
+                               for s in kept]
