@@ -11,10 +11,6 @@ __version__ = "0.1.0"
 from .special_functions import (
     gamma_real,
     reciprocal_gamma,
-    hyp0f2_reg,
-    hyp0f2,
-    wright_bessel,
-    bessel_j,
     elementary_symmetric,
 )
 from .kernels import (
@@ -23,7 +19,6 @@ from .kernels import (
     MBParams,
     build_kernel_bundle,
     kernel_value,
-    borodin_kernel,
     mb_params_for_hardedge,
 )
 from .fredholm import (

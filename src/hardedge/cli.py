@@ -71,7 +71,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list,
 
 def _mb_logdet(c: int, r: float, nodes: int) -> float:
     mb = MBParams(c=float(c))
-    rule = make_rule("gauss_legendre", nodes, 0.0, r)
+    rule = make_rule(nodes, 0.0, r)
     _, logdet = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
                              rule)
     return logdet

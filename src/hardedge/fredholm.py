@@ -1,12 +1,13 @@
-"""Nystrom evaluation of Fredholm determinants det(1 - K) on (0, s).
+"""Nystrom evaluation of Fredholm determinants det(1 - K) on (0, L).
 
-The integral operator is discretized on an n-point quadrature rule as
+The integral operator is discretized on an n-point Gauss-Legendre rule as
 ``D_ij = sqrt(w_i w_j) K(x_i, x_j)`` (valid for non-symmetric kernels) and
 the determinant of ``I - D`` is taken through a pivoted LU factorization with
 the log-determinant accumulated from the pivots, so gap probabilities down to
-~1e-12 survive without underflow.  Gauss-Legendre is the default rule; an
-interior-node cosine rule ("clenshaw_curtis", the open Fejer variant) is kept
-as an alternative discretization of the same interval.
+~1e-12 survive without underflow.  Node doubling from 16 nodes stops when
+two successive log-determinants agree to the requested tolerance; the error
+then falls exponentially in n whenever the discretized kernel is analytic on
+the closed interval (Bornemann, Math. Comp. 79 (2010), arXiv:0804.2543).
 """
 
 from __future__ import annotations
@@ -36,21 +37,22 @@ __all__ = [
     "NonConvergedError",
 ]
 
-# log E at the n-doubling convergence cap
+# node doubling runs from _N_START up to the cap _N_MAX
+_N_START = 16
 _N_MAX = 256
 # log-determinants past this interval length underflow double precision
 _R_MAX = 15.0
 
 
 class NonConvergedError(RuntimeError):
-    """Node doubling hit the cap before reaching the requested tolerance."""
+    """Node doubling hit the cap, or a determinant lost positivity, before
+    reaching the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on (a, b); nodes are strictly interior."""
+    """Gauss-Legendre nodes and weights on (a, b); nodes are strictly interior."""
 
-    kind: str
     n: int
     a: float
     b: float
@@ -58,32 +60,16 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def make_rule(kind: str, n: int, a: float, b: float) -> QuadratureRule:
-    """Build an n-point rule of the given kind mapped to (a, b).
-
-    kinds: "gauss_legendre" (degree 2n-1 exact) and "clenshaw_curtis" (open
-    cosine-node variant with interior nodes and positive weights).
-    """
+def make_rule(n: int, a: float, b: float) -> QuadratureRule:
+    """The n-point Gauss-Legendre rule (degree 2n-1 exact) mapped to (a, b)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not b > a:
         raise ValueError("need b > a")
-    if kind == "gauss_legendre":
-        x, w = np.polynomial.legendre.leggauss(n)
-    elif kind == "clenshaw_curtis":
-        k = np.arange(1, n + 1)
-        theta = (2 * k - 1) * math.pi / (2 * n)
-        x = np.cos(theta)[::-1]
-        m = np.arange(1, n // 2 + 1)
-        # w_k = (2/n) [1 - 2 sum_m cos(2 m theta_k)/(4 m^2 - 1)]
-        w = (2.0 / n) * (1.0 - 2.0 * np.sum(
-            np.cos(2.0 * np.outer(theta, m)) / (4.0 * m ** 2 - 1.0), axis=1))
-        w = w[::-1]
-    else:
-        raise ValueError(f"unknown rule kind {kind!r}")
+    x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     weights = 0.5 * (b - a) * w
-    return QuadratureRule(kind, n, float(a), float(b), nodes, weights)
+    return QuadratureRule(n, float(a), float(b), nodes, weights)
 
 
 def fredholm_det(kernel, rule: QuadratureRule) -> tuple:
@@ -138,14 +124,15 @@ class GapCurve:
         return self
 
 
-def _converge_logdet(kernel_fn, interval_len: float, target_tol: float,
-                     kind: str, n_start: int = 16):
+def _converge_logdet(kernel_fn, interval_len: float, target_tol: float):
     """Double n until |delta logdet| < target_tol; return (logdet, n, est)."""
     prev = None
-    n = n_start
+    n = _N_START
     while n <= _N_MAX:
-        rule = make_rule(kind, n, 0.0, interval_len)
-        _, logdet = fredholm_det(kernel_fn, rule)
+        try:
+            _, logdet = fredholm_det(kernel_fn, make_rule(n, 0.0, interval_len))
+        except FloatingPointError as exc:
+            raise NonConvergedError(f"{exc} at {n} nodes") from exc
         if prev is not None and abs(logdet - prev) < target_tol:
             return logdet, n, abs(logdet - prev)
         prev = logdet
@@ -154,8 +141,7 @@ def _converge_logdet(kernel_fn, interval_len: float, target_tol: float,
         f"no convergence to {target_tol} within {_N_MAX} nodes")
 
 
-def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9,
-                       kind: str = "gauss_legendre") -> GapPoint:
+def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapPoint:
     """E^(c,theta)(0;(0,r)) via the Muttalib-Borodin kernel determinant."""
     if not r > 0:
         raise ValueError("r must be positive")
@@ -165,21 +151,20 @@ def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9,
     def kfn(xs, ys):
         return borodin_kernel_matrix(mb, xs, ys)
 
-    logdet, n, est = _converge_logdet(kfn, r, target_tol, kind)
+    logdet, n, est = _converge_logdet(kfn, r, target_tol)
     return GapPoint(r, math.exp(logdet), logdet, n, est)
 
 
-def gap_probability_hardedge(params_or_bundle, s: float, target_tol: float = 1e-9,
-                             kind: str = "gauss_legendre") -> GapPoint:
+def gap_probability_hardedge(params_or_bundle, s: float,
+                             target_tol: float = 1e-9) -> GapPoint:
     """E_M(0;(0,s)) by Nystrom discretization of K_M with node doubling.
 
-    M=1 kernels are discretized on (0, s) as they stand.  For M=2 the
-    substitution x = (t/2)^2 maps the x^{nu_1} endpoint behaviour onto an
-    analytic kernel on (0, 2 sqrt(s)).  Node doubling converges
-    exponentially when the discretized kernel is analytic at the left
-    endpoint: at M=1 when nu_1 is an integer, at M=2 when 2 nu_1 and 2 nu_2
-    are.  Other index sets keep an algebraic endpoint factor, converge
-    slowly and may hit the node cap.
+    Every M goes through the substitution x = (t/2)^2 on (0, 2 sqrt(s)),
+    where the kernel picks up the Jacobian u/2.  The endpoint factors
+    y^{nu_j} of K_M become (u/2)^{2 nu_j}, so with every 2 nu_j an integer
+    the discretized kernel is analytic and node doubling converges
+    exponentially.  Other index sets keep an algebraic endpoint factor,
+    converge slowly and may hit the node cap.
     """
     if not s > 0:
         raise ValueError("s must be positive")
@@ -187,18 +172,9 @@ def gap_probability_hardedge(params_or_bundle, s: float, target_tol: float = 1e-
         bundle = params_or_bundle
     else:
         bundle = build_kernel_bundle(params_or_bundle)
-    params = bundle.params
 
-    if params.M == 1:
-        def kfn(xs, ys):
-            return kernel_matrix(bundle, xs, ys)
+    def kfn(ts, us):
+        return kernel_matrix(bundle, (ts / 2.0) ** 2, (us / 2.0) ** 2) * (us / 2.0)
 
-        length = s
-    else:
-        # x = (t/2)^2 on (0, 2 sqrt(s)); kernel picks up the Jacobian u/2
-        def kfn(ts, us):
-            return kernel_matrix(bundle, (ts / 2.0) ** 2, (us / 2.0) ** 2) * (us / 2.0)
-
-        length = 2.0 * math.sqrt(s)
-    logdet, n, est = _converge_logdet(kfn, length, target_tol, kind)
+    logdet, n, est = _converge_logdet(kfn, 2.0 * math.sqrt(s), target_tol)
     return GapPoint(s, math.exp(logdet), logdet, n, est)

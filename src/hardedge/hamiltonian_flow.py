@@ -179,6 +179,8 @@ def launch_state(params: HardEdgeParams, s0: float):
     builds the state from the eta_0 jet through the recovery relations, so
     all integrals of motion hold at launch to roundoff; the special index set
     (0, -1/2, 0) gets the six-term series, anything else the leading one.
+    M=2 with integer nu_2 - nu_1 is refused, since the jet has Gamma poles
+    there.
     """
     nu = params.nu
     if params.M == 1:
@@ -194,6 +196,10 @@ def launch_state(params: HardEdgeParams, s0: float):
             eta=np.array([-s, -s * s / 2], dtype=complex),
             params=params)
         return state, -s0
+    if not params.generic:
+        raise FlowError(
+            f"no M=2 launch at integer nu_2 - nu_1 = {nu[2] - nu[1]:g}: the "
+            "series launch needs nu_2 - nu_1 off the integers")
     d, loghead = _m2_series_jet(params, s0)
     n0, n1, n2 = nu
     g_inv = (-gamma_real(n2 - n1) * gamma_real(n2 - n0 + 1) * s0 ** (n1 + n0)

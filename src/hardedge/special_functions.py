@@ -1,10 +1,10 @@
 """Scalar special functions used throughout the package.
 
-Everything here is a plain power series in double precision: regularized
-hypergeometric 0F2, the Wright Bessel function, the classical Bessel J, plus
-real Gamma / reciprocal Gamma and elementary symmetric polynomials.  Each
-series is its first ``N_TERMS`` Taylor coefficients (the ``*_coefficients``
-functions) evaluated by ``horner``, the same path the kernels take.  Horner's
+Every series here is a plain power series in double precision: regularized
+hypergeometric 0F2, the Wright Bessel function and the classical Bessel J,
+each as its first ``N_TERMS`` Taylor coefficients (the ``*_coefficients``
+functions) for ``horner`` to evaluate, the path the kernels take.  Real Gamma
+/ reciprocal Gamma and elementary symmetric polynomials complete the module.  Horner's
 rule in floating point is exact for slightly perturbed coefficients, so the
 error of p(x) is at most gamma_2N * sum_j |c_j| |x|^j (Higham, *Accuracy and
 Stability of Numerical Algorithms*, section 5.1).
@@ -23,10 +23,6 @@ __all__ = [
     "GammaPoleError",
     "gamma_real",
     "reciprocal_gamma",
-    "hyp0f2_reg",
-    "hyp0f2",
-    "wright_bessel",
-    "bessel_j",
     "elementary_symmetric",
     "hyp0f2_reg_coefficients",
     "wright_bessel_coefficients",
@@ -87,18 +83,6 @@ def hyp0f2_reg_coefficients(b1: float, b2: float, n_terms: int) -> np.ndarray:
     return c
 
 
-def hyp0f2_reg(b1: float, b2: float, x: float) -> float:
-    """Regularized 0F2(;b1,b2;x); entire in b1, b2 and x."""
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    return float(horner(hyp0f2_reg_coefficients(b1, b2, N_TERMS), x))
-
-
-def hyp0f2(b1: float, b2: float, x: float) -> float:
-    """Unregularized 0F2(;b1,b2;x) = Gamma(b1) Gamma(b2) * hyp0f2_reg."""
-    return gamma_real(b1) * gamma_real(b2) * hyp0f2_reg(b1, b2, x)
-
-
 def wright_bessel_coefficients(a: float, b: float, n_terms: int) -> np.ndarray:
     """Coefficients of x^j in the Wright Bessel series (sign folded in)."""
     c = np.empty(n_terms)
@@ -110,15 +94,6 @@ def wright_bessel_coefficients(a: float, b: float, n_terms: int) -> np.ndarray:
     return c
 
 
-def wright_bessel(a: float, b: float, x: float) -> float:
-    """Wright Bessel sum_j (-x)^j / (j! Gamma(a + j b)), b > 0."""
-    if not b > 0:
-        raise ValueError("Wright Bessel requires b > 0")
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    return float(horner(wright_bessel_coefficients(a, b, N_TERMS), x))
-
-
 def bessel_j_coefficients(nu: float, n_terms: int) -> np.ndarray:
     """Coefficients of t^k, t=(x/2)^2, in J_nu(x)/(x/2)^nu."""
     c = np.empty(n_terms)
@@ -128,22 +103,6 @@ def bessel_j_coefficients(nu: float, n_terms: int) -> np.ndarray:
             fact *= k
         c[k] = ((-1.0) ** k) * reciprocal_gamma(nu + k + 1) / fact
     return c
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Classical J_nu(x), x >= 0, via the ascending series in (x/2)^2.
-
-    Adequate for moderate arguments (x below roughly 40); beyond that the
-    alternating terms cancel more digits than double precision holds.
-    """
-    if x < 0:
-        raise ValueError("bessel_j requires x >= 0")
-    inner = float(horner(bessel_j_coefficients(nu, N_TERMS), (x / 2.0) ** 2))
-    if x == 0.0:
-        pref = 1.0 if nu == 0.0 else 0.0
-    else:
-        pref = (x / 2.0) ** nu
-    return pref * inner
 
 
 def elementary_symmetric(nus) -> tuple:

@@ -67,7 +67,7 @@ def computed_table():
     for c in (0, 1):
         mb = MBParams(c=float(c))
         for r in range(4, 15):
-            rule = make_rule("gauss_legendre", NODES, 0.0, float(r))
+            rule = make_rule(NODES, 0.0, float(r))
             _, logdet = fredholm_det(
                 lambda xs, ys: borodin_kernel_matrix(mb, xs, ys), rule)
             out[c][r] = logdet

@@ -37,6 +37,22 @@ def test_m1_launch_refused_before_integrating(v, monkeypatch, tmp_path):
                  "--points", "4", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("nu", [(0.0, 0.0, 1.0), (0.0, 0.5, 1.5)])
+def test_m2_integer_difference_refused_before_integrating(nu, monkeypatch,
+                                                          tmp_path):
+    # integer nu_2 - nu_1 is a numerical refusal (exit 1), not a usage error
+    def no_integration(*args, **kwargs):
+        raise AssertionError("solve_ivp called for a refused launch")
+
+    monkeypatch.setattr(flow, "solve_ivp", no_integration)
+    with pytest.raises(flow.FlowError, match="nu_2 - nu_1 = 1"):
+        flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, [1e-4, 1.0])
+    nus = ["--nu1", str(nu[1]), "--nu2", str(nu[2])]
+    assert main(["ode", "--m", "2", *nus, "--s-max", "1.0", "--points", "4",
+                 "--out", str(tmp_path)]) == 1
+    assert main(["sigma", *nus, "--s", "0.5"]) == 1
+
+
 # ---------------------------------------------------------------------------
 # right-hand side identities
 # ---------------------------------------------------------------------------

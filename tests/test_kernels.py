@@ -10,7 +10,6 @@ from hardedge.kernels import (
     build_kernel_bundle,
     kernel_value,
     kernel_matrix,
-    borodin_kernel,
     borodin_kernel_matrix,
     mb_params_for_hardedge,
 )
@@ -50,20 +49,23 @@ def test_generic_condition_rejected():
 def test_m1_phi0_at_origin():
     # phi_0(x) = J_0(2 sqrt x) at nu = (0, 0), so phi_0(0+) = 1
     b = build_kernel_bundle(HardEdgeParams.from_nu((0.0, 0.0)))
-    assert b.phi(0, np.array([1e-14]))[0] == pytest.approx(1.0, abs=1e-12)
+    phi, _, _ = b.evaluate([1e-14])
+    assert phi[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n1,n2", VALIDATED_M2)
 def test_m2_orthogonality(n1, n2):
+    # sum_j phi_j psi_j = 0, relative to the largest single product
     b = build_kernel_bundle(HardEdgeParams.from_nu((0.0, n1, n2)))
-    assert b.orthogonality_residual([0.1, 0.5, 1.0, 2.0, 5.0]) <= 1e-10
+    phi, _, psi = b.evaluate([0.1, 0.5, 1.0, 2.0, 5.0])
+    prods = phi * psi
+    assert np.max(np.abs(prods.sum(axis=0))) <= 1e-10 * np.max(np.abs(prods))
 
 
 def test_m2_orthogonality_pointwise_example():
     b = build_kernel_bundle(HardEdgeParams.from_nu((0.0, -0.5, 0.0)))
-    x = np.array([0.7])
-    total = sum(b.phi(j, x)[0] * b.psi(j, x)[0] for j in range(3))
-    assert abs(total) <= 1e-11
+    phi, _, psi = b.evaluate([0.7])
+    assert abs(float(phi[:, 0] @ psi[:, 0])) <= 1e-11
 
 
 def test_m1_splitting_relations():
@@ -72,8 +74,9 @@ def test_m1_splitting_relations():
         b = build_kernel_bundle(HardEdgeParams.from_nu((0.0, nu1)))
         x = np.linspace(0.05, 10.0, 23)
         e1 = nu1
-        assert np.allclose(b.psi(1, x), x ** e1 * b.phi(0, x), atol=1e-12)
-        assert np.allclose(b.phi(1, x), -x ** (-e1) * b.psi(0, x), atol=1e-12)
+        phi, _, psi = b.evaluate(x)
+        assert np.allclose(psi[1], x ** e1 * phi[0], atol=1e-12)
+        assert np.allclose(phi[1], -x ** (-e1) * psi[0], atol=1e-12)
 
 
 def test_m1_kernel_symmetry():
@@ -130,15 +133,28 @@ def test_m1_diagonal_against_mpmath(v):
 
 
 def test_borodin_trivial_values():
-    assert borodin_kernel(MBParams(c=0.0), 0.0, 0.0) == pytest.approx(
+    assert borodin_kernel_matrix(MBParams(c=0.0), [0.0], [0.0])[0, 0] == pytest.approx(
         2.0 / SQRT_PI, rel=1e-13)
-    assert borodin_kernel(MBParams(c=1.0), 0.0, 0.0) == 0.0
+    assert borodin_kernel_matrix(MBParams(c=1.0), [0.0], [0.0])[0, 0] == 0.0
 
 
 def test_borodin_inner_rule_self_convergence():
-    v64 = borodin_kernel(MBParams(c=0.0, inner_nodes=64), 1.0, 2.0)
-    v128 = borodin_kernel(MBParams(c=0.0, inner_nodes=128), 1.0, 2.0)
-    assert abs(v64 - v128) <= 1e-10
+    # the fixed inner rule against the u-integral
+    # theta x^c int_0^1 W((c+1)/theta, 1/theta; x u) W(c+1, theta; (y u)^theta) u^c du
+    # by mpmath quadrature at 30 digits, for theta = 2, with 150-term series
+    def wright(a, b):
+        return [(-1) ** j * mpmath.rgamma(a + j * b) / mpmath.factorial(j)
+                for j in range(150)][::-1]
+
+    with mpmath.workdps(30):
+        for c in (0, 1):
+            wa, wb = wright(mpmath.mpf(c + 1) / 2, mpmath.mpf(1) / 2), wright(c + 1, 2)
+            for x, y in ((1.0, 2.0), (0.3, 9.0), (12.0, 5.0)):
+                ref = 2 * x ** c * mpmath.quad(
+                    lambda u: mpmath.polyval(wa, x * u)
+                    * mpmath.polyval(wb, (y * u) ** 2) * u ** c, [0, 1])
+                got = borodin_kernel_matrix(MBParams(c=c), [x], [y])[0, 0]
+                assert abs(got - float(ref)) <= 1e-10, (c, x, y)
 
 
 def test_mb_params_validation():
@@ -157,32 +173,32 @@ def test_mb_hardedge_kernel_identity(c):
     n1 = (c + 1) / 2.0 - 1.0
     params = HardEdgeParams.from_nu((0.0, n1, n1 + 0.5))
     b = build_kernel_bundle(params)
-    mb = mb_params_for_hardedge(params, inner_nodes=128)
+    mb = mb_params_for_hardedge(params)
     assert mb.c == pytest.approx(float(c))
-    grid = np.linspace(0.4, 4.0, 5)
-    for x in grid:
-        for y in np.concatenate([grid, grid + 1e-3]):   # diagonal included
-            lhs = kernel_value(b, x, y)
-            rhs = y ** (-0.5) * borodin_kernel(mb, 2 * math.sqrt(y),
-                                               2 * math.sqrt(x))
-            assert abs(lhs - rhs) <= 1e-8
+    xs = np.linspace(0.4, 4.0, 5)
+    ys = np.concatenate([xs, xs + 1e-3])   # diagonal included
+    lhs = kernel_matrix(b, xs, ys)
+    rhs = ys ** (-0.5) * borodin_kernel_matrix(mb, 2 * np.sqrt(ys), 2 * np.sqrt(xs)).T
+    assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
 def test_kernel_value_example_against_mb():
     params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
     b = build_kernel_bundle(params)
-    mb = mb_params_for_hardedge(params, inner_nodes=128)
+    mb = mb_params_for_hardedge(params)
     x, y = 0.4, 0.9
     lhs = kernel_value(b, x, y)
-    rhs = y ** (-0.5) * borodin_kernel(mb, 2 * math.sqrt(y), 2 * math.sqrt(x))
+    rhs = y ** (-0.5) * borodin_kernel_matrix(mb, [2 * math.sqrt(y)],
+                                               [2 * math.sqrt(x)])[0, 0]
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_borodin_matrix_matches_scalar():
+    # each grid entry equals the 1 x 1 evaluation at its pair
     mb = MBParams(c=0.0)
     xs = np.array([0.0, 0.7, 2.0])
     K = borodin_kernel_matrix(mb, xs, xs)
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
-            assert K[i, j] == pytest.approx(borodin_kernel(mb, x, y),
-                                            rel=1e-13, abs=1e-15)
+            assert K[i, j] == pytest.approx(
+                borodin_kernel_matrix(mb, [x], [y])[0, 0], rel=1e-13, abs=1e-15)
