@@ -446,6 +446,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NonConvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, flow.FlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

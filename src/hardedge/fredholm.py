@@ -8,10 +8,13 @@ the log-determinant accumulated from the pivots, so gap probabilities down to
 two successive log-determinants agree to the requested tolerance; the error
 then falls exponentially in n whenever the discretized kernel is analytic on
 the closed interval (Bornemann, Math. Comp. 79 (2010), arXiv:0804.2543).
+The reference rule on (-1, 1) is built once per n and shared by every call
+that asks for n nodes; only its affine map to (a, b) is computed per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,13 +63,26 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@functools.lru_cache(maxsize=32)
+def _reference_rule(n: int) -> tuple:
+    """Read-only Gauss-Legendre (nodes, weights) on (-1, 1), built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def make_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """The n-point Gauss-Legendre rule (degree 2n-1 exact) mapped to (a, b)."""
+    """The n-point Gauss-Legendre rule (degree 2n-1 exact) mapped to (a, b).
+
+    The rule on (-1, 1) comes from a per-n cache, so repeated calls (node
+    doubling, table cells) pay only for the affine map.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not b > a:
         raise ValueError("need b > a")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _reference_rule(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     weights = 0.5 * (b - a) * w
     return QuadratureRule(n, float(a), float(b), nodes, weights)

@@ -5,7 +5,8 @@ For one or two matrix factors the gap probability satisfies
 system of 4(M+1) coupled first-order ODEs in the variables
 (x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0 (from
 the closed form at M=1, nu=(0,0), and from small-s eta_0 series at M=2),
-integrates it with an adaptive embedded Runge-Kutta pair in complex
+integrates it with an adaptive embedded Runge-Kutta pair (scipy's DOP853,
+whose module is loaded at the first integration, not at import) in complex
 arithmetic, and monitors every first integral and structural identity
 (folding, Schlesinger consistency, the Tracy-Widom map) along the
 trajectory.
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .kernels import HardEdgeParams
 from .special_functions import gamma_real
@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-6
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported at the first integration.
+
+    Importing hardedge does not load scipy.integrate (about 24 MB resident
+    and 0.3 s), which no Fredholm or Monte Carlo call needs.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
 
 
 class FlowError(RuntimeError):

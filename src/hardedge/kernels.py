@@ -10,7 +10,9 @@ Two kernel families live here:
   0/0 diagonal is the exact limit K(x, x) = sum_j phi_j'(x) psi_j(x).
 * ``borodin_kernel_matrix`` — the hard-edge kernel of the Laguerre
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors,
-  evaluated with one 64-node Gauss-Legendre rule on (0, 1) built at import.
+  evaluated with one 16-node Gauss-Legendre rule on (0, 1) built at import.
+  The theta=2 integrand is entire in u, so 16 nodes already sit at the
+  double-precision floor of the 100-term series on [0, 15]^2.
 
 For theta = 2 the two families describe the same determinantal process: with
 ``c = 2 nu_1 + 1`` and ``nu_2 = nu_1 + 1/2``,
@@ -53,9 +55,12 @@ __all__ = [
 _DIAG_DELTA = 1e-5
 # M=2 needs nu2 - nu1 bounded away from the integers.
 _GENERIC_TOL = 1e-6
-# Gauss-Legendre rule on (0, 1) for the Muttalib-Borodin u-integral; doubling
-# it to 128 nodes moves the theta=2 kernel by < 6e-13 on [0, 14]^2.
-_U, _WU = np.polynomial.legendre.leggauss(64)
+# Gauss-Legendre rule on (0, 1) for the Muttalib-Borodin u-integral.  On a
+# 61 x 61 grid of [0.01, 15]^2 at c in {0, 1}, a 128-node rule moves the
+# theta=2 kernel by at most 1.6e-12 (7.1e-13 for 64 nodes), and at 7 points up
+# to (15, 15) 16 and 64 nodes are both within 2.7e-11 of a 30-digit mpmath
+# u-integral, the floor of the series; 8 nodes are off by 1.3e-5.
+_U, _WU = np.polynomial.legendre.leggauss(16)
 _U = 0.5 * (_U + 1.0)
 _WU = 0.5 * _WU
 

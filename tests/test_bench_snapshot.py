@@ -1,0 +1,37 @@
+"""scripts/bench_snapshot.py: the comparison of two BENCH files."""
+
+import importlib.util
+import io
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_snapshot.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench(commit, layers):
+    return {"commit": commit, "seed": 1, "run_seconds": 15, "nproc": 2,
+            "workloads": {"table1": {"end_to_end": {"op_p50_ms": 100.0},
+                                     "per_layer": layers}}}
+
+
+def test_compare_names_the_layer_that_moved_most():
+    old = _bench("a", {"cli.table1_self_s": 0.1, "kernels.borodin_kernel_matrix_s": 0.08,
+                       "hamiltonian_flow.nfev": 0.0, "trace.overhead_ratio": 0.5})
+    new = _bench("b", {"cli.table1_self_s": 0.01, "kernels.borodin_kernel_matrix_s": 0.04,
+                       "hamiltonian_flow.nfev": 0.0, "trace.overhead_ratio": 0.01})
+    out = io.StringIO()
+    moved = _load().compare(new, old, out)
+    # the tracing overhead moved more, but it is no layer of the library
+    assert moved == {"table1": "cli.table1_self_s"}
+    assert "moved most: cli.table1_self_s x0.1" in out.getvalue()
+
+
+def test_compare_with_nothing_moved():
+    same = _bench("a", {"cli.table1_self_s": 0.1, "hamiltonian_flow.nfev": 0.0})
+    assert _load().compare(same, same, io.StringIO()) == {"table1": None}

@@ -72,6 +72,16 @@ def test_mc_rejects_zero_samples(tmp_path):
     assert main(["mc", "--samples", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys):
+    # the M=1 oracle refuses at s=30, after the sampling has run
+    rc = main(["mc", "--m", "1", "--n0", "10", "--samples", "200",
+               "--s-grid", "0.5", "30", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no convergence" in err
+    assert "Traceback" not in err
+
+
 def test_mc_deterministic_output(tmp_path):
     args = ["mc", "--m", "1", "--n0", "8", "--nu", "0", "--samples", "400",
             "--seed", "7", "--s-grid", "0.5", "1.0"]

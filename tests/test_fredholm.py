@@ -11,6 +11,8 @@ from hardedge.kernels import (
     kernel_matrix,
     borodin_kernel_matrix,
 )
+from hardedge import fredholm
+from hardedge.cli import main
 from hardedge.fredholm import (
     make_rule,
     fredholm_det,
@@ -41,6 +43,49 @@ def test_rule_validation():
         make_rule(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         make_rule(4, 1.0, 0.0)
+
+
+@pytest.fixture
+def leggauss_calls(monkeypatch):
+    """The n of every reference rule built, starting from an empty cache."""
+    calls = []
+    build = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    fredholm._reference_rule.cache_clear()
+    yield calls
+    fredholm._reference_rule.cache_clear()
+
+
+def test_each_rule_built_once_per_n(leggauss_calls, tmp_path, capsys):
+    params = HardEdgeParams.from_nu((0.0, 0.0))
+    for _ in range(2):
+        gap_probability_hardedge(params, 2.0)
+    assert main(["table1", "--out", str(tmp_path)]) == 0
+    assert {16, 32, 48, 96} <= set(leggauss_calls)
+    assert len(leggauss_calls) == len(set(leggauss_calls))
+
+
+def test_cached_rule_is_read_only(leggauss_calls):
+    make_rule(16, 0.0, 1.0)
+    for arr in fredholm._reference_rule(16):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert leggauss_calls == [16]
+
+
+@pytest.mark.parametrize("n", [16, 48, 96, 256])
+def test_cached_rule_equals_direct_build(n):
+    # the formula make_rule used before the cache, with a = 0 and b = L
+    x, w = np.polynomial.legendre.leggauss(n)
+    for L in (0.3, 2.0 * math.sqrt(7.0), 14.0):
+        for rule in (make_rule(n, 0.0, L), make_rule(n, 0.0, L)):
+            assert np.array_equal(rule.nodes, 0.5 * (L - 0.0) * x + 0.5 * (L + 0.0))
+            assert np.array_equal(rule.weights, 0.5 * (L - 0.0) * w)
 
 
 def test_zero_kernel_determinant():

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardedge
 from hardedge.kernels import HardEdgeParams, MBParams
 from hardedge.fredholm import gap_probability_mb, gap_probability_hardedge
 from hardedge import hamiltonian_flow as flow
@@ -51,6 +56,25 @@ def test_m2_integer_difference_refused_before_integrating(nu, monkeypatch,
     assert main(["ode", "--m", "2", *nus, "--s-max", "1.0", "--points", "4",
                  "--out", str(tmp_path)]) == 1
     assert main(["sigma", *nus, "--s", "0.5"]) == 1
+
+
+def test_scipy_integrate_loaded_at_first_integration():
+    # a fresh interpreter: importing the package leaves scipy.integrate out,
+    # the first integrate call brings it in
+    code = "\n".join([
+        "import sys",
+        "import hardedge, hardedge.cli",
+        "assert 'scipy.integrate' not in sys.modules",
+        "hardedge.integrate(hardedge.HardEdgeParams.from_nu((0.0, 0.0)),"
+        " 1e-5, [1e-4, 0.1])",
+        "assert 'scipy.integrate' in sys.modules",
+    ])
+    src = str(Path(hardedge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

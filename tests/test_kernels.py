@@ -141,7 +141,9 @@ def test_borodin_trivial_values():
 def test_borodin_inner_rule_self_convergence():
     # the fixed inner rule against the u-integral
     # theta x^c int_0^1 W((c+1)/theta, 1/theta; x u) W(c+1, theta; (y u)^theta) u^c du
-    # by mpmath quadrature at 30 digits, for theta = 2, with 150-term series
+    # by mpmath quadrature at 30 digits, for theta = 2, with 150-term series;
+    # the integrand is a polynomial in u, so mpmath's Gauss-Legendre (adaptive
+    # in degree) resolves it with a third of the tanh-sinh evaluations
     def wright(a, b):
         return [(-1) ** j * mpmath.rgamma(a + j * b) / mpmath.factorial(j)
                 for j in range(150)][::-1]
@@ -149,10 +151,14 @@ def test_borodin_inner_rule_self_convergence():
     with mpmath.workdps(30):
         for c in (0, 1):
             wa, wb = wright(mpmath.mpf(c + 1) / 2, mpmath.mpf(1) / 2), wright(c + 1, 2)
-            for x, y in ((1.0, 2.0), (0.3, 9.0), (12.0, 5.0)):
+            # the last four reach the corner of [0, 15]^2 that table 1 and
+            # the r <= 15 cap of gap_probability_mb use
+            for x, y in ((1.0, 2.0), (0.3, 9.0), (12.0, 5.0), (14.0, 14.0),
+                         (15.0, 15.0), (15.0, 0.5), (0.5, 15.0)):
                 ref = 2 * x ** c * mpmath.quad(
                     lambda u: mpmath.polyval(wa, x * u)
-                    * mpmath.polyval(wb, (y * u) ** 2) * u ** c, [0, 1])
+                    * mpmath.polyval(wb, (y * u) ** 2) * u ** c, [0, 1],
+                    method="gauss-legendre")
                 got = borodin_kernel_matrix(MBParams(c=c), [x], [y])[0, 0]
                 assert abs(got - float(ref)) <= 1e-10, (c, x, y)
 
