@@ -4,7 +4,7 @@
     python3 scripts/bench_snapshot.py --pr N [--root CHECKOUT] [--against BENCH_M.json]
 
 For each workload in CHECKOUT's BENCHMARK.json this runs CHECKOUT's
-``perfbench/run.py`` as a subprocess twice, at one seed and the benchmark's
+``perfbench/run.py`` as a subprocess twice, at seed 1 and the benchmark's
 ``run_seconds``: with ``--trace 0`` for the end-to-end metrics and with
 ``--trace 1`` for the per-layer metrics.  It writes ``BENCH_<N>.json`` at the
 root of the checkout holding this script, with the measured commit, the core
@@ -23,6 +23,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# one fixed seed, so that consecutive BENCH files measure the same inputs
+SEED = 1
 
 
 def run_workload(root: Path, workload: str, seed: int, seconds: float,
@@ -50,27 +52,25 @@ def commit_of(root: Path, env: dict) -> str:
     return commit
 
 
-def snapshot(root: Path, seed: int, seconds: float) -> dict:
+def snapshot(root: Path) -> dict:
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if seconds is None else seconds
-    out = {"commit": None, "src_sha256": None, "nproc": None, "seed": seed,
-           "run_seconds": seconds, "units": {}, "workloads": {}}
+    seconds = bench["run_seconds"]
+    units, workloads = {}, {}
     for wl in (w["name"] for w in bench["workloads"]):
         entry = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            result, env = run_workload(root, wl, seed, seconds, trace)
+            result, env = run_workload(root, wl, SEED, seconds, trace)
             metrics = result["metrics"]
             entry[key] = {name: m["value"] for name, m in metrics.items()}
-            out["units"].update({name: m["unit"] for name, m in metrics.items()})
+            units.update({name: m["unit"] for name, m in metrics.items()})
             entry[f"trace{trace}_run"] = {k: result[k]
                                           for k in ("correct", "attempted", "failed")}
             print(f"{wl} --trace {trace}: {result['attempted']} ops, "
                   f"{result['failed']} failed", file=sys.stderr)
-        out["workloads"][wl] = entry
-        out["commit"] = commit_of(root, env)
-        out["src_sha256"] = env["src_sha256"]
-        out["nproc"] = env["nproc"]
-    return out
+        workloads[wl] = entry
+    return {"commit": commit_of(root, env), "src_sha256": env["src_sha256"],
+            "nproc": env["nproc"], "seed": SEED, "run_seconds": seconds,
+            "units": units, "workloads": workloads}
 
 
 def _ratio(new: float, old: float) -> float:
@@ -123,13 +123,10 @@ def main(argv=None) -> int:
                     help="number N of the BENCH_<N>.json file to write")
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="checkout to measure (default: this one)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--against", type=Path, default=None,
                     help="older BENCH file to compare the new one with")
     args = ap.parse_args(argv)
-    snap = snapshot(args.root.resolve(), args.seed, args.seconds)
+    snap = snapshot(args.root.resolve())
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(snap, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)

@@ -56,8 +56,9 @@ _TOL_MIN, _TOL_MAX = 1e-12, 1e-6
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported at the first integration.
 
-    Importing hardedge does not load scipy.integrate (about 24 MB resident
-    and 0.3 s), which no Fredholm or Monte Carlo call needs.
+    Importing hardedge does not load scipy.integrate, which no Fredholm or
+    Monte Carlo call needs; on a 2-vCPU x86-64 VM it adds 23 MB resident and
+    0.3-0.5 s to the import.
     """
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)

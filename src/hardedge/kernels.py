@@ -56,10 +56,10 @@ _DIAG_DELTA = 1e-5
 # M=2 needs nu2 - nu1 bounded away from the integers.
 _GENERIC_TOL = 1e-6
 # Gauss-Legendre rule on (0, 1) for the Muttalib-Borodin u-integral.  On a
-# 61 x 61 grid of [0.01, 15]^2 at c in {0, 1}, a 128-node rule moves the
-# theta=2 kernel by at most 1.6e-12 (7.1e-13 for 64 nodes), and at 7 points up
+# 61 x 61 grid of [0.01, 15]^2 at c in {0, 1} the theta=2 kernel with 16 nodes
+# is within 1.6e-12 of the 128-node value (64 nodes: 7.1e-13); at 7 points up
 # to (15, 15) 16 and 64 nodes are both within 2.7e-11 of a 30-digit mpmath
-# u-integral, the floor of the series; 8 nodes are off by 1.3e-5.
+# u-integral, the floor of the series.  8 nodes are off by up to 1.3e-5.
 _U, _WU = np.polynomial.legendre.leggauss(16)
 _U = 0.5 * (_U + 1.0)
 _WU = 0.5 * _WU
