@@ -143,7 +143,7 @@ def test_borodin_inner_rule_self_convergence():
     # theta x^c int_0^1 W((c+1)/theta, 1/theta; x u) W(c+1, theta; (y u)^theta) u^c du
     # by mpmath quadrature at 30 digits, for theta = 2, with 150-term series;
     # the integrand is a polynomial in u, so mpmath's Gauss-Legendre (adaptive
-    # in degree) resolves it with a third of the tanh-sinh evaluations
+    # in degree) resolves it in about a third of the tanh-sinh time
     def wright(a, b):
         return [(-1) ** j * mpmath.rgamma(a + j * b) / mpmath.factorial(j)
                 for j in range(150)][::-1]
