@@ -203,8 +203,14 @@ def cmd_mc(args) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = sample_min_singular_sq(cfg)
     s_grid = args.s_grid or [0.5, 1.0, 2.0]
+    # the oracle may refuse an s; ask it before paying for the samples
+    oracle = None
+    if cfg.M == 1:
+        params = HardEdgeParams.from_nu((0.0, float(cfg.nu_int[0])))
+        oracle = [gap_probability_hardedge(params, s, target_tol=1e-9).E
+                  for s in s_grid]
+    result = sample_min_singular_sq(cfg)
     rows = empirical_gap(result, s_grid)
     out_paths = []
     if args.save_samples:
@@ -213,11 +219,6 @@ def cmd_mc(args) -> int:
         raw = out_dir0 / "lambda_min.f64"
         save_samples(result, raw)
         out_paths += [raw, Path(str(raw) + ".json")]
-    oracle = None
-    if cfg.M == 1:
-        params = HardEdgeParams.from_nu((0.0, float(cfg.nu_int[0])))
-        oracle = {s: gap_probability_hardedge(params, s, target_tol=1e-9).E
-                  for s, *_ in rows}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "mc_gap.csv"
@@ -227,10 +228,10 @@ def cmd_mc(args) -> int:
             header += ",E_analytic,sigma_distance"
         fh.write(header + "\n")
         n = cfg.samples
-        for s, p, lo, hi in rows:
+        for i, (s, p, lo, hi) in enumerate(rows):
             cells = [_fmt(s), _fmt(p), _fmt(lo), _fmt(hi)]
             if oracle is not None:
-                e = oracle[s]
+                e = oracle[i]
                 sd = abs(p - e) / math.sqrt(max(e * (1 - e), 1e-12) / n)
                 cells += [_fmt(e), _fmt(sd)]
             fh.write(",".join(cells) + "\n")

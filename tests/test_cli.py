@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hardedge import verification
+from hardedge import cli, verification
 from hardedge.cli import main
 from hardedge.reference_data import table1_logE
 
@@ -73,13 +73,25 @@ def test_mc_rejects_zero_samples(tmp_path):
 
 
 def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys):
-    # the M=1 oracle refuses at s=30, after the sampling has run
+    # the M=1 oracle refuses at s=30
     rc = main(["mc", "--m", "1", "--n0", "10", "--samples", "200",
                "--s-grid", "0.5", "30", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no convergence" in err
     assert "Traceback" not in err
+
+
+def test_mc_oracle_refuses_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(cfg):
+        raise AssertionError("sampled before the oracle refused")
+
+    monkeypatch.setattr(cli, "sample_min_singular_sq", no_sampling)
+    rc = main(["mc", "--m", "1", "--n0", "10", "--samples", "200",
+               "--s-grid", "0.5", "30", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no convergence" in err
 
 
 def test_mc_deterministic_output(tmp_path):

@@ -1,13 +1,19 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from hardedge.kernels import HardEdgeParams
 from hardedge.fredholm import gap_probability_hardedge
 from hardedge.ginibre_mc import (
     McConfig,
+    _sample_one,
+    load_samples,
     sample_min_singular_sq,
+    save_samples,
     empirical_gap,
     wilson_interval,
     ks_distance,
@@ -18,7 +24,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(M=1, N0=0, nu_int=(0,), samples=10)
     with pytest.raises(ValueError):
-        McConfig(M=1, N0=1024, nu_int=(0,), samples=10)
+        McConfig(M=2, N0=1024, nu_int=(0, 0), samples=10)  # dense cap
     with pytest.raises(ValueError):
         McConfig(M=2, N0=4, nu_int=(0,), samples=10)      # wrong nu count
     with pytest.raises(ValueError):
@@ -121,11 +127,87 @@ def test_hard_edge_scaling_collapse(M, nu):
 
 
 def test_save_and_load_samples(tmp_path):
-    from hardedge.ginibre_mc import save_samples, load_samples
-    cfg = McConfig(M=1, N0=5, nu_int=(2,), samples=50, seed=9)
+    for cfg, sampler in ((McConfig(M=1, N0=5, nu_int=(2,), samples=50, seed=9),
+                          "bidiagonal"),
+                         (McConfig(M=2, N0=3, nu_int=(0, 1), samples=20, seed=9),
+                          "dense")):
+        res = sample_min_singular_sq(cfg)
+        path = tmp_path / f"lam_m{cfg.M}.f64"
+        save_samples(res, path)
+        sidecar_path = tmp_path / f"lam_m{cfg.M}.f64.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        assert sidecar["sampler"] == sampler
+        back = load_samples(path)
+        assert np.array_equal(back.lambda_min, res.lambda_min)
+        assert back.config == cfg
+        # a sidecar written before the field existed
+        del sidecar["sampler"]
+        sidecar_path.write_text(json.dumps(sidecar))
+        if cfg.M == 1:
+            # M = 1 files without it came from the dense stream
+            with pytest.raises(ValueError, match="'sampler'"):
+                load_samples(path)
+        else:
+            assert np.array_equal(load_samples(path).lambda_min, res.lambda_min)
+
+
+def _dense_m1_oracle(cfg: McConfig, seed: int) -> np.ndarray:
+    """lambda_min of X^dag X for dense (N0+nu_1) x N0 complex Gaussian X.
+
+    The M = 1 sampler before the bidiagonal model, drawn in one batch from
+    an independent stream: a reference for the law, not for the bits.
+    """
+    n0, nu = cfg.N0, cfg.nu_int[0]
+    scale = math.sqrt(0.5) if cfg.variance_convention == "unit_total" else 1.0
+    rng = np.random.default_rng(seed)
+    shape = (cfg.samples, n0 + nu, n0)
+    X = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return np.linalg.eigvalsh(X.conj().transpose(0, 2, 1) @ X)[:, 0]
+
+
+@pytest.mark.parametrize("convention", ["unit_total", "unit_component"])
+@pytest.mark.parametrize("nu1", [0, 2])
+@pytest.mark.parametrize("n0", [5, 12])
+def test_bidiagonal_law_matches_dense_oracle(n0, nu1, convention):
+    n = 2000
+    cfg = McConfig(M=1, N0=n0, nu_int=(nu1,), samples=n, seed=40 + n0 + nu1,
+                   variance_convention=convention)
+    lam = sample_min_singular_sq(cfg).lambda_min
+    ref = _dense_m1_oracle(cfg, seed=80 + n0 + nu1)
+    # two-sample KS at level 1e-3 (asymptotic Kolmogorov bound)
+    crit = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) * math.sqrt(2.0 / n)
+    assert ks_distance(lam, ref) <= crit
+
+
+def test_bidiagonal_matches_eigvalsh_tridiagonal_reference():
+    # the sampler's single Gamma call and direct dstebz call give the bits of
+    # two Gamma calls and scipy's eigvalsh_tridiagonal on the same stream
+    for n0, nu in ((1, 0), (7, 3), (60, 0)):
+        cfg = McConfig(M=1, N0=n0, nu_int=(nu,), samples=8, seed=21)
+        for i in range(cfg.samples):
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([cfg.seed, i], dtype=np.uint64)))
+            off = np.empty(2 * n0 - 1)
+            off[0::2] = np.sqrt(rng.standard_gamma(np.arange(n0 + nu, nu, -1.0)))
+            off[1::2] = np.sqrt(rng.standard_gamma(np.arange(n0 - 1, 0, -1.0)))
+            sigma = eigvalsh_tridiagonal(
+                np.zeros(2 * n0), off, select="i", select_range=(n0, n0),
+                tol=2.0 * np.finfo(float).tiny)[0]
+            assert _sample_one(cfg, i) == sigma * sigma
+
+
+def test_m1_samples_are_per_index_streams():
+    cfg = McConfig(M=1, N0=9, nu_int=(1,), samples=64, seed=77)
+    lam = sample_min_singular_sq(cfg).lambda_min
+    assert all(lam[i] == _sample_one(cfg, i) for i in range(cfg.samples))
+    other = sample_min_singular_sq(McConfig(M=1, N0=9, nu_int=(1,),
+                                            samples=64, seed=78))
+    assert not np.array_equal(lam, other.lambda_min)
+
+
+def test_m1_large_n0_is_exponential():
+    # no N0 cap at M = 1: the exact law N0 lambda_min ~ Exp(1) at N0 = 1e4
+    cfg = McConfig(M=1, N0=10_000, nu_int=(0,), samples=100, seed=3)
     res = sample_min_singular_sq(cfg)
-    path = tmp_path / "lam.f64"
-    save_samples(res, path)
-    back = load_samples(path)
-    assert np.array_equal(back.lambda_min, res.lambda_min)
-    assert back.config == cfg
+    for s, _, lo, hi in empirical_gap(res, [0.5, 1.0, 2.0]):
+        assert lo <= math.exp(-s) <= hi
