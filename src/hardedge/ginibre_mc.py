@@ -219,7 +219,8 @@ def save_samples(result: McResult, path) -> None:
         "M": cfg.M, "N0": cfg.N0, "nu_int": list(cfg.nu_int),
         "samples": cfg.samples, "seed": cfg.seed,
         "variance_convention": cfg.variance_convention,
-        "sampler": cfg.sampler, "dtype": "<f8", "count": int(result.lambda_min.size),
+        "sampler": cfg.sampler,
+        "dtype": "<f8", "count": int(result.lambda_min.size),
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 

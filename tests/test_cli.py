@@ -72,17 +72,8 @@ def test_mc_rejects_zero_samples(tmp_path):
     assert main(["mc", "--samples", "0", "--out", str(tmp_path)]) == 2
 
 
-def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys):
-    # the M=1 oracle refuses at s=30
-    rc = main(["mc", "--m", "1", "--n0", "10", "--samples", "200",
-               "--s-grid", "0.5", "30", "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "no convergence" in err
-    assert "Traceback" not in err
-
-
-def test_mc_oracle_refuses_before_sampling(tmp_path, capsys, monkeypatch):
+def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys, monkeypatch):
+    # the M=1 oracle refuses at s=30, before any sample is drawn
     def no_sampling(cfg):
         raise AssertionError("sampled before the oracle refused")
 
@@ -92,6 +83,7 @@ def test_mc_oracle_refuses_before_sampling(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no convergence" in err
+    assert "Traceback" not in err
 
 
 def test_mc_deterministic_output(tmp_path):

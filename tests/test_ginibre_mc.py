@@ -1,6 +1,5 @@
-import math
-
 import json
+import math
 
 import numpy as np
 import pytest
