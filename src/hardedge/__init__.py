@@ -26,7 +26,6 @@ from .fredholm import (
     make_rule,
     fredholm_det,
     GapPoint,
-    GapCurve,
     gap_probability_mb,
     gap_probability_hardedge,
 )
@@ -38,7 +37,6 @@ from .hamiltonian_flow import (
     first_integral_residuals,
     structural_residuals,
     eta_derivatives,
-    gap_from_eta0,
 )
 from .sigma_forms import (
     ResolventJet,

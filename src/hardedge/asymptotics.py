@@ -54,11 +54,6 @@ class IndicialReport:
     delta1: float = -2.0 / 3.0
     mu1: float = -1.0
 
-    @property
-    def lambda_candidates(self) -> tuple:
-        return (self.fixed_exponents + (self.lambda_zero,)
-                + self.quadratic_pair + self.halfinteger_pair)
-
 
 def indicial_exponents(params: HardEdgeParams) -> IndicialReport:
     """All admissible leading exponents of the M=2 resolvent at s = 0."""
@@ -154,9 +149,13 @@ def fit_tail(points, mode: str = "local_triple", extrapolate: bool = False,
     center+1) and attributes a1 to the center (default: the largest value of
     r with both neighbours present); "global_lsq" is linear least squares
     over all points.  Extrapolation runs local triples over the data and
-    fits their drift against r^(-2/3).
+    fits their drift against r^(-2/3).  A non-finite r or log E is refused.
     """
-    pts = sorted((float(r), float(le)) for r, le in points)
+    pts = [(float(r), float(le)) for r, le in points]
+    for r, le in pts:
+        if not (math.isfinite(r) and math.isfinite(le)):
+            raise ValueError(f"non-finite point at r={r:g}")
+    pts.sort()
     rs = np.array([p[0] for p in pts])
     les = np.array([p[1] for p in pts])
     if len(rs) < 3:

@@ -212,15 +212,13 @@ def cmd_mc(args) -> int:
                   for s in s_grid]
     result = sample_min_singular_sq(cfg)
     rows = empirical_gap(result, s_grid)
-    out_paths = []
-    if args.save_samples:
-        out_dir0 = Path(args.out)
-        out_dir0.mkdir(parents=True, exist_ok=True)
-        raw = out_dir0 / "lambda_min.f64"
-        save_samples(result, raw)
-        out_paths += [raw, Path(str(raw) + ".json")]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    out_paths = []
+    if args.save_samples:
+        raw = out_dir / "lambda_min.f64"
+        save_samples(result, raw)
+        out_paths += [raw, Path(str(raw) + ".json")]
     csv_path = out_dir / "mc_gap.csv"
     with csv_path.open("w", newline="") as fh:
         header = "s,p_hat,ci_low,ci_high"
@@ -267,7 +265,7 @@ def cmd_ode(args) -> int:
     nu = (0.0, args.nu1) if args.m == 1 else (0.0, args.nu1, args.nu2)
     try:
         params = HardEdgeParams.from_nu(nu)
-        grid = _log_grid(max(args.s0 * 10, 1e-4), args.s_max, args.points)
+        grid = np.geomspace(max(args.s0 * 10, 1e-4), args.s_max, args.points)
         traj = flow.integrate(params, args.s0, grid, tol=args.tol)
     except (ValueError, flow.FlowError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
@@ -361,10 +359,6 @@ def _c2s(v):
     if v.imag == 0.0:
         return v.real
     return {"re": v.real, "im": v.imag}
-
-
-def _log_grid(lo: float, hi: float, n: int) -> list:
-    return list(np.geomspace(lo, hi, n))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,6 @@ __all__ = [
     "make_rule",
     "fredholm_det",
     "GapPoint",
-    "GapCurve",
     "gap_probability_mb",
     "gap_probability_hardedge",
     "NonConvergedError",
@@ -54,11 +53,9 @@ class NonConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes and weights on (a, b); nodes are strictly interior."""
+    """Gauss-Legendre nodes and weights; nodes are strictly interior."""
 
     n: int
-    a: float
-    b: float
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -85,7 +82,7 @@ def make_rule(n: int, a: float, b: float) -> QuadratureRule:
     x, w = _reference_rule(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     weights = 0.5 * (b - a) * w
-    return QuadratureRule(n, float(a), float(b), nodes, weights)
+    return QuadratureRule(n, nodes, weights)
 
 
 def fredholm_det(kernel, rule: QuadratureRule) -> tuple:
@@ -117,27 +114,6 @@ class GapPoint:
     logE: float
     node_count_used: int
     est_error: float
-
-
-@dataclass
-class GapCurve:
-    """Sampled gap-probability curve; abscissa_kind is "s" or "r" (r=2 sqrt s)."""
-
-    abscissa_kind: str
-    points: list
-
-    def validate(self):
-        if self.abscissa_kind not in ("s", "r"):
-            raise ValueError("abscissa_kind must be 's' or 'r'")
-        xs = [p.abscissa for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("abscissas must be strictly increasing")
-        for p in self.points:
-            if not (0.0 < p.E <= 1.0):
-                raise ValueError(f"E out of (0, 1] at {p.abscissa}")
-            if abs(p.logE - math.log(p.E)) > 1e-14 * max(1.0, abs(p.logE)):
-                raise ValueError("logE inconsistent with E")
-        return self
 
 
 def _converge_logdet(kernel_fn, interval_len: float, target_tol: float):

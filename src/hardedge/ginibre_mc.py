@@ -35,7 +35,7 @@ eigenvalue by 2 per factor; empirical_gap removes the 2^M before scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstebz
@@ -98,19 +98,14 @@ class McConfig:
 
 @dataclass
 class McResult:
-    """Sampled smallest eigenvalues of Y^dag Y plus summary statistics."""
+    """Sampled smallest eigenvalues of Y^dag Y."""
 
     config: McConfig
     lambda_min: np.ndarray
-    scaled: bool = False
-    summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.lambda_min <= 0):
             raise ValueError("smallest eigenvalues must be positive")
-        lm = self.lambda_min
-        self.summary = {"n": int(lm.size), "mean": float(lm.mean()),
-                        "min": float(lm.min()), "max": float(lm.max())}
 
 
 def _bidiagonal_lambda_min(rng: np.random.Generator, n0: int, nu: int) -> float:
@@ -171,7 +166,7 @@ def wilson_interval(k: int, n: int, z: float = 2.5758293035489004) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def empirical_gap(result: McResult, s_grid, N0: int | None = None) -> list:
+def empirical_gap(result: McResult, s_grid) -> list:
     """[(s, p_hat, ci_low, ci_high)]: empirical P(lambda_min > s/N0).
 
     Applies the 2^M eigenvalue rescaling when the samples were drawn under
@@ -179,14 +174,13 @@ def empirical_gap(result: McResult, s_grid, N0: int | None = None) -> list:
     scaled law.
     """
     cfg = result.config
-    n0 = cfg.N0 if N0 is None else N0
-    lam = result.lambda_min.copy()
+    lam = result.lambda_min
     if cfg.variance_convention == "unit_component":
         lam = lam / 2.0 ** cfg.M
     out = []
     n = lam.size
     for s in s_grid:
-        k = int(np.count_nonzero(lam > s / n0))
+        k = int(np.count_nonzero(lam > s / cfg.N0))
         lo, hi = wilson_interval(k, n)
         out.append((float(s), k / n, lo, hi))
     return out

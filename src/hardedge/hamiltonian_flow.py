@@ -23,7 +23,6 @@ offset that no invariant or gap quantity sees.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .kernels import HardEdgeParams
 from .special_functions import gamma_real
 from . import sigma_forms
 from .sigma_forms import ResolventJet
-from .fredholm import GapPoint, GapCurve
 
 __all__ = [
     "HamiltonianState",
@@ -46,7 +44,6 @@ __all__ = [
     "structural_residuals",
     "schlesinger_view",
     "eta_derivatives",
-    "gap_from_eta0",
     "trajectory_csv",
 ]
 
@@ -191,7 +188,8 @@ def launch_state(params: HardEdgeParams, s0: float):
     all integrals of motion hold at launch to roundoff; the special index set
     (0, -1/2, 0) gets the six-term series, anything else the leading one.
     M=2 with integer nu_2 - nu_1 is refused, since the jet has Gamma poles
-    there.
+    there, and an index set whose jet or gauge split fails is refused with
+    the failing quantity named.
     """
     nu = params.nu
     if params.M == 1:
@@ -211,11 +209,15 @@ def launch_state(params: HardEdgeParams, s0: float):
         raise FlowError(
             f"no M=2 launch at integer nu_2 - nu_1 = {nu[2] - nu[1]:g}: the "
             "series launch needs nu_2 - nu_1 off the integers")
-    d, loghead = _m2_series_jet(params, s0)
     n0, n1, n2 = nu
-    g_inv = (-gamma_real(n2 - n1) * gamma_real(n2 - n0 + 1) * s0 ** (n1 + n0)
-             - gamma_real(n1 - n2) * gamma_real(n1 - n0 + 1) * s0 ** (n2 + n0))
-    x, y, xi, eta = sigma_forms.state_arrays_from_jet(s0, d, params, g_inv)
+    try:
+        d, loghead = _m2_series_jet(params, s0)
+        g_inv = (-gamma_real(n2 - n1) * gamma_real(n2 - n0 + 1) * s0 ** (n1 + n0)
+                 - gamma_real(n1 - n2) * gamma_real(n1 - n0 + 1) * s0 ** (n2 + n0))
+        x, y, xi, eta = sigma_forms.state_arrays_from_jet(s0, d, params, g_inv)
+    except ValueError as exc:
+        raise FlowError(f"no M=2 launch at nu=({n0:g}, {n1:g}, {n2:g}): "
+                        f"{exc}") from exc
     state = HamiltonianState(M=2, s=s0, x=x, y=y, xi=xi, eta=eta,
                              params=params)
     return state, loghead
@@ -225,9 +227,8 @@ def launch_state(params: HardEdgeParams, s0: float):
 # integration
 # ---------------------------------------------------------------------------
 
-def integrate(params: HardEdgeParams, s0: float, s_targets, tol: float = 1e-10,
-              state0: HamiltonianState | None = None,
-              loghead: float | None = None) -> Trajectory:
+def integrate(params: HardEdgeParams, s0: float, s_targets,
+              tol: float = 1e-10) -> Trajectory:
     """Adaptive integration with output at s_targets (strictly increasing).
 
     The running integral of eta_0/t is carried as an extra state component so
@@ -236,16 +237,15 @@ def integrate(params: HardEdgeParams, s0: float, s_targets, tol: float = 1e-10,
     before giving up with the offending integral named.
     """
     s_targets = [float(t) for t in s_targets]
+    if not s_targets:
+        raise ValueError("s_targets is empty")
     if any(b <= a for a, b in zip(s_targets, s_targets[1:])):
         raise ValueError("s_targets must be strictly increasing")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}]")
-    if state0 is None:
-        state0, loghead = launch_state(params, s0)
-    elif loghead is None:
-        raise ValueError("a custom launch state needs its loghead")
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
+    state0, loghead = launch_state(params, s0)
 
     fn = _rhs_m1 if params.M == 1 else _rhs_m2
 
@@ -491,7 +491,7 @@ def _tracy_widom_residuals(state, dx, dy, dxi, deta) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the eta_0 jet and the gap probability
+# the eta_0 jet
 # ---------------------------------------------------------------------------
 
 def eta_derivatives(state: HamiltonianState) -> ResolventJet:
@@ -535,15 +535,6 @@ def eta_derivatives(state: HamiltonianState) -> ResolventJet:
     return ResolventJet(s=s, d=d, F=F, U=float(U.real), V=float(V.real),
                         W=float(W.real), Z=float(Z.real),
                         G=float((x0 / y2).real), params=state.params)
-
-
-def gap_from_eta0(traj: Trajectory) -> GapCurve:
-    """The gap probability E(s) = exp(loghead + int eta_0/t dt) per target."""
-    pts = []
-    for st, lg in zip(traj.states, traj.log_gap):
-        pts.append(GapPoint(abscissa=st.s, E=math.exp(lg), logE=lg,
-                            node_count_used=0, est_error=10.0 * traj.tol))
-    return GapCurve(abscissa_kind="s", points=pts).validate()
 
 
 def trajectory_csv(traj: Trajectory) -> str:

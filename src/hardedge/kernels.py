@@ -3,11 +3,12 @@
 Two kernel families live here:
 
 * ``KernelBundle`` — the integrable-form kernel
-  ``K_M(x, y) = sum_j phi_j(x) psi_j(y) / (x - y)`` for one matrix (M=1,
-  Bessel functions) and two matrices (M=2, regularized 0F2 series).
-  ``kernel_matrix`` is its only evaluator: one Horner sweep over the
-  stacked series gives phi_j, phi_j' and psi_j at every abscissa, and the
-  0/0 diagonal is the exact limit K(x, x) = sum_j phi_j'(x) psi_j(x).
+  ``K_M(x, y) = sum_j phi_j(x) psi_j(y) / (x - y)`` for one matrix (M=1)
+  and two matrices (M=2), built from regularized hyper-Bessel series 0F_M
+  (0F1 is the Bessel case).  ``kernel_matrix`` is its only evaluator: one
+  Horner sweep over the stacked series gives phi_j, phi_j' and psi_j at
+  every abscissa, and the 0/0 diagonal is the exact limit
+  K(x, x) = sum_j phi_j'(x) psi_j(x).
 * ``borodin_kernel_matrix`` — the hard-edge kernel of the Laguerre
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors,
   evaluated with one 16-node Gauss-Legendre rule on (0, 1) built at import.
@@ -32,8 +33,8 @@ import numpy as np
 from .special_functions import (
     N_TERMS,
     gamma_real,
-    bessel_j_coefficients,
-    hyp0f2_reg_coefficients,
+    elementary_symmetric,
+    hyp0f_reg_coefficients,
     wright_bessel_coefficients,
     horner,
 )
@@ -71,14 +72,12 @@ class HardEdgeParams:
 
     nu[0] must be 0 (the product construction pins the first index there) and
     every nu_m must exceed -1 for integrability at the hard edge.  ``e``
-    holds the elementary symmetric functions e_1..e_{M+1} of all nu's and
-    ``alpha`` the coefficients of prod_{m>=1}(x - nu_m) in ascending order.
+    holds the elementary symmetric functions e_1..e_{M+1} of all nu's.
     """
 
     M: int
     nu: tuple
     e: tuple = field(init=False)
-    alpha: tuple = field(init=False)
 
     def __post_init__(self):
         if self.M not in (1, 2):
@@ -91,14 +90,7 @@ class HardEdgeParams:
         if any(v <= -1.0 for v in nu):
             raise ValueError("every nu_m must exceed -1")
         object.__setattr__(self, "nu", nu)
-        from .special_functions import elementary_symmetric
-
         object.__setattr__(self, "e", elementary_symmetric(nu))
-        # prod_{m=1..M} (x - nu_m), ascending coefficients
-        coeffs = np.array([1.0])
-        for v in nu[1:]:
-            coeffs = np.convolve(coeffs, np.array([-v, 1.0]))
-        object.__setattr__(self, "alpha", tuple(coeffs))
 
     @classmethod
     def from_nu(cls, nu) -> "HardEdgeParams":
@@ -136,11 +128,10 @@ class KernelBundle:
         if params.M == 1:
             n0, n1 = nu
             v = n1 - n0
-            # J_v(2 sqrt(x)) = x^(v/2) * P_v(x); the alternating sign is
-            # already folded into the P coefficients, so the argument is +x
-            series = [bessel_j_coefficients(v, N_TERMS),
-                      bessel_j_coefficients(v + 1.0, N_TERMS)]
-            signs = [1.0, 1.0]
+            # J_v(2 sqrt(x)) = x^(v/2) * 0F1~(; v+1; -x)
+            series = [hyp0f_reg_coefficients((v + 1.0,), N_TERMS),
+                      hyp0f_reg_coefficients((v + 2.0,), N_TERMS)]
+            signs = [-1.0, -1.0]
             phi_pow = [-n0, 1.0 - n0]
             psi_terms = [(n1, 0), (n1 + 1.0, 1)]
             phi_w = [[1.0, 0.0], [n0, 1.0]]
@@ -150,11 +141,11 @@ class KernelBundle:
             a1, a2 = n1 - n0, n2 - n0
             g12 = gamma_real(n2 - n1) * gamma_real(n1 - n2 + 1.0)
             g21 = gamma_real(n1 - n2) * gamma_real(n2 - n1 + 1.0)
-            series = [hyp0f2_reg_coefficients(a1 + k, a2 + k, N_TERMS)
+            series = [hyp0f_reg_coefficients((a1 + k, a2 + k), N_TERMS)
                       for k in (1.0, 2.0, 3.0)]
             for shift in (-1.0, 0.0, 1.0):
-                series += [hyp0f2_reg_coefficients(a1 + shift, n1 - n2 + 1.0, N_TERMS),
-                           hyp0f2_reg_coefficients(a2 + shift, n2 - n1 + 1.0, N_TERMS)]
+                series += [hyp0f_reg_coefficients((a1 + shift, n1 - n2 + 1.0), N_TERMS),
+                           hyp0f_reg_coefficients((a2 + shift, n2 - n1 + 1.0), N_TERMS)]
             signs = [-1.0] * 3 + [1.0] * 6
             phi_pow = [-n0, 1.0 - n0, 2.0 - n0]
             psi_terms = [(n1 if r % 2 else n2, r) for r in range(3, 9)]

@@ -34,7 +34,6 @@ __all__ = [
     "ResolventJet",
     "SPECIAL_NU",
     "eta0_power_series",
-    "special_eta0_jet",
     "f_squared",
     "radical_F",
     "radical_F_bilinear",
@@ -106,15 +105,6 @@ def eta0_power_series(terms, s: float) -> tuple:
     return tuple(d), loghead
 
 
-def special_eta0_jet(s: float) -> tuple:
-    """(eta0, ..., eta0'''') from the six-term small-s series at nu=(0,-1/2,0).
-
-    Absolute truncation error is O(s^{7/2}) for the value, one power of s
-    less per derivative order.
-    """
-    return eta0_power_series(SPECIAL_ETA0_TERMS, s)[0]
-
-
 def f_squared(s: float, d, e1: float, e2: float) -> float:
     """The quartic combination of eta_0 derivatives whose root is F."""
     return (4 * e1 ** 2 * d[1] ** 2 - 12 * e2 * d[1] ** 2 + 12 * d[0] * d[1] ** 2
@@ -137,7 +127,7 @@ def radical_F(s: float, d, e1: float, e2: float) -> float:
 
 def radical_F_bilinear(state) -> float:
     """F from the phase-space bilinear -3 x0 y1 - 3 x1 y2 - e1 x0 y2."""
-    e1 = state.params.e[0] if hasattr(state, "params") else state.e[0]
+    e1 = state.params.e[0]
     val = (-3.0 * state.x[0] * state.y[1] - 3.0 * state.x[1] * state.y[2]
            - e1 * state.x[0] * state.y[2])
     return float(val.real)

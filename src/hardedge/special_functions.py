@@ -1,10 +1,11 @@
 """Scalar special functions used throughout the package.
 
-Every series here is a plain power series in double precision: regularized
-hypergeometric 0F2, the Wright Bessel function and the classical Bessel J,
-each as its first ``N_TERMS`` Taylor coefficients (the ``*_coefficients``
-functions) for ``horner`` to evaluate, the path the kernels take.  Real Gamma
-/ reciprocal Gamma and elementary symmetric polynomials complete the module.  Horner's
+Every series here is a plain power series in double precision: the
+regularized hyper-Bessel function 0F_M (M=1 is the Bessel case, J_v(2 sqrt x)
+= x^(v/2) 0F1~(; v+1; -x)) and the Wright Bessel function, each as its first
+``N_TERMS`` Taylor coefficients (the ``*_coefficients`` functions) for
+``horner`` to evaluate, the path the kernels take.  Real Gamma / reciprocal
+Gamma and elementary symmetric polynomials complete the module.  Horner's
 rule in floating point is exact for slightly perturbed coefficients, so the
 error of p(x) is at most gamma_2N * sum_j |c_j| |x|^j (Higham, *Accuracy and
 Stability of Numerical Algorithms*, section 5.1).
@@ -24,9 +25,8 @@ __all__ = [
     "gamma_real",
     "reciprocal_gamma",
     "elementary_symmetric",
-    "hyp0f2_reg_coefficients",
+    "hyp0f_reg_coefficients",
     "wright_bessel_coefficients",
-    "bessel_j_coefficients",
     "horner",
 ]
 
@@ -72,14 +72,20 @@ def horner(coeffs: np.ndarray, x: np.ndarray | float):
     return result
 
 
-def hyp0f2_reg_coefficients(b1: float, b2: float, n_terms: int) -> np.ndarray:
-    """Taylor coefficients c_j = 1/(j! Gamma(b1+j) Gamma(b2+j))."""
+def hyp0f_reg_coefficients(bs, n_terms: int) -> np.ndarray:
+    """Taylor coefficients c_j = prod_i 1/Gamma(b_i+j) / j! of 0F_M~(; bs; x).
+
+    The reciprocal Gammas are multiplied left to right, then divided by j!.
+    """
     c = np.empty(n_terms)
     fact = 1.0
     for j in range(n_terms):
         if j > 0:
             fact *= j
-        c[j] = reciprocal_gamma(b1 + j) * reciprocal_gamma(b2 + j) / fact
+        prod = 1.0
+        for b in bs:
+            prod *= reciprocal_gamma(b + j)
+        c[j] = prod / fact
     return c
 
 
@@ -91,17 +97,6 @@ def wright_bessel_coefficients(a: float, b: float, n_terms: int) -> np.ndarray:
         if j > 0:
             fact *= j
         c[j] = ((-1.0) ** j) * reciprocal_gamma(a + j * b) / fact
-    return c
-
-
-def bessel_j_coefficients(nu: float, n_terms: int) -> np.ndarray:
-    """Coefficients of t^k, t=(x/2)^2, in J_nu(x)/(x/2)^nu."""
-    c = np.empty(n_terms)
-    fact = 1.0
-    for k in range(n_terms):
-        if k > 0:
-            fact *= k
-        c[k] = ((-1.0) ** k) * reciprocal_gamma(nu + k + 1) / fact
     return c
 
 

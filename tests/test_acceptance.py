@@ -47,7 +47,7 @@ from hardedge.ginibre_mc import (
     McConfig, sample_min_singular_sq, empirical_gap,
 )
 from hardedge.fredholm import gap_probability_hardedge
-from hardedge.reference_data import TABLE1, table1_a1
+from hardedge.reference_data import TABLE1
 from hardedge.verification import verify
 
 NODES = 48  # criterion 1 allows up to 96
@@ -97,7 +97,7 @@ def test_criterion_2_tail_coefficients(computed_table):
     for c in (0, 1):
         pts = [(float(r), table[c][r]) for r in range(4, 15)]
         fit = fit_tail(pts, mode="local_triple", center=13.0, extrapolate=True)
-        worst_a1 = max(worst_a1, abs(fit.a1 - table1_a1(c, 13)))
+        worst_a1 = max(worst_a1, abs(fit.a1 - TABLE1[c][13][1]))
         ext_err = abs(abs(fit.a1_extrapolated) - A1_PREDICTED)
         assert ext_err <= 5e-3, f"extrapolation off by {ext_err:.2e} (c={c})"
         # on computed curves the local estimate approaches the predicted
@@ -170,7 +170,8 @@ def test_criterion_6_structure(reports):
 def test_criterion_7_small_s_series(accept_traj_m2):
     s = 1e-3
     st = [t for t in accept_traj_m2.states if t.s == s][0]
-    err = abs(st.eta[0].real - sf.special_eta0_jet(s)[0])
+    jet, _ = sf.eta0_power_series(sf.SPECIAL_ETA0_TERMS, s)
+    err = abs(st.eta[0].real - jet[0])
     assert _report(7, "small-s series", err, 5.0 * s ** 3.5)
 
 

@@ -10,7 +10,7 @@ from hardedge.asymptotics import (
     fit_tail,
     A1_PREDICTED,
 )
-from hardedge.reference_data import TABLE1, table1_a1
+from hardedge.reference_data import TABLE1
 
 
 def _poly_residual(c, x, y):
@@ -101,7 +101,7 @@ def test_fit_tail_exact_recovery():
 def test_fit_tail_reference_table(c):
     pts = [(float(r), TABLE1[c][r][0]) for r in range(4, 15)]
     fit = fit_tail(pts, mode="local_triple", center=13.0)
-    assert abs(fit.a1 - table1_a1(c, 13)) <= 2e-3
+    assert abs(fit.a1 - TABLE1[c][13][1]) <= 2e-3
 
 
 def test_fit_tail_extrapolation():
@@ -132,3 +132,8 @@ def test_fit_tail_validation():
     with pytest.raises(ValueError):
         fit_tail([(4.0, 0.0), (5.5, 0.1), (7.0, 0.2)], mode="local_triple",
                  center=5.5)
+    # a refused table1 cell is written as nan; the fit names its r
+    pts = [(float(r), TABLE1[0][r][0]) for r in range(4, 15)]
+    pts[3] = (7.0, math.nan)
+    with pytest.raises(ValueError, match="non-finite point at r=7"):
+        fit_tail(pts, extrapolate=True)

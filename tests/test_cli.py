@@ -5,13 +5,13 @@ import pytest
 
 from hardedge import cli, verification
 from hardedge.cli import main
-from hardedge.reference_data import table1_logE
+from hardedge.reference_data import TABLE1
 
 
 def test_gap_command(capsys):
     assert main(["gap", "--c", "0", "--r", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["logE"] == pytest.approx(table1_logE(0, 4), abs=1e-8)
+    assert payload["logE"] == pytest.approx(TABLE1[0][4][0], abs=1e-8)
     assert 0.0 < payload["E"] < 1.0
 
 
@@ -27,7 +27,7 @@ def test_table1_degenerate_window(tmp_path, capsys):
     assert lines[0] == "r,logE_c0,logE_c1"   # no a1 column without a triple
     assert len(lines) == 2
     row = lines[1].split(",")
-    assert float(row[1]) == pytest.approx(table1_logE(0, 4), abs=1e-7)
+    assert float(row[1]) == pytest.approx(TABLE1[0][4][0], abs=1e-7)
     assert (tmp_path / "table1_diff.json").exists()
     assert (tmp_path / "table1.manifest.json").exists()
 
@@ -138,6 +138,23 @@ def test_fit_command(tmp_path, capsys):
     assert payload["a1_extrapolated"] == pytest.approx(a1, abs=1e-8)
 
 
+def test_fit_command_refuses_nan_row(tmp_path, capsys):
+    # the CSV of a table1 run with one refused cell
+    rows = ["r,logE_c0"] + [f"{r},{TABLE1[0][r][0]!r}" for r in range(4, 12)]
+    rows[3] = "6,nan"
+    path = tmp_path / "table1.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["fit", str(path), "--skip-rows", "1", "--extrapolate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fit failed: non-finite point at r=6" in captured.err
+
+
+def test_ode_refuses_empty_grid(tmp_path, capsys):
+    assert main(["ode", "--points", "0", "--out", str(tmp_path)]) == 2
+    assert "integration failed: s_targets is empty" in capsys.readouterr().err
+
+
 def test_fit_command_missing_file():
     assert main(["fit", "/nonexistent/tail.csv"]) == 2
 
@@ -167,4 +184,4 @@ def test_gap_csv_format(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].split(",")[0] == "c"
     vals = lines[1].split(",")
-    assert float(vals[4]) == pytest.approx(table1_logE(0, 4), abs=1e-8)
+    assert float(vals[4]) == pytest.approx(TABLE1[0][4][0], abs=1e-8)

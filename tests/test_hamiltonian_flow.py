@@ -42,20 +42,33 @@ def test_m1_launch_refused_before_integrating(v, monkeypatch, tmp_path):
                  "--points", "4", "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("nu", [(0.0, 0.0, 1.0), (0.0, 0.5, 1.5)])
-def test_m2_integer_difference_refused_before_integrating(nu, monkeypatch,
-                                                          tmp_path):
-    # integer nu_2 - nu_1 is a numerical refusal (exit 1), not a usage error
+def _assert_m2_refused_before_integrating(nu, match, monkeypatch, tmp_path):
+    # a numerical refusal (exit 1 from ode and sigma), not a usage error
     def no_integration(*args, **kwargs):
         raise AssertionError("solve_ivp called for a refused launch")
 
     monkeypatch.setattr(flow, "solve_ivp", no_integration)
-    with pytest.raises(flow.FlowError, match="nu_2 - nu_1 = 1"):
+    with pytest.raises(flow.FlowError, match=match):
         flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, [1e-4, 1.0])
     nus = ["--nu1", str(nu[1]), "--nu2", str(nu[2])]
     assert main(["ode", "--m", "2", *nus, "--s-max", "1.0", "--points", "4",
                  "--out", str(tmp_path)]) == 1
     assert main(["sigma", *nus, "--s", "0.5"]) == 1
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0, 1.0), (0.0, 0.5, 1.5)])
+def test_m2_integer_difference_refused_before_integrating(nu, monkeypatch,
+                                                          tmp_path):
+    _assert_m2_refused_before_integrating(nu, "nu_2 - nu_1 = 1", monkeypatch,
+                                          tmp_path)
+
+
+@pytest.mark.parametrize("nu", [(0.0, -0.75, -0.5), (0.0, -0.5, -0.75)])
+def test_m2_negative_radical_refused_before_integrating(nu, monkeypatch,
+                                                         tmp_path):
+    # the launch jet's F^2 is genuinely negative; the refusal names nu and F^2
+    match = rf"nu=\(0, {nu[1]:g}, {nu[2]:g}\): F\^2 genuinely negative"
+    _assert_m2_refused_before_integrating(nu, match, monkeypatch, tmp_path)
 
 
 def test_scipy_integrate_loaded_at_first_integration():
@@ -146,6 +159,8 @@ def test_integrate_validates_inputs(params_m2):
         flow.integrate(params_m2, 1e-5, [1.0], tol=1e-3)
     with pytest.raises(ValueError):
         flow.integrate(params_m2, 0.5, [0.1])
+    with pytest.raises(ValueError, match="s_targets is empty"):
+        flow.integrate(params_m2, 1e-5, [])
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +252,7 @@ def test_gap_small_interval_limit(params_m2):
 
 
 def test_gap_matches_mb_fredholm(traj_m2):
-    curve = flow.gap_from_eta0(traj_m2)
-    target = {p.abscissa: p.logE for p in curve.points}[1.0]
+    target = {st.s: lg for st, lg in zip(traj_m2.states, traj_m2.log_gap)}[1.0]
     mb = gap_probability_mb(MBParams(c=0.0), 2.0)
     assert abs(target - mb.logE) <= 1e-6
 

@@ -27,18 +27,6 @@ def test_params_validation():
         HardEdgeParams.from_nu((0.0, 0.1, 0.2, 0.3))  # M=3 unsupported
 
 
-def test_alpha_coefficients_match_polynomial():
-    p = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
-    assert p.alpha == pytest.approx((0.0, 0.5, 1.0))
-    # alpha poly == prod(x - nu_m) at M+2 sample points
-    for params in (p, HardEdgeParams.from_nu((0.0, 0.3)),
-                   HardEdgeParams.from_nu((0.0, 0.25, 0.8))):
-        for x in np.linspace(-1.3, 2.1, params.M + 2):
-            lhs = sum(a * x ** i for i, a in enumerate(params.alpha))
-            rhs = np.prod([x - v for v in params.nu[1:]])
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
 def test_generic_condition_rejected():
     with pytest.raises(ValueError):
         build_kernel_bundle(HardEdgeParams.from_nu((0.0, 0.0, 1.0)))

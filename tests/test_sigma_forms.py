@@ -20,7 +20,7 @@ def jet_at(traj, s):
 
 def test_radical_leading_order_special_case(params_m2):
     s = 1e-8
-    d = sf.special_eta0_jet(s)
+    d = sf.eta0_power_series(sf.SPECIAL_ETA0_TERMS, s)[0]
     F = sf.radical_F(s, d, *params_m2.e[:2])
     assert F == pytest.approx(0.5 / SQRT_PI / math.sqrt(s), rel=1e-2)
 
@@ -178,7 +178,7 @@ def test_special_case_rejects_other_indices():
 def test_special_case_series_jet_residual(params_m2):
     # the six-term series solves the third-order ODE up to its truncation
     s = 1e-3
-    d = sf.special_eta0_jet(s)
+    d = sf.eta0_power_series(sf.SPECIAL_ETA0_TERMS, s)[0]
     F = sf.radical_F(s, d, *params_m2.e[:2])
     jet = sf.ResolventJet(s=s, d=d, F=F, U=0.0, V=0.0, W=0.0, Z=0.0, G=1.0,
                           params=params_m2)

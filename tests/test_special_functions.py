@@ -11,10 +11,9 @@ from hardedge.special_functions import (
     GammaPoleError,
     gamma_real,
     reciprocal_gamma,
-    bessel_j_coefficients,
     elementary_symmetric,
     horner,
-    hyp0f2_reg_coefficients,
+    hyp0f_reg_coefficients,
     wright_bessel_coefficients,
 )
 
@@ -52,7 +51,7 @@ def test_reciprocal_gamma_times_gamma_is_one():
 
 
 def _hyp0f2_reg(b1, b2, x):
-    return horner(hyp0f2_reg_coefficients(b1, b2, N_TERMS), x)
+    return horner(hyp0f_reg_coefficients((b1, b2), N_TERMS), x)
 
 
 def _wright_bessel(a, b, x):
@@ -110,13 +109,14 @@ def _series_rows():
     The exact terms take the float parameters as exact binary values.
     """
     rows = []
-    # M=1: J_w(2 sqrt x) / x^(w/2) for w = v, v+1, at x up to s = 20
+    # M=1: 0F1~(; w+1; -x) = J_w(2 sqrt x) / x^(w/2) for w = v, v+1, at x
+    # up to s = 20
     for v in (-0.5, 0.0, 1.0, 2.5):
         for w in (v, v + 1.0):
-            rows.append((bessel_j_coefficients(w, N_TERMS),
+            rows.append((hyp0f_reg_coefficients((w + 1.0,), N_TERMS),
                          lambda j, w=mpmath.mpf(w):
-                         (-1) ** j * mpmath.rgamma(w + j + 1) / mpmath.factorial(j),
-                         np.linspace(0.0, 20.0, 11)))
+                         mpmath.rgamma(w + j + 1) / mpmath.factorial(j),
+                         np.linspace(-20.0, 0.0, 11)))
     # M=2: the r1-r3 rows and the (nu_1, nu_2) pairs at shifts -1, 0, +1,
     # at x = (t/2)^2 up to s = 12, with either sign
     for nu in ((0.0, -0.5, 0.0), (0.0, 0.0, 0.5), (0.0, 0.3, 1.1),
@@ -127,7 +127,7 @@ def _series_rows():
         for shift in (-1.0, 0.0, 1.0):
             pairs += [(a1 + shift, n1 - n2 + 1.0), (a2 + shift, n2 - n1 + 1.0)]
         for b1, b2 in pairs:
-            rows.append((hyp0f2_reg_coefficients(b1, b2, N_TERMS),
+            rows.append((hyp0f_reg_coefficients((b1, b2), N_TERMS),
                          lambda j, b1=mpmath.mpf(b1), b2=mpmath.mpf(b2):
                          mpmath.rgamma(b1 + j) * mpmath.rgamma(b2 + j)
                          / mpmath.factorial(j),
