@@ -12,7 +12,8 @@ count and the seed.  CHECKOUT defaults to that same checkout; pointing it at
 a clone of an older commit measures that commit with its own benchmark code.
 
 ``--against FILE`` then prints, per workload, the new/old ratio of every
-metric and names the per-layer metric that moved most.
+metric and names the per-layer metric that moved most beyond single-run
+scatter, or says that none did.
 """
 
 import argparse
@@ -25,6 +26,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # one fixed seed, so that consecutive BENCH files measure the same inputs
 SEED = 1
+# Single-run scatter on unchanged code, one seed-1 run per side (BENCH_8 ->
+# BENCH_10): work counts per pass moved by at most 0.2%, times and sample
+# counts by x0.83-x1.17.  So a metric in COUNT_UNITS moves beyond 1%, and
+# any other only beyond x1.3 either way.
+COUNT_UNITS = ("count/pass", "GFLOP/pass")
+COUNT_BAND, SCATTER_FACTOR = 0.01, 1.3
 
 
 def run_workload(root: Path, workload: str, seed: int, seconds: float,
@@ -79,12 +86,20 @@ def _ratio(new: float, old: float) -> float:
     return new / old
 
 
+def _beyond_scatter(r: float, unit: str) -> bool:
+    if unit in COUNT_UNITS:
+        return abs(r - 1.0) > COUNT_BAND
+    return r == 0.0 or max(r, 1.0 / r) > SCATTER_FACTOR
+
+
 def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
     """Print every metric's new/old ratio; return the most-moved layer per workload.
 
-    A per-layer metric's move is |log(new/old)|; metrics that read 0 on both
-    sides and the tracing overhead itself are left out of the choice.
+    A per-layer metric's move is |log(new/old)|, and it counts only beyond
+    single-run scatter for its unit in the BENCH file; metrics that read 0 on
+    both sides and the tracing overhead itself are left out of the choice.
     """
+    units = {**old.get("units", {}), **new.get("units", {})}
     print(f"{new['commit']} against {old['commit']} (seed {new['seed']}, "
           f"{new['run_seconds']} s runs, nproc {new['nproc']})", file=stream)
     moved = {}
@@ -103,13 +118,14 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
                 r = _ratio(value, prev)
                 print(f"  {name:48s} {prev:12.6g} -> {value:12.6g}  x{r:.3g}",
                       file=stream)
-                if key == "per_layer" and not name.startswith("trace."):
+                if (key == "per_layer" and not name.startswith("trace.")
+                        and _beyond_scatter(r, units.get(name, ""))):
                     move = math.inf if r in (0.0, math.inf) else abs(math.log(r))
                     if move > best_move:
                         best, best_move = name, move
         moved[wl] = best
         if best is None:
-            print("  moved most: no per-layer metric moved", file=stream)
+            print("  no layer moved beyond single-run scatter", file=stream)
         else:
             print(f"  moved most: {best} "
                   f"x{_ratio(entry['per_layer'][best], base['per_layer'][best]):.3g}",

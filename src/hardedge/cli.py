@@ -45,6 +45,8 @@ from .fredholm import gap_probability_hardedge
 from .verification import TOLERANCES, verify
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE = 0, 1, 2
+# every flow command launches here
+_LAUNCH_S = 1e-5
 
 
 def _fmt(x) -> str:
@@ -155,7 +157,7 @@ def cmd_table1(args) -> int:
 # perfbench reads the tolerances under this name
 _VERIFY_TOL = TOLERANCES
 
-# verify case -> (index set, output grid, cut at --s-max)
+# verify case -> (index set, output grid); --s-max cuts the grid and ends it
 _VERIFY_CASES = {
     "m1": ((0.0, 0.0), (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)),
     "m2-special": (sigma_forms.SPECIAL_NU,
@@ -166,8 +168,8 @@ _VERIFY_CASES = {
 
 def cmd_verify(args) -> int:
     nu, grid = _VERIFY_CASES[args.case]
-    targets = [t for t in grid if t <= args.s_max] or [args.s_max]
-    traj = flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, targets,
+    targets = [t for t in grid if t < args.s_max] + [args.s_max]
+    traj = flow.integrate(HardEdgeParams.from_nu(nu), _LAUNCH_S, targets,
                           tol=args.tol)
     checks = verify(traj)
     report = {"case": args.case, "s_max": args.s_max, "tol": args.tol,
@@ -198,8 +200,7 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     try:
         cfg = McConfig(M=args.m, N0=args.n0, nu_int=tuple(args.nu),
-                       samples=args.samples, seed=args.seed,
-                       variance_convention=args.variance)
+                       samples=args.samples, seed=args.seed)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -235,9 +236,7 @@ def cmd_mc(args) -> int:
             fh.write(",".join(cells) + "\n")
     _write_manifest(out_dir, "mc",
                     {"M": cfg.M, "N0": cfg.N0, "nu": list(cfg.nu_int),
-                     "samples": cfg.samples,
-                     "variance_convention": cfg.variance_convention,
-                     "s_grid": list(s_grid)},
+                     "samples": cfg.samples, "s_grid": list(s_grid)},
                     [csv_path] + out_paths, seed=cfg.seed)
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -265,8 +264,8 @@ def cmd_ode(args) -> int:
     nu = (0.0, args.nu1) if args.m == 1 else (0.0, args.nu1, args.nu2)
     try:
         params = HardEdgeParams.from_nu(nu)
-        grid = np.geomspace(max(args.s0 * 10, 1e-4), args.s_max, args.points)
-        traj = flow.integrate(params, args.s0, grid, tol=args.tol)
+        grid = np.geomspace(10 * _LAUNCH_S, args.s_max, args.points)
+        traj = flow.integrate(params, _LAUNCH_S, grid, tol=args.tol)
     except (ValueError, flow.FlowError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NUMERICAL
@@ -277,7 +276,7 @@ def cmd_ode(args) -> int:
     path.write_text(text)
     _write_manifest(out_dir, "ode",
                     {"m": args.m, "nu1": args.nu1, "nu2": args.nu2,
-                     "s0": args.s0, "s_max": args.s_max, "tol": args.tol,
+                     "s_max": args.s_max, "tol": args.tol,
                      "points": args.points}, [path])
     print(f"wrote {path}")
     return EXIT_OK
@@ -287,7 +286,7 @@ def cmd_sigma(args) -> int:
     params = HardEdgeParams.from_nu((0.0, args.nu1, args.nu2))
     s_list = sorted(args.s)
     try:
-        traj = flow.integrate(params, 1e-5, s_list, tol=args.tol)
+        traj = flow.integrate(params, _LAUNCH_S, s_list, tol=args.tol)
     except flow.FlowError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -387,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--nu", type=int, nargs="+", default=[0])
     m.add_argument("--samples", type=int, default=10000)
     m.add_argument("--seed", type=int, default=7)
-    m.add_argument("--variance", default="unit_total",
-                   choices=["unit_total", "unit_component"])
     m.add_argument("--s-grid", type=float, nargs="+", default=None)
     m.add_argument("--save-samples", action="store_true")
     m.add_argument("--out", default="out")
@@ -406,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--m", type=int, choices=[1, 2], default=2)
     o.add_argument("--nu1", type=float, default=-0.5)
     o.add_argument("--nu2", type=float, default=0.0)
-    o.add_argument("--s0", type=float, default=1e-5)
     o.add_argument("--s-max", type=float, default=5.0)
     o.add_argument("--tol", type=float, default=1e-10)
     o.add_argument("--points", type=int, default=40)

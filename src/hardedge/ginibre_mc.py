@@ -25,11 +25,9 @@ keyed by (seed, sample index), so results are bit-identical regardless of
 execution order and safe to parallelize by index.  The sample sidecar names
 the sampler, because the two draw different streams from the same seed.
 
-Variance conventions: the hard-edge kernel normalization corresponds to
-matrix entries of total unit variance ("unit_total", real and imaginary
-parts of variance 1/2 each; calibrated against the one-matrix Bessel law).
-"unit_component" draws both parts with unit variance, which inflates each
-eigenvalue by 2 per factor; empirical_gap removes the 2^M before scaling.
+Normalization: matrix entries have total unit variance (real and imaginary
+parts of variance 1/2 each), the normalization of the hard-edge kernels;
+it is calibrated against the one-matrix Bessel law.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ class McConfig:
     nu_int: tuple
     samples: int
     seed: int = 0
-    variance_convention: str = "unit_total"
 
     def __post_init__(self):
         if self.M < 1:
@@ -83,8 +80,6 @@ class McConfig:
         object.__setattr__(self, "nu_int", nu)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.variance_convention not in ("unit_total", "unit_component"):
-            raise ValueError("unknown variance convention")
 
     @property
     def dims(self) -> tuple:
@@ -109,7 +104,7 @@ class McResult:
 
 
 def _bidiagonal_lambda_min(rng: np.random.Generator, n0: int, nu: int) -> float:
-    """lambda_min of X^dag X, X (n0+nu) x n0 complex Gaussian (unit_total).
+    """lambda_min of X^dag X, X (n0+nu) x n0 complex Gaussian.
 
     Draws the bidiagonal's squared diagonal, then its squared off-diagonal,
     in one Gamma call.  LAPACK's dstebz is the bisection behind
@@ -135,15 +130,13 @@ def _sample_one(cfg: McConfig, index: int) -> float:
         key=np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, index],
                      dtype=np.uint64)))
     if cfg.M == 1:
-        lam = _bidiagonal_lambda_min(rng, cfg.N0, cfg.nu_int[0])
-        return lam if cfg.variance_convention == "unit_total" else 2.0 * lam
+        return _bidiagonal_lambda_min(rng, cfg.N0, cfg.nu_int[0])
     dims = cfg.dims
-    scale = math.sqrt(0.5) if cfg.variance_convention == "unit_total" else 1.0
     Y = None
     for m in range(1, cfg.M + 1):
         shape = (dims[m], dims[m - 1])
-        X = scale * (rng.standard_normal(shape)
-                     + 1j * rng.standard_normal(shape))
+        X = math.sqrt(0.5) * (rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
         Y = X if Y is None else X @ Y
     gram = Y.conj().T @ Y
     return float(np.linalg.eigvalsh(gram)[0])
@@ -167,20 +160,12 @@ def wilson_interval(k: int, n: int, z: float = 2.5758293035489004) -> tuple:
 
 
 def empirical_gap(result: McResult, s_grid) -> list:
-    """[(s, p_hat, ci_low, ci_high)]: empirical P(lambda_min > s/N0).
-
-    Applies the 2^M eigenvalue rescaling when the samples were drawn under
-    the unit_component convention, so both conventions estimate the same
-    scaled law.
-    """
-    cfg = result.config
+    """[(s, p_hat, ci_low, ci_high)]: empirical P(lambda_min > s/N0)."""
     lam = result.lambda_min
-    if cfg.variance_convention == "unit_component":
-        lam = lam / 2.0 ** cfg.M
     out = []
     n = lam.size
     for s in s_grid:
-        k = int(np.count_nonzero(lam > s / cfg.N0))
+        k = int(np.count_nonzero(lam > s / result.config.N0))
         lo, hi = wilson_interval(k, n)
         out.append((float(s), k / n, lo, hi))
     return out
@@ -211,37 +196,8 @@ def save_samples(result: McResult, path) -> None:
     cfg = result.config
     sidecar = {
         "M": cfg.M, "N0": cfg.N0, "nu_int": list(cfg.nu_int),
-        "samples": cfg.samples, "seed": cfg.seed,
-        "variance_convention": cfg.variance_convention,
-        "sampler": cfg.sampler,
+        "samples": cfg.samples, "seed": cfg.seed, "sampler": cfg.sampler,
         "dtype": "<f8", "count": int(result.lambda_min.size),
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
-
-def load_samples(path) -> McResult:
-    """Rebuild an McResult from a binary sample file and its sidecar.
-
-    Refuses a sidecar whose "sampler" is not the one this code uses for its
-    M.  An M = 1 sidecar without the field was drawn from the dense stream,
-    which this code no longer reproduces; M >= 2 files without it are dense.
-    """
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    cfg = McConfig(M=sidecar["M"], N0=sidecar["N0"],
-                   nu_int=tuple(sidecar["nu_int"]), samples=sidecar["samples"],
-                   seed=sidecar["seed"],
-                   variance_convention=sidecar["variance_convention"])
-    sampler = sidecar.get("sampler", None if cfg.M == 1 else "dense")
-    if sampler != cfg.sampler:
-        raise ValueError(
-            f"sidecar field 'sampler' is {sampler!r}, but M={cfg.M} samples "
-            f"come from the {cfg.sampler!r} sampler, so the file cannot be "
-            "reproduced")
-    lam = np.fromfile(path, dtype=sidecar["dtype"])
-    if lam.size != sidecar["count"]:
-        raise ValueError("sample file length disagrees with its sidecar")
-    return McResult(config=cfg, lambda_min=lam)

@@ -101,7 +101,8 @@ class Trajectory:
 
     states[0] is the launch state at s0; loghead is int_0^{s0} eta_0/t dt
     from the launch series, and log_gap[i] is the full integral up to
-    states[i].s, so E = exp(log_gap[i]).
+    states[i].s, so E = exp(log_gap[i]).  tol is the tolerance integrate was
+    asked for.
     """
 
     params: HardEdgeParams
@@ -232,9 +233,10 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     """Adaptive integration with output at s_targets (strictly increasing).
 
     The running integral of eta_0/t is carried as an extra state component so
-    the gap probability needs no post-hoc quadrature.  If the first-integral
-    drift at any output exceeds 100*tol the run is retried at tol/10 (twice)
-    before giving up with the offending integral named.
+    the gap probability needs no post-hoc quadrature.  The trajectory is
+    integrated once, at tolerances graded below tol near the launch; if the
+    first-integral drift at any output exceeds 100*tol it is refused with the
+    offending integral named.
     """
     s_targets = [float(t) for t in s_targets]
     if not s_targets:
@@ -252,22 +254,14 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     def rhs_real(s, u):
         return fn(s, u.view(complex)).view(float)
 
-    v0 = state0.pack(aux=loghead).view(float)
-    attempt_tol = tol
-    for _ in range(3):
-        states, log_gap = _run_segments(rhs_real, params, s0, s_targets,
-                                        v0, attempt_tol)
-        states = [state0] + states
-        log_gap = [loghead] + log_gap
-        worst_name, worst = _worst_integral(states)
-        if worst <= 100.0 * tol:
-            return Trajectory(params=params, s0=s0, states=states,
-                              log_gap=log_gap, tol=attempt_tol,
-                              loghead=loghead)
-        attempt_tol /= 10.0
-        if attempt_tol < _TOL_MIN:
-            break
-    raise FlowError(f"first-integral blow-up: {worst_name} reached {worst:.3e}")
+    states, log_gap = _run_segments(rhs_real, params, s0, s_targets,
+                                    state0.pack(aux=loghead).view(float), tol)
+    states = [state0] + states
+    worst_name, worst = _worst_integral(states)
+    if worst > 100.0 * tol:
+        raise FlowError(f"first-integral blow-up: {worst_name} reached {worst:.3e}")
+    return Trajectory(params=params, s0=s0, states=states,
+                      log_gap=[loghead] + log_gap, tol=tol, loghead=loghead)
 
 
 # the physical solution is dynamically unstable: state errors injected at
@@ -398,17 +392,24 @@ class SchlesingerView:
     A_mat: np.ndarray
 
 
+def _c_matrix(xi, eta, superdiag: float) -> np.ndarray:
+    """C from (xi, eta, -1), and C' from (xi', eta', 0): the same entries."""
+    m1 = len(xi)
+    C = np.zeros((m1, m1), dtype=complex)
+    for i in range(m1 - 1):
+        C[i, 0] = -eta[i]
+        C[i, i + 1] = superdiag
+    C[m1 - 1, 0] = xi[0] - eta[m1 - 1]
+    C[m1 - 1, 1:] = xi[1:]
+    return C
+
+
 def schlesinger_view(state: HamiltonianState) -> SchlesingerView:
     m1 = state.M + 1
     sign = 1.0 if state.M == 1 else -1.0   # (-1)^(M+1) on the corner entry
     E = np.zeros((m1, m1), dtype=complex)
     E[m1 - 1, 0] = sign
-    C = np.zeros((m1, m1), dtype=complex)
-    for i in range(m1 - 1):
-        C[i, 0] = -state.eta[i]
-        C[i, i + 1] = -1.0
-    C[m1 - 1, 0] = state.xi[0] - state.eta[m1 - 1]
-    C[m1 - 1, 1:] = state.xi[1:]
+    C = _c_matrix(state.xi, state.eta, -1.0)
     A = np.outer(state.x, state.y)
     return SchlesingerView(E_mat=E, C_mat=C, A_mat=A)
 
@@ -422,11 +423,7 @@ def structural_residuals(state: HamiltonianState) -> dict:
     dx, dy, dxi, deta = rhs(state)
     m1 = state.M + 1
     Aprime = np.outer(dx, state.y) + np.outer(state.x, dy)
-    Cprime = np.zeros((m1, m1), dtype=complex)
-    for i in range(m1 - 1):
-        Cprime[i, 0] = -deta[i]
-    Cprime[m1 - 1, 0] = dxi[0] - deta[m1 - 1]
-    Cprime[m1 - 1, 1:] = dxi[1:]
+    Cprime = _c_matrix(dxi, deta, 0.0)
     comm1 = (C + s * E) @ A - A @ (C + s * E)
     res1 = s * Aprime - comm1
     scale1 = max(np.max(np.abs(comm1)), np.max(np.abs(s * Aprime)), 1e-300)
@@ -505,20 +502,15 @@ def eta_derivatives(state: HamiltonianState) -> ResolventJet:
         raise ValueError("the resolvent jet is defined for M=2")
     s = state.s
     e1, e2, _ = state.params.e
-    x0, x1, x2 = state.x
-    y0, y1, y2 = state.y
-    xi1, xi2 = state.xi[1], state.xi[2]
-    eta0, eta1 = state.eta[0], state.eta[1]
-    d1c = -x0 * y2
+    x0, y2, xi2, eta0 = state.x[0], state.y[2], state.xi[2], state.eta[0]
+    dx, dy, dxi, deta = rhs(state)
+    d1c = deta[0]
     if d1c == 0:
         raise ValueError("eta_0' vanished; the jet is undefined")
-    dx0 = (-eta0 * x0 - x1) / s
-    dx1 = (-eta1 * x0 - x2) / s
-    dy2 = (-xi2 * y2 + y1) / s
-    dy1 = (-xi1 * y2 + y0) / s
-    deta0 = -x0 * y2
-    dxi2 = -x0 * y2
-    ddx0 = (-deta0 * x0 - eta0 * dx0 - dx1 - dx0) / s
+    dx0, dx1 = dx[0], dx[1]
+    dy1, dy2 = dy[1], dy[2]
+    dxi2 = dxi[2]
+    ddx0 = (-d1c * x0 - eta0 * dx0 - dx1 - dx0) / s
     ddy2 = (-dxi2 * y2 - xi2 * dy2 + dy1 - dy2) / s
     U = s * x0 * dy2
     V = s * dx0 * y2

@@ -14,8 +14,15 @@ def _load():
     return module
 
 
+UNITS = {"op_p50_ms": "ms", "cli.table1_self_s": "s/pass",
+         "kernels.borodin_kernel_matrix_s": "s/pass",
+         "kernels.borodin_kernel_matrix_calls": "count/pass",
+         "hamiltonian_flow.nfev": "count/pass", "trace.overhead_ratio": "ratio"}
+
+
 def _bench(commit, layers):
     return {"commit": commit, "seed": 1, "run_seconds": 15, "nproc": 2,
+            "units": UNITS,
             "workloads": {"table1": {"end_to_end": {"op_p50_ms": 100.0},
                                      "per_layer": layers}}}
 
@@ -35,3 +42,27 @@ def test_compare_names_the_layer_that_moved_most():
 def test_compare_with_nothing_moved():
     same = _bench("a", {"cli.table1_self_s": 0.1, "hamiltonian_flow.nfev": 0.0})
     assert _load().compare(same, same, io.StringIO()) == {"table1": None}
+
+
+def test_compare_names_no_layer_within_scatter():
+    # a x0.85 time move with equal work counts is single-run scatter
+    old = _bench("a", {"cli.table1_self_s": 0.1,
+                       "kernels.borodin_kernel_matrix_calls": 44.0})
+    new = _bench("b", {"cli.table1_self_s": 0.085,
+                       "kernels.borodin_kernel_matrix_calls": 44.0})
+    out = io.StringIO()
+    assert _load().compare(new, old, out) == {"table1": None}
+    assert "no layer moved beyond single-run scatter" in out.getvalue()
+
+
+def test_compare_names_a_count_move():
+    # a 5% change in work per pass is no scatter, though smaller than the
+    # time move beside it
+    old = _bench("a", {"cli.table1_self_s": 0.1,
+                       "kernels.borodin_kernel_matrix_calls": 44.0})
+    new = _bench("b", {"cli.table1_self_s": 0.12,
+                       "kernels.borodin_kernel_matrix_calls": 46.2})
+    out = io.StringIO()
+    moved = _load().compare(new, old, out)
+    assert moved == {"table1": "kernels.borodin_kernel_matrix_calls"}
+    assert "moved most: kernels.borodin_kernel_matrix_calls x1.05" in out.getvalue()

@@ -59,6 +59,23 @@ def test_verify_m1_passes(case, tmp_path, capsys):
         assert check["worst_s"] is None or 0.0 < check["worst_s"] <= 1.0
 
 
+def test_verify_integrates_up_to_s_max(monkeypatch, capsys):
+    # an --s-max off the case's grid is still the last output abscissa
+    seen = []
+    real = cli.flow.integrate
+
+    def recording(params, s0, s_targets, tol):
+        seen.append(list(s_targets))
+        return real(params, s0, s_targets, tol=tol)
+
+    monkeypatch.setattr(cli.flow, "integrate", recording)
+    for case in ("m1", "m2-special"):
+        assert main(["verify", case, "--s-max", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["s_max"] == 3.0
+    assert seen == [[1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0],
+                    [1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0]]
+
+
 def test_verify_failure_names_category_and_abscissa(monkeypatch, capsys):
     monkeypatch.setitem(verification.TOLERANCES, "folding", 0.0)
     assert main(["verify", "m1", "--s-max", "1.0"]) == 1
@@ -148,6 +165,13 @@ def test_fit_command_refuses_nan_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fit failed: non-finite point at r=6" in captured.err
+
+
+def test_ode_launch_point_is_not_an_option():
+    # every flow command launches at s0 = 1e-5
+    with pytest.raises(SystemExit) as exc:
+        main(["ode", "--s0", "0.1"])
+    assert exc.value.code == 2
 
 
 def test_ode_refuses_empty_grid(tmp_path, capsys):

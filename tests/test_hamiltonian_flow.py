@@ -152,6 +152,23 @@ def test_self_convergence_eta0(params_m2):
     assert abs(vals[1e-9] - vals[1e-10]) <= 10.0 * 1e-9
 
 
+def test_refused_flow_runs_one_pass(monkeypatch):
+    # nu=(0,0,1/2) fails the first-integral gate at its launch state, which
+    # no tighter tolerance changes: one graded pass, then the refusal
+    calls = []
+    real = flow.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counting)
+    with pytest.raises(flow.FlowError, match="first-integral blow-up"):
+        flow.integrate(HardEdgeParams.from_nu((0.0, 0.0, 0.5)), 1e-5,
+                       [1e-4, 1.0, 5.0])
+    assert 1 <= len(calls) <= len(flow._GRADE_EDGES) + 1
+
+
 def test_integrate_validates_inputs(params_m2):
     with pytest.raises(ValueError):
         flow.integrate(params_m2, 1e-5, [2.0, 1.0])
