@@ -10,10 +10,15 @@ For each workload in CHECKOUT's BENCHMARK.json this runs CHECKOUT's
 root of the checkout holding this script, with the measured commit, the core
 count and the seed.  CHECKOUT defaults to that same checkout; pointing it at
 a clone of an older commit measures that commit with its own benchmark code.
+perfbench reports per-layer times as wall-clock; the file holds them scaled
+to perfbench's reference speed by ``cal_ref_s / cal_median_s`` of the traced
+phase, as perfbench scales its op latencies, and says so under
+``scaled_times``.
 
 ``--against FILE`` then prints, per workload, the new/old ratio of every
 metric and names the per-layer metric that moved most beyond single-run
-scatter, or says that none did.
+scatter, or says that none did.  Against a file whose times are scaled
+otherwise (older files hold wall-clock times) it names no time layer.
 """
 
 import argparse
@@ -32,11 +37,13 @@ SEED = 1
 # any other only beyond x1.3 either way.
 COUNT_UNITS = ("count/pass", "GFLOP/pass")
 COUNT_BAND, SCATTER_FACTOR = 0.01, 1.3
+# per-layer units that are times, scaled to the reference speed
+TIME_UNITS = ("s/pass", "us")
 
 
 def run_workload(root: Path, workload: str, seed: int, seconds: float,
                  trace: int) -> tuple:
-    """(result line, environment) of one ``perfbench/run.py`` run in ``root``."""
+    """(result line, record file) of one ``perfbench/run.py`` run in ``root``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -46,7 +53,14 @@ def run_workload(root: Path, workload: str, seed: int, seconds: float,
                  f"{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
-    return result, json.loads(record.read_text())["environment"]
+    return result, json.loads(record.read_text())
+
+
+def scale_times(values: dict, units: dict, speed: dict) -> dict:
+    """Per-layer values with every time scaled to the reference speed."""
+    factor = speed["cal_ref_s"] / speed["cal_median_s"]
+    return {name: v * factor if units[name] in TIME_UNITS else v
+            for name, v in values.items()}
 
 
 def commit_of(root: Path, env: dict) -> str:
@@ -66,18 +80,23 @@ def snapshot(root: Path) -> dict:
     for wl in (w["name"] for w in bench["workloads"]):
         entry = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            result, env = run_workload(root, wl, SEED, seconds, trace)
+            result, record = run_workload(root, wl, SEED, seconds, trace)
             metrics = result["metrics"]
             entry[key] = {name: m["value"] for name, m in metrics.items()}
             units.update({name: m["unit"] for name, m in metrics.items()})
+            if trace:
+                entry[key] = scale_times(entry[key], units,
+                                         record["traced"]["speed"])
             entry[f"trace{trace}_run"] = {k: result[k]
                                           for k in ("correct", "attempted", "failed")}
             print(f"{wl} --trace {trace}: {result['attempted']} ops, "
                   f"{result['failed']} failed", file=sys.stderr)
         workloads[wl] = entry
+    env = record["environment"]
     return {"commit": commit_of(root, env), "src_sha256": env["src_sha256"],
             "nproc": env["nproc"], "seed": SEED, "run_seconds": seconds,
-            "units": units, "workloads": workloads}
+            "scaled_times": "reference speed", "units": units,
+            "workloads": workloads}
 
 
 def _ratio(new: float, old: float) -> float:
@@ -97,11 +116,17 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
 
     A per-layer metric's move is |log(new/old)|, and it counts only beyond
     single-run scatter for its unit in the BENCH file; metrics that read 0 on
-    both sides and the tracing overhead itself are left out of the choice.
+    both sides and the tracing overhead itself are left out of the choice,
+    and so are times when the two files scale them differently.
     """
     units = {**old.get("units", {}), **new.get("units", {})}
     print(f"{new['commit']} against {old['commit']} (seed {new['seed']}, "
           f"{new['run_seconds']} s runs, nproc {new['nproc']})", file=stream)
+    scales = [f.get("scaled_times", "wall-clock") for f in (new, old)]
+    times_comparable = scales[0] == scales[1]
+    if not times_comparable:
+        print(f"per-layer times are {scales[0]} here but {scales[1]} in the "
+              "older file: no time layer is named", file=stream)
     moved = {}
     for wl, entry in new["workloads"].items():
         base = old["workloads"].get(wl)
@@ -118,8 +143,10 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
                 r = _ratio(value, prev)
                 print(f"  {name:48s} {prev:12.6g} -> {value:12.6g}  x{r:.3g}",
                       file=stream)
+                unit = units.get(name, "")
                 if (key == "per_layer" and not name.startswith("trace.")
-                        and _beyond_scatter(r, units.get(name, ""))):
+                        and (times_comparable or unit not in TIME_UNITS)
+                        and _beyond_scatter(r, unit)):
                     move = math.inf if r in (0.0, math.inf) else abs(math.log(r))
                     if move > best_move:
                         best, best_move = name, move

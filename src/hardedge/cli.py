@@ -3,21 +3,29 @@
 Subcommands
 -----------
 table1    reproduce the embedded log-E reference table with its a_1 columns
-verify    one verification report over a flow trajectory (cases: m1,
+          (table1.csv, always with the a_1 columns, empty where no triple
+          exists) and write table1_diff.json against the references
+verify    one verification report over a certified flow case (m1,
           m2-special): per category the max residual, its tolerance and
           the abscissa where it peaked; stderr names each failing one
 mc        Monte Carlo gap curves with analytic oracle column for M=1
 gap       single-point Muttalib-Borodin Fredholm evaluation
 ode       trajectory export as CSV (columns: s, re/im of every variable,
           logE, res_* columns, one per first integral)
-sigma     resolvent-jet residual report at given abscissas
-fit       tail fit from a CSV of (r, logE) rows
+sigma     the resolvent-jet residuals of verify at given abscissas
+fit       tail fit from the (r, logE) first two columns of a CSV, such as
+          table1.csv; a first line that starts with a letter is a header
 indicial  small-s exponent classification for an M=2 index pair
 
-Exit codes: 0 success, 1 numerical-acceptance failure, 2 usage/validation
-error.  All numeric output uses 17-significant-digit round-trip formatting;
-CSV is comma-separated with '.' decimals and LF line endings.  Commands that
-write files also write a JSON run manifest next to them.
+Exit codes: 0 success; 1 a numerical refusal or failed check
+(NonConvergedError, FlowError, FloatingPointError, LinAlgError, or a
+verification category out of tolerance); 2 usage or validation error
+(ValueError, OSError).  ``main`` alone maps an exception to its code and
+prints one ``error: ...`` line on stderr.  The reports that table1, verify
+and mc write back acceptance criteria 1-6 and 8.  All numeric output uses
+17-significant-digit round-trip formatting; CSV is comma-separated with '.'
+decimals and LF line endings.  Commands that write files also write a JSON
+run manifest next to them.
 """
 
 from __future__ import annotations
@@ -32,21 +40,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .kernels import HardEdgeParams, MBParams
-from .fredholm import make_rule, fredholm_det, gap_probability_mb, NonConvergedError
-from .kernels import borodin_kernel_matrix
+from .kernels import HardEdgeParams, MBParams, borodin_kernel_matrix
+from .fredholm import (make_rule, fredholm_det, gap_probability_hardedge,
+                       gap_probability_mb, NonConvergedError)
 from . import hamiltonian_flow as flow
-from . import sigma_forms
 from .asymptotics import fit_tail, indicial_exponents, A1_PREDICTED
 from .ginibre_mc import (McConfig, sample_min_singular_sq, empirical_gap,
                          save_samples)
 from .reference_data import TABLE1
-from .fredholm import gap_probability_hardedge
-from .verification import TOLERANCES, verify
+from .verification import (CASES, LAUNCH_S, TOLERANCES, integrate_case,
+                           jet_residuals, verify)
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE = 0, 1, 2
-# every flow command launches here
-_LAUNCH_S = 1e-5
 
 
 def _fmt(x) -> str:
@@ -80,12 +85,11 @@ def _mb_logdet(c: int, r: float, nodes: int) -> float:
 
 
 def cmd_table1(args) -> int:
+    r_values = list(range(args.r_min, args.r_max + 1))
+    if not r_values or r_values[0] < 1:
+        raise ValueError("need 1 <= r_min <= r_max")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    r_values = list(range(args.r_min, args.r_max + 1))
-    if not r_values:
-        print("empty r range", file=sys.stderr)
-        return EXIT_USAGE
     logE = {0: {}, 1: {}}
     failures = []
     for c in (0, 1):
@@ -102,34 +106,20 @@ def cmd_table1(args) -> int:
     for c in (0, 1):
         pts = [(float(r), logE[c][r][0]) for r in r_values
                if math.isfinite(logE[c][r][0])]
+        # a triple is centred at every r whose neighbours both solved
         for r in r_values[1:-1]:
-            try:
+            if all(math.isfinite(logE[c][q][0]) for q in (r - 1, r, r + 1)):
                 a1[c][r] = fit_tail(pts, mode="local_triple",
                                     center=float(r)).a1
-            except ValueError:
-                pass
-        try:
-            if len(pts) < 3:
-                raise ValueError("not enough cells for a triple")
-            ext[c] = fit_tail(pts, mode="local_triple", center=pts[-2][0],
-                              extrapolate=True).a1_extrapolated
-        except ValueError:
-            ext[c] = None
-    have_a1 = any(a1[c] for c in (0, 1))
+        ext[c] = (fit_tail(pts, mode="local_triple", center=float(max(a1[c])),
+                           extrapolate=True).a1_extrapolated
+                  if len(a1[c]) >= 2 else None)
     csv_path = out_dir / "table1.csv"
     with csv_path.open("w", newline="") as fh:
-        if have_a1:
-            fh.write("r,logE_c0,a1_c0,logE_c1,a1_c1\n")
-        else:
-            fh.write("r,logE_c0,logE_c1\n")
+        fh.write("r,logE_c0,a1_c0,logE_c1,a1_c1\n")
         for r in r_values:
-            row = [str(r), _fmt(logE[0][r][0])]
-            if have_a1:
-                row.append(_fmt(a1[0].get(r)))
-            row.append(_fmt(logE[1][r][0]))
-            if have_a1:
-                row.append(_fmt(a1[1].get(r)))
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join([str(r), _fmt(logE[0][r][0]), _fmt(a1[0].get(r)),
+                               _fmt(logE[1][r][0]), _fmt(a1[1].get(r))]) + "\n")
     diff = {"failures": failures, "extrapolated_a1": ext,
             "predicted_abs_a1": A1_PREDICTED, "cells": []}
     for c in (0, 1):
@@ -157,28 +147,17 @@ def cmd_table1(args) -> int:
 # perfbench reads the tolerances under this name
 _VERIFY_TOL = TOLERANCES
 
-# verify case -> (index set, output grid); --s-max cuts the grid and ends it
-_VERIFY_CASES = {
-    "m1": ((0.0, 0.0), (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)),
-    "m2-special": (sigma_forms.SPECIAL_NU,
-                   (1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 5.0,
-                    10.0)),
-}
-
 
 def cmd_verify(args) -> int:
-    nu, grid = _VERIFY_CASES[args.case]
-    targets = [t for t in grid if t < args.s_max] + [args.s_max]
-    traj = flow.integrate(HardEdgeParams.from_nu(nu), _LAUNCH_S, targets,
-                          tol=args.tol)
-    checks = verify(traj)
+    checks = verify(integrate_case(args.case, args.s_max, args.tol))
     report = {"case": args.case, "s_max": args.s_max, "tol": args.tol,
               "categories": {
                   name: {"max_residual": c.max_residual,
                          "tolerance": c.tolerance, "worst_s": c.worst_s,
-                         "pass": c.ok}
+                         "refused": c.refused, "pass": c.ok}
                   for name, c in checks.items()}}
-    failed = [f"{name} {c.max_residual:.3e} > {c.tolerance:.1e} at s={c.worst_s:g}"
+    failed = [f"{name} refused at s={c.worst_s:g}: {c.refused}" if c.refused
+              else f"{name} {c.max_residual:.3e} > {c.tolerance:.1e} at s={c.worst_s:g}"
               for name, c in checks.items() if not c.ok]
     report["pass"] = not failed
     text = json.dumps(report, indent=2)
@@ -198,12 +177,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    try:
-        cfg = McConfig(M=args.m, N0=args.n0, nu_int=tuple(args.nu),
-                       samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = McConfig(M=args.m, N0=args.n0, nu_int=tuple(args.nu),
+                   samples=args.samples, seed=args.seed)
     s_grid = args.s_grid or [0.5, 1.0, 2.0]
     # the oracle may refuse an s; ask it before paying for the samples
     oracle = None
@@ -243,12 +218,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    try:
-        mb = MBParams(c=args.c, theta=args.theta)
-        pt = gap_probability_mb(mb, args.r, target_tol=args.tol)
-    except (ValueError, NonConvergedError) as exc:
-        print(f"gap evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL if isinstance(exc, NonConvergedError) else EXIT_USAGE
+    pt = gap_probability_mb(MBParams(c=args.c, theta=args.theta), args.r,
+                            target_tol=args.tol)
     payload = {"c": args.c, "theta": args.theta, "r": args.r,
                "E": pt.E, "logE": pt.logE, "nodes": pt.node_count_used,
                "est_error": pt.est_error}
@@ -262,13 +233,9 @@ def cmd_gap(args) -> int:
 
 def cmd_ode(args) -> int:
     nu = (0.0, args.nu1) if args.m == 1 else (0.0, args.nu1, args.nu2)
-    try:
-        params = HardEdgeParams.from_nu(nu)
-        grid = np.geomspace(10 * _LAUNCH_S, args.s_max, args.points)
-        traj = flow.integrate(params, _LAUNCH_S, grid, tol=args.tol)
-    except (ValueError, flow.FlowError) as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NUMERICAL
+    grid = np.geomspace(10 * LAUNCH_S, args.s_max, args.points)
+    traj = flow.integrate(HardEdgeParams.from_nu(nu), LAUNCH_S, grid,
+                          tol=args.tol)
     text = flow.trajectory_csv(traj)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,39 +251,23 @@ def cmd_ode(args) -> int:
 
 def cmd_sigma(args) -> int:
     params = HardEdgeParams.from_nu((0.0, args.nu1, args.nu2))
-    s_list = sorted(args.s)
-    try:
-        traj = flow.integrate(params, _LAUNCH_S, s_list, tol=args.tol)
-    except flow.FlowError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    report = []
-    for st in traj.states:
-        if st.s not in s_list:
-            continue
-        jet = flow.eta_derivatives(st)
-        entry = {"s": st.s, "eta0": jet.d[0], "F": jet.F,
-                 "quartic": sigma_forms.quartic_ode_residual(jet),
-                 "gode": sigma_forms.gode_residual(jet)}
-        if tuple(params.nu) == sigma_forms.SPECIAL_NU:
-            third, fid = sigma_forms.special_case_residuals(jet)
-            entry["third_order"] = third
-            entry["f_identity"] = fid
-        report.append(entry)
+    traj = flow.integrate(params, LAUNCH_S, sorted(args.s), tol=args.tol)
+    # the first state is the launch; every other is one of the abscissas
+    report = [{"s": st.s, "eta0": float(st.eta[0].real), **jet_residuals(st)}
+              for st in traj.states[1:]]
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    try:
-        data = np.loadtxt(args.input, delimiter=",", skiprows=args.skip_rows)
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise ValueError("need a two-column CSV of (r, logE)")
-        fit = fit_tail([(r, le) for r, le in data[:, :2]], mode=args.mode,
-                       extrapolate=args.extrapolate)
-    except (OSError, ValueError) as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lines = Path(args.input).read_text().splitlines()
+    # a first line that starts with a letter is a header, as in table1.csv
+    if lines and lines[0][:1].isalpha():
+        lines = lines[1:]
+    if not any(lines):
+        raise ValueError(f"{args.input} has no (r, logE) rows")
+    data = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
+    fit = fit_tail(data, mode=args.mode, extrapolate=args.extrapolate)
     payload = {"mode": args.mode, "a1": fit.a1, "b1": fit.b1, "c1": fit.c1,
                "window": list(fit.window), "residual": fit.residual,
                "a1_extrapolated": fit.a1_extrapolated,
@@ -331,12 +282,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_indicial(args) -> int:
-    try:
-        params = HardEdgeParams.from_nu((0.0, args.nu1, args.nu2))
-        rep = indicial_exponents(params)
-    except ValueError as exc:
-        print(f"invalid indices: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = HardEdgeParams.from_nu((0.0, args.nu1, args.nu2))
+    rep = indicial_exponents(params)
     payload = {
         "nu": list(params.nu),
         "fixed_exponents": sorted(rep.fixed_exponents),
@@ -374,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_table1)
 
     v = sub.add_parser("verify", help="run the residual suites")
-    v.add_argument("case", choices=["m1", "m2-special"])
+    v.add_argument("case", choices=list(CASES))
     v.add_argument("--s-max", type=float, default=5.0)
     v.add_argument("--tol", type=float, default=1e-10)
     v.add_argument("--out", default=None)
@@ -421,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", default="local_triple",
                    choices=["local_triple", "global_lsq"])
     f.add_argument("--extrapolate", action="store_true")
-    f.add_argument("--skip-rows", type=int, default=0)
     f.add_argument("--format", choices=["json", "csv"], default="json")
     f.set_defaults(func=cmd_fit)
 
@@ -433,14 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergedError as exc:
+    # numerical refusals first: LinAlgError is a ValueError
+    except (NonConvergedError, flow.FlowError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, flow.FlowError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -197,7 +197,7 @@ def launch_state(params: HardEdgeParams, s0: float):
         if nu != (0.0, 0.0):
             raise FlowError(
                 f"no certified M=1 launch at nu_1={nu[1]:g}: only nu=(0,0) "
-                "launches (a Fredholm-data launch is ROADMAP item 3)")
+                "launches (a Fredholm-data launch is ROADMAP item 2)")
         s = s0
         state = HamiltonianState(
             M=1, s=s, x=np.array([1j, 1j * s]),

@@ -7,7 +7,8 @@ satisfy: the first integrals and Schlesinger structure at every M, the
 folding relations, the Tracy-Widom map and the Painleve III' sigma-form at
 M=1, the quartic ODE (on two evaluation paths), the recovery formulas and
 the special-index third-order and F identities at M=2, and agreement of the
-flow's log E with the Fredholm determinant.
+flow's log E with the Fredholm determinant.  ``CASES`` holds the two
+certified flow cases that ``hardedge verify`` and the acceptance suite run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from . import fredholm, kernels, sigma_forms
 from . import hamiltonian_flow as flow
 
-__all__ = ["TOLERANCES", "Check", "verify"]
+__all__ = ["TOLERANCES", "CASES", "LAUNCH_S", "Check", "integrate_case",
+           "jet_residuals", "verify"]
 
 # tolerance per category
 TOLERANCES = {
@@ -49,22 +51,64 @@ _CATEGORIES = {
 # the eta_0-jet and Fredholm checks start at this abscissa
 _S_JET = 0.05
 
+# every flow command launches here
+LAUNCH_S = 1e-5
+# certified case -> (index set, output grid), integrated at tol 1e-10
+CASES = {
+    "m1": ((0.0, 0.0), (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)),
+    "m2-special": (sigma_forms.SPECIAL_NU,
+                   (1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 5.0,
+                    10.0)),
+}
+
 
 @dataclass(frozen=True)
 class Check:
     """Largest residual of one category, its tolerance and where it peaked.
 
     ``worst_s`` is the first abscissa attaining ``max_residual``; it is None
-    when no state of the trajectory qualified for the category.
+    when no state of the trajectory qualified for the category.  A check
+    whose oracle refused holds the refusal's message in ``refused``, with
+    ``worst_s`` the first refused abscissa, and fails.
     """
 
     max_residual: float
     tolerance: float
     worst_s: float | None
+    refused: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return self.refused is None and self.max_residual <= self.tolerance
+
+
+def integrate_case(case: str, s_max: float | None = None,
+                   tol: float = 1e-10) -> flow.Trajectory:
+    """The flow of a certified case on its grid, cut below and ended at s_max.
+
+    s_max defaults to the end of the case's grid.
+    """
+    nu, grid = CASES[case]
+    s_max = grid[-1] if s_max is None else s_max
+    targets = [t for t in grid if t < s_max] + [s_max]
+    return flow.integrate(kernels.HardEdgeParams.from_nu(nu), LAUNCH_S,
+                          targets, tol=tol)
+
+
+def jet_residuals(st: flow.HamiltonianState) -> dict:
+    """The M=2 eta_0-jet categories at one state, as absolute residuals."""
+    jet = flow.eta_derivatives(st)
+    scale = sum(abs(v) for v in sigma_forms.quartic_blocks(jet).values())
+    res = {"quartic": abs(sigma_forms.quartic_ode_residual(jet)),
+           "quartic_dual_path": abs(sigma_forms.quartic_typeset_raw(jet)
+                                    - sigma_forms.quartic_pipeline_raw(jet))
+           / scale}
+    if st.params.nu == sigma_forms.SPECIAL_NU:
+        third, fid = sigma_forms.special_case_residuals(jet)
+        res["third_order"] = abs(third)
+        res["f_identity"] = fid
+    res["appendix_recovery"] = max(sigma_forms.appendix_recover(st).values())
+    return res
 
 
 def verify(traj: flow.Trajectory) -> dict:
@@ -72,7 +116,9 @@ def verify(traj: flow.Trajectory) -> dict:
 
     The gap check compares with the Bessel-kernel determinant at M=1 and
     with the theta=2 Muttalib-Borodin one at M=2, so an M=2 index pair
-    outside that correspondence raises ValueError.
+    outside that correspondence raises ValueError.  Where that oracle refuses
+    an abscissa, the gap check fails there and stops; every other category
+    is still reported.
     """
     params = traj.params
     if params.M == 1:
@@ -88,6 +134,7 @@ def verify(traj: flow.Trajectory) -> dict:
             return fredholm.gap_probability_mb(mb, 2.0 * math.sqrt(s),
                                                target_tol=1e-9).logE
     rows = {name: [] for name in _CATEGORIES[params.M]}
+    refusal = None
     for st, log_gap in zip(traj.states, traj.log_gap):
         res = {}
         fir = flow.first_integral_residuals(st)
@@ -109,19 +156,12 @@ def verify(traj: flow.Trajectory) -> dict:
                 st.s, st.eta[0].real, d1, d2, e1, e2)
         if st.s >= _S_JET:
             if params.M == 2:
-                jet = flow.eta_derivatives(st)
-                res["quartic"] = abs(sigma_forms.quartic_ode_residual(jet))
-                scale = sum(abs(v) for v in sigma_forms.quartic_blocks(jet).values())
-                res["quartic_dual_path"] = abs(
-                    sigma_forms.quartic_typeset_raw(jet)
-                    - sigma_forms.quartic_pipeline_raw(jet)) / scale
-                if params.nu == sigma_forms.SPECIAL_NU:
-                    third, fid = sigma_forms.special_case_residuals(jet)
-                    res["third_order"] = abs(third)
-                    res["f_identity"] = fid
-                res["appendix_recovery"] = max(
-                    sigma_forms.appendix_recover(st).values())
-            res["gap_vs_fredholm"] = abs(log_gap - fredholm_log_gap(st.s))
+                res.update(jet_residuals(st))
+            if refusal is None:
+                try:
+                    res["gap_vs_fredholm"] = abs(log_gap - fredholm_log_gap(st.s))
+                except (fredholm.NonConvergedError, ValueError) as exc:
+                    refusal = (st.s, str(exc))
         for name, value in res.items():
             rows[name].append((float(value), st.s))
 
@@ -130,4 +170,8 @@ def verify(traj: flow.Trajectory) -> dict:
         # max keeps the first row attaining the maximum
         value, s = max(vals, key=lambda row: row[0], default=(0.0, None))
         report[name] = Check(value, TOLERANCES[name], s)
+    if refusal is not None:
+        worst = report["gap_vs_fredholm"].max_residual
+        report["gap_vs_fredholm"] = Check(worst, TOLERANCES["gap_vs_fredholm"],
+                                          *refusal)
     return report

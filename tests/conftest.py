@@ -1,30 +1,24 @@
 import pytest
 
 from hardedge import HardEdgeParams
-from hardedge import hamiltonian_flow as flow
-from hardedge import sigma_forms
+from hardedge.verification import CASES, integrate_case
 
 
 @pytest.fixture(scope="session")
 def params_m1():
-    return HardEdgeParams.from_nu((0.0, 0.0))
+    return HardEdgeParams.from_nu(CASES["m1"][0])
 
 
 @pytest.fixture(scope="session")
 def params_m2():
-    return HardEdgeParams.from_nu(sigma_forms.SPECIAL_NU)
+    return HardEdgeParams.from_nu(CASES["m2-special"][0])
 
 
 @pytest.fixture(scope="session")
-def traj_m1(params_m1):
-    return flow.integrate(params_m1, 1e-5,
-                          [1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0],
-                          tol=1e-10)
+def traj_m1():
+    return integrate_case("m1")
 
 
 @pytest.fixture(scope="session")
-def traj_m2(params_m2):
-    return flow.integrate(params_m2, 1e-5,
-                          [1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0,
-                           5.0, 10.0],
-                          tol=1e-10)
+def traj_m2():
+    return integrate_case("m2-special")

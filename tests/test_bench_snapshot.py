@@ -66,3 +66,35 @@ def test_compare_names_a_count_move():
     moved = _load().compare(new, old, out)
     assert moved == {"table1": "kernels.borodin_kernel_matrix_calls"}
     assert "moved most: kernels.borodin_kernel_matrix_calls x1.05" in out.getvalue()
+
+
+def test_scale_times_to_reference_speed():
+    # a host at half the reference speed doubles every wall-clock time
+    layers = {"cli.table1_self_s": 0.2, "kernels.borodin_kernel_matrix_calls": 44.0,
+              "ginibre_mc.us_per_sample.m1_n50": 250.0}
+    units = {**UNITS, "ginibre_mc.us_per_sample.m1_n50": "us"}
+    speed = {"cal_ref_s": 1e-3, "cal_median_s": 2e-3}
+    assert _load().scale_times(layers, units, speed) == {
+        "cli.table1_self_s": 0.1, "kernels.borodin_kernel_matrix_calls": 44.0,
+        "ginibre_mc.us_per_sample.m1_n50": 125.0}
+
+
+def test_compare_against_wall_clock_names_no_time_layer():
+    # BENCH_11 against BENCH_10: a x0.42 time with equal counts is a host
+    # speed switch when only one side is scaled
+    old = _bench("a", {"cli.table1_self_s": 0.1,
+                       "kernels.borodin_kernel_matrix_calls": 44.0})
+    new = {**_bench("b", {"cli.table1_self_s": 0.042,
+                          "kernels.borodin_kernel_matrix_calls": 44.0}),
+           "scaled_times": "reference speed"}
+    out = io.StringIO()
+    assert _load().compare(new, old, out) == {"table1": None}
+    assert ("per-layer times are reference speed here but wall-clock in the "
+            "older file: no time layer is named") in out.getvalue()
+    # a count still names its layer
+    new["workloads"]["table1"]["per_layer"]["kernels.borodin_kernel_matrix_calls"] = 46.2
+    assert _load().compare(new, old, io.StringIO()) == {
+        "table1": "kernels.borodin_kernel_matrix_calls"}
+    # two scaled files compare their times
+    assert _load().compare(new, {**old, "scaled_times": "reference speed"},
+                           io.StringIO()) == {"table1": "cli.table1_self_s"}

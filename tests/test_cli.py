@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardedge import cli, verification
+from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
 from hardedge.reference_data import TABLE1
 
@@ -15,19 +16,17 @@ def test_gap_command(capsys):
     assert 0.0 < payload["E"] < 1.0
 
 
-def test_gap_command_invalid_parameters(capsys):
-    assert main(["gap", "--c", "-2", "--r", "4"]) == 2
-
-
 def test_table1_degenerate_window(tmp_path, capsys):
     rc = main(["table1", "--out", str(tmp_path), "--r-min", "4",
                "--r-max", "4", "--nodes", "24"])
     assert rc == 0
     lines = (tmp_path / "table1.csv").read_text().strip().split("\n")
-    assert lines[0] == "r,logE_c0,logE_c1"   # no a1 column without a triple
+    # one layout: the a1 columns are empty without a triple
+    assert lines[0] == "r,logE_c0,a1_c0,logE_c1,a1_c1"
     assert len(lines) == 2
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(TABLE1[0][4][0], abs=1e-7)
+    assert row[2] == row[4] == ""
     assert (tmp_path / "table1_diff.json").exists()
     assert (tmp_path / "table1.manifest.json").exists()
 
@@ -40,6 +39,19 @@ def test_table1_with_a1_column(tmp_path):
     assert lines[0] == "r,logE_c0,a1_c0,logE_c1,a1_c1"
     diff = json.loads((tmp_path / "table1_diff.json").read_text())
     assert all(cell["logE_abs_diff"] < 1e-6 for cell in diff["cells"])
+
+
+def test_table1_csv_feeds_fit(tmp_path, capsys):
+    # the a1 cells are empty at both ends of the range
+    assert main(["table1", "--out", str(tmp_path), "--r-min", "4",
+                 "--r-max", "9", "--nodes", "32"]) == 0
+    assert main(["fit", str(tmp_path / "table1.csv"), "--extrapolate"]) == 0
+    fit = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    diff = json.loads((tmp_path / "table1_diff.json").read_text())
+    cell = [e for e in diff["cells"] if (e["c"], e["r"]) == (0, 8)][0]
+    assert fit["window"] == [7.0, 8.0, 9.0]
+    assert fit["a1"] == cell["a1"]
+    assert fit["a1_extrapolated"] == diff["extrapolated_a1"]["0"]
 
 
 def test_verify_usage_error():
@@ -85,8 +97,65 @@ def test_verify_failure_names_category_and_abscissa(monkeypatch, capsys):
     assert "folding" in err and f"s={check['worst_s']:g}" in err
 
 
-def test_mc_rejects_zero_samples(tmp_path):
-    assert main(["mc", "--samples", "0", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("case, s_max, refusal", [
+    ("m1", "40", "no convergence to 1e-09 within 256 nodes"),
+    ("m2-special", "60", "r > 15.0 is refused"),
+])
+def test_verify_reports_past_fredholm_range(case, s_max, refusal, tmp_path,
+                                            capsys):
+    # the oracle refuses the last abscissa; the report still has every category
+    assert main(["verify", case, "--s-max", s_max, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads((tmp_path / f"verify_{case}.json").read_text())
+    assert json.loads(out) == report and not report["pass"]
+    gap = report["categories"]["gap_vs_fredholm"]
+    assert not gap["pass"] and refusal in gap["refused"]
+    assert gap["worst_s"] == float(s_max)
+    assert f"gap_vs_fredholm refused at s={s_max}: {refusal}" in err
+    assert list(report["categories"]) == list(verification._CATEGORIES[
+        1 if case == "m1" else 2])
+    for name in ("first_integrals", "schlesinger", "rank_one"):
+        assert report["categories"][name]["pass"]
+
+
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("argv, patch, code, message", [
+    pytest.param(["verify", "m1"],
+                 (flow, "integrate", flow.FlowError("drift")), 1, "drift",
+                 id="verify-flow-error"),
+    pytest.param(["ode", "--m", "1", "--nu1", "0.5"], None, 1,
+                 "a Fredholm-data launch is ROADMAP item 2", id="ode-refusal"),
+    pytest.param(["sigma", "--nu1", "0", "--nu2", "1"], None, 1,
+                 "no M=2 launch at integer nu_2 - nu_1", id="sigma-refusal"),
+    pytest.param(["mc", "--samples", "10"],
+                 (cli, "sample_min_singular_sq",
+                  np.linalg.LinAlgError("Eigenvalues did not converge")),
+                 1, "Eigenvalues did not converge", id="mc-linalg-error"),
+    pytest.param(["gap", "--c", "-2", "--r", "4"], None, 2,
+                 "c must exceed -1", id="gap-invalid-c"),
+    pytest.param(["mc", "--samples", "0"], None, 2, "samples must be >= 1",
+                 id="mc-zero-samples"),
+    pytest.param(["ode", "--points", "0"], None, 2, "s_targets is empty",
+                 id="ode-empty-grid"),
+    pytest.param(["fit", "/nonexistent/tail.csv"], None, 2,
+                 "No such file or directory", id="fit-missing-file"),
+])
+def test_exit_code(argv, patch, code, message, monkeypatch, capsys, tmp_path):
+    # main alone maps an exception to its exit code and one stderr line
+    if patch is not None:
+        module, name, exc = patch
+        monkeypatch.setattr(module, name, _raises(exc))
+    if argv[0] in ("mc", "ode"):
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys, monkeypatch):
@@ -161,10 +230,10 @@ def test_fit_command_refuses_nan_row(tmp_path, capsys):
     rows[3] = "6,nan"
     path = tmp_path / "table1.csv"
     path.write_text("\n".join(rows) + "\n")
-    assert main(["fit", str(path), "--skip-rows", "1", "--extrapolate"]) == 2
+    assert main(["fit", str(path), "--extrapolate"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "fit failed: non-finite point at r=6" in captured.err
+    assert captured.err == "error: non-finite point at r=6\n"
 
 
 def test_ode_launch_point_is_not_an_option():
@@ -176,11 +245,7 @@ def test_ode_launch_point_is_not_an_option():
 
 def test_ode_refuses_empty_grid(tmp_path, capsys):
     assert main(["ode", "--points", "0", "--out", str(tmp_path)]) == 2
-    assert "integration failed: s_targets is empty" in capsys.readouterr().err
-
-
-def test_fit_command_missing_file():
-    assert main(["fit", "/nonexistent/tail.csv"]) == 2
+    assert capsys.readouterr().err == "error: s_targets is empty\n"
 
 
 def test_indicial_command(capsys):

@@ -57,3 +57,25 @@ def test_jet_and_gap_checks_cover_states_from_cut(traj_m1, traj_m2, monkeypatch)
         assert set(seen["jet"]) == (set(kept) if traj.params.M == 2 else set())
         assert seen["gap"] == [(kind, s if kind == "s" else 2.0 * math.sqrt(s))
                                for s in kept]
+
+
+def test_oracle_refusal_fails_the_gap_check_only(traj_m1, monkeypatch):
+    # from s = 2 on the oracle refuses: the gap check fails at the first
+    # refused abscissa, asks no further, and every other category stays
+    full = verify(traj_m1)
+    asked = []
+    oracle = fredholm.gap_probability_hardedge
+
+    def refusing(params, s, target_tol):
+        asked.append(s)
+        if s >= 2.0:
+            raise fredholm.NonConvergedError("refused here")
+        return oracle(params, s, target_tol=target_tol)
+
+    monkeypatch.setattr(fredholm, "gap_probability_hardedge", refusing)
+    report = verify(traj_m1)
+    gap = report.pop("gap_vs_fredholm")
+    assert (gap.ok, gap.worst_s, gap.refused) == (False, 2.0, "refused here")
+    assert gap.max_residual <= full["gap_vs_fredholm"].max_residual
+    assert asked == [st.s for st in traj_m1.states if 0.05 <= st.s <= 2.0]
+    assert report == {k: c for k, c in full.items() if k != "gap_vs_fredholm"}
