@@ -9,11 +9,16 @@ integrates it with an adaptive embedded Runge-Kutta pair (scipy's DOP853,
 whose module is loaded at the first integration, not at import) in complex
 arithmetic, and monitors every first integral and structural identity
 (folding, Schlesinger consistency, the Tracy-Widom map) along the
-trajectory.
+trajectory.  The first integrals gate the launch state before any
+integration, and every output state after it.  The right-hand sides run on
+Python complex scalars, which cost less per call than numpy scalars.
 
 At M=2 launching is the delicate part: the state is built from a small-s
-jet of eta_0 through the recovery relations, so every integral of motion
-holds at the launch point to roundoff and stays flat along the flow.  The
+jet of eta_0 through the recovery relations.  With the six-term series of
+the special index set (0, -1/2, 0) every integral of motion holds at the
+launch point to roundoff and stays flat along the flow; the leading-order
+series of any other index set leaves the launch state off the integrals
+(eighth_integral 3e-2 to 1 at s0 = 1e-5), so the launch gate refuses it.  The
 x/y gauge (x -> lam x, y -> y/lam is a symmetry) is pinned by the boundary
 behaviour of the decoupling factor G = x_0/y_2; its printed expansion is
 leading-order only, so gauge-sensitive quantities carry an O(sqrt(s0))
@@ -118,36 +123,44 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _rhs_m1(s, v):
-    x0, x1, y0, y1, xi0, xi1, eta0, eta1, _ = v
+    # Python scalars: numpy scalar arithmetic costs more than the formula.
+    # numpy divides a complex by a real through the reciprocal, so "* inv"
+    # keeps the array formula's rounding bit for bit; "/ s" would not.
+    x0, x1, y0, y1, xi0, xi1, eta0, eta1, _ = v.tolist()
+    s = float(s)
+    inv = 1.0 / s
     return np.array([
-        (-eta0 * x0 - x1) / s,
-        (-eta1 * x0 + s * x0 + xi0 * x0 + xi1 * x1) / s,
-        (-xi0 * y1 - s * y1 + eta0 * y0 + eta1 * y1) / s,
-        (-xi1 * y1 + y0) / s,
+        (-eta0 * x0 - x1) * inv,
+        (-eta1 * x0 + s * x0 + xi0 * x0 + xi1 * x1) * inv,
+        (-xi0 * y1 - s * y1 + eta0 * y0 + eta1 * y1) * inv,
+        (-xi1 * y1 + y0) * inv,
         x0 * y0,
         x0 * y1,
         x0 * y1,
         x1 * y1,
-        eta0 / s,
+        eta0 * inv,
     ])
 
 
 def _rhs_m2(s, v):
-    x0, x1, x2, y0, y1, y2, xi0, xi1, xi2, eta0, eta1, eta2, _ = v
+    # Python scalars and "* inv", as in _rhs_m1
+    x0, x1, x2, y0, y1, y2, xi0, xi1, xi2, eta0, eta1, eta2, _ = v.tolist()
+    s = float(s)
+    inv = 1.0 / s
     return np.array([
-        (-eta0 * x0 - x1) / s,
-        (-eta1 * x0 - x2) / s,
-        (-eta2 * x0 - s * x0 + xi0 * x0 + xi1 * x1 + xi2 * x2) / s,
-        (-xi0 * y2 + s * y2 + eta0 * y0 + eta1 * y1 + eta2 * y2) / s,
-        (-xi1 * y2 + y0) / s,
-        (-xi2 * y2 + y1) / s,
+        (-eta0 * x0 - x1) * inv,
+        (-eta1 * x0 - x2) * inv,
+        (-eta2 * x0 - s * x0 + xi0 * x0 + xi1 * x1 + xi2 * x2) * inv,
+        (-xi0 * y2 + s * y2 + eta0 * y0 + eta1 * y1 + eta2 * y2) * inv,
+        (-xi1 * y2 + y0) * inv,
+        (-xi2 * y2 + y1) * inv,
         -x0 * y0,
         -x0 * y1,
         -x0 * y2,
         -x0 * y2,
         -x1 * y2,
         -x2 * y2,
-        eta0 / s,
+        eta0 * inv,
     ])
 
 
@@ -185,9 +198,11 @@ def launch_state(params: HardEdgeParams, s0: float):
 
     M=1 at nu=(0,0) uses the exact closed-form trajectory; every other M=1
     index set is refused, since no launch for it is certified yet.  M=2
-    builds the state from the eta_0 jet through the recovery relations, so
-    all integrals of motion hold at launch to roundoff; the special index set
-    (0, -1/2, 0) gets the six-term series, anything else the leading one.
+    builds the state from the eta_0 jet through the recovery relations.  The
+    special index set (0, -1/2, 0) gets the six-term series, and all
+    integrals of motion hold at its launch to roundoff; anything else gets
+    the leading term only, whose launch state misses the integrals by far
+    more than roundoff, and ``integrate`` refuses it at its launch gate.
     M=2 with integer nu_2 - nu_1 is refused, since the jet has Gamma poles
     there, and an index set whose jet or gauge split fails is refused with
     the failing quantity named.
@@ -234,9 +249,10 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
 
     The running integral of eta_0/t is carried as an extra state component so
     the gap probability needs no post-hoc quadrature.  The trajectory is
-    integrated once, at tolerances graded below tol near the launch; if the
-    first-integral drift at any output exceeds 100*tol it is refused with the
-    offending integral named.
+    integrated once, at tolerances graded below tol near the launch.  The
+    first-integral gate runs twice, with one text: on the launch state before
+    any integration, and on every output state after the pass; a drift above
+    100*tol refuses the trajectory with the offending integral named.
     """
     s_targets = [float(t) for t in s_targets]
     if not s_targets:
@@ -245,9 +261,12 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
         raise ValueError("s_targets must be strictly increasing")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}]")
+    if not s0 > 0:
+        raise ValueError("s0 must be positive: the system is singular at s = 0")
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
     state0, loghead = launch_state(params, s0)
+    _gate_first_integrals([state0], tol)
 
     fn = _rhs_m1 if params.M == 1 else _rhs_m2
 
@@ -256,11 +275,8 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
 
     states, log_gap = _run_segments(rhs_real, params, s0, s_targets,
                                     state0.pack(aux=loghead).view(float), tol)
-    states = [state0] + states
-    worst_name, worst = _worst_integral(states)
-    if worst > 100.0 * tol:
-        raise FlowError(f"first-integral blow-up: {worst_name} reached {worst:.3e}")
-    return Trajectory(params=params, s0=s0, states=states,
+    _gate_first_integrals(states, tol)
+    return Trajectory(params=params, s0=s0, states=[state0] + states,
                       log_gap=[loghead] + log_gap, tol=tol, loghead=loghead)
 
 
@@ -302,13 +318,15 @@ def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
     return states, log_gap
 
 
-def _worst_integral(states) -> tuple:
+def _gate_first_integrals(states, tol: float) -> None:
+    """Refuse when any state's first-integral drift exceeds 100*tol."""
     worst_name, worst = "", 0.0
     for st in states:
         for name, val in first_integral_residuals(st).items():
             if val > worst:
                 worst_name, worst = f"{name}@s={st.s:g}", val
-    return worst_name, worst
+    if worst > 100.0 * tol:
+        raise FlowError(f"first-integral blow-up: {worst_name} reached {worst:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +334,16 @@ def _worst_integral(states) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _norm_residual(terms) -> float:
-    terms = np.asarray(terms, dtype=complex)
-    scale = float(np.max(np.abs(terms)))
-    return float(abs(terms.sum()) / scale) if scale > 0 else 0.0
+    # Python scalars again: an array round trip costs more than the sum
+    scale = max(abs(t) for t in terms)
+    return abs(sum(terms)) / scale if scale > 0 else 0.0
 
 
 def first_integral_residuals(state: HamiltonianState) -> dict:
     """Every integral of motion, evaluated verbatim and scale-normalized."""
     s = state.s
     e = state.params.e
-    x, y, xi, eta = state.x, state.y, state.xi, state.eta
+    x, y, xi, eta = (a.tolist() for a in (state.x, state.y, state.xi, state.eta))
     out = {}
     if state.M == 1:
         e1, e2 = e
@@ -377,9 +395,7 @@ def first_integral_residuals(state: HamiltonianState) -> dict:
             [e3, -s * x1 * y2, 2 * eta2, xi0, -eta1, eta1 * xi2])
         out["alt_sx0y1"] = _norm_residual(
             [e2, -2 * e3, -s * x0 * y1, -eta2, -2 * xi0, -xi1, eta0 * xi1])
-    mags = np.concatenate([xi, eta])
-    out["imag_leakage"] = float(np.max(
-        np.abs(mags.imag) / (1.0 + np.abs(mags))))
+    out["imag_leakage"] = max(abs(z.imag) / (1.0 + abs(z)) for z in xi + eta)
     return out
 
 

@@ -104,6 +104,45 @@ def test_rhs_eta0_equation_verbatim(params_m1, params_m2):
     assert deta1[0] == st1.x[0] * st1.y[1]           # M=1: eta_0' = +x0 y1
 
 
+def _rhs_divided_by_s(s, v):
+    """The equations of motion on numpy scalars, each quotient taken by / s."""
+    if len(v) == 9:
+        x0, x1, y0, y1, xi0, xi1, eta0, eta1, _ = v
+        return np.array([
+            (-eta0 * x0 - x1) / s,
+            (-eta1 * x0 + s * x0 + xi0 * x0 + xi1 * x1) / s,
+            (-xi0 * y1 - s * y1 + eta0 * y0 + eta1 * y1) / s,
+            (-xi1 * y1 + y0) / s,
+            x0 * y0, x0 * y1, x0 * y1, x1 * y1,
+            eta0 / s,
+        ])
+    x0, x1, x2, y0, y1, y2, xi0, xi1, xi2, eta0, eta1, eta2, _ = v
+    return np.array([
+        (-eta0 * x0 - x1) / s,
+        (-eta1 * x0 - x2) / s,
+        (-eta2 * x0 - s * x0 + xi0 * x0 + xi1 * x1 + xi2 * x2) / s,
+        (-xi0 * y2 + s * y2 + eta0 * y0 + eta1 * y1 + eta2 * y2) / s,
+        (-xi1 * y2 + y0) / s,
+        (-xi2 * y2 + y1) / s,
+        -x0 * y0, -x0 * y1, -x0 * y2, -x0 * y2, -x1 * y2, -x2 * y2,
+        eta0 / s,
+    ])
+
+
+@pytest.mark.parametrize("fn, n", [(flow._rhs_m1, 9), (flow._rhs_m2, 13)],
+                         ids=["m1", "m2"])
+def test_rhs_bit_identical_to_division_by_s(fn, n):
+    # the right-hand sides multiply by 1/s on Python scalars; numpy divides a
+    # complex by a real the same way, so every entry must agree exactly
+    rng = np.random.default_rng(20140314)
+    vs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
+    ss = np.exp(rng.uniform(math.log(1e-5), math.log(60.0), 1000))
+    for s, v in zip(ss, vs):
+        ref = _rhs_divided_by_s(s, v)
+        assert np.array_equal(fn(s, v), ref)
+        assert np.array_equal(fn(float(s), v), ref)
+
+
 def test_rhs_rejects_s_zero(params_m1):
     st, _ = flow.launch_state(params_m1, 1e-5)
     st.s = 0.0
@@ -152,21 +191,31 @@ def test_self_convergence_eta0(params_m2):
     assert abs(vals[1e-9] - vals[1e-10]) <= 10.0 * 1e-9
 
 
-def test_refused_flow_runs_one_pass(monkeypatch):
-    # nu=(0,0,1/2) fails the first-integral gate at its launch state, which
-    # no tighter tolerance changes: one graded pass, then the refusal
-    calls = []
-    real = flow.solve_ivp
+@pytest.mark.parametrize("nu", [(0.0, 0.0, 0.5), (0.0, 0.3, 1.1),
+                                (0.0, 0.25, -0.25), (0.0, 1.5, 0.0)],
+                         ids=["c1", "generic", "quarter", "nu1.5"])
+def test_gate_failed_launch_refused_before_integrating(nu, monkeypatch,
+                                                       tmp_path):
+    # these launch states already fail the first-integral gate, so the gate
+    # refuses them before any integration pass
+    _assert_m2_refused_before_integrating(
+        nu, "first-integral blow-up: eighth_integral@s=1e-05", monkeypatch,
+        tmp_path)
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "solve_ivp", counting)
-    with pytest.raises(flow.FlowError, match="first-integral blow-up"):
-        flow.integrate(HardEdgeParams.from_nu((0.0, 0.0, 0.5)), 1e-5,
-                       [1e-4, 1.0, 5.0])
-    assert 1 <= len(calls) <= len(flow._GRADE_EDGES) + 1
+@pytest.mark.parametrize("nu, s0", [((0.0, 0.0), 0.0), ((0.0, 0.0), -1e-3),
+                                    ((0.0, -0.5, 0.0), 0.0),
+                                    ((0.0, -0.5, 0.0), -1e-3)],
+                         ids=["m1-zero", "m1-negative", "m2-zero",
+                              "m2-negative"])
+def test_integrate_refuses_nonpositive_s0(nu, s0, monkeypatch):
+    # the system is singular at s = 0: refused before launch or integration
+    def no_integration(*args, **kwargs):
+        raise AssertionError("solve_ivp called for s0 <= 0")
+
+    monkeypatch.setattr(flow, "solve_ivp", no_integration)
+    with pytest.raises(ValueError, match="singular at s = 0"):
+        flow.integrate(HardEdgeParams.from_nu(nu), s0, [1e-4, 1.0])
 
 
 def test_integrate_validates_inputs(params_m2):
