@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -9,7 +10,11 @@ from hardedge.kernels import HardEdgeParams
 from hardedge.fredholm import gap_probability_hardedge
 from hardedge.ginibre_mc import (
     McConfig,
+    _factors,
+    _rng,
     _sample_one,
+    _upper_lambda_min,
+    _upper_product,
     sample_min_singular_sq,
     save_samples,
     empirical_gap,
@@ -22,7 +27,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(M=1, N0=0, nu_int=(0,), samples=10)
     with pytest.raises(ValueError):
-        McConfig(M=2, N0=1024, nu_int=(0, 0), samples=10)  # dense cap
+        McConfig(M=2, N0=1024, nu_int=(0, 0), samples=10)  # M >= 2 cap
     with pytest.raises(ValueError):
         McConfig(M=2, N0=4, nu_int=(0,), samples=10)      # wrong nu count
     with pytest.raises(ValueError):
@@ -31,11 +36,46 @@ def test_config_validation():
         McConfig(M=1, N0=4, nu_int=(0,), samples=0)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    pytest.param("nu_int", dict(M=1, N0=4, nu_int=(0.5,), samples=10),
+                 id="nu-half"),
+    pytest.param("nu_int", dict(M=2, N0=4, nu_int=(1.9, True), samples=10),
+                 id="nu-float-bool"),
+    pytest.param("nu_int", dict(M=2, N0=4, nu_int=(1, True), samples=10),
+                 id="nu-bool"),
+    pytest.param("N0", dict(M=1, N0=4.0, nu_int=(0,), samples=10),
+                 id="N0-float"),
+    pytest.param("samples", dict(M=1, N0=4, nu_int=(0,), samples=2.5),
+                 id="samples-float"),
+    pytest.param("M", dict(M=1.0, N0=4, nu_int=(0,), samples=10),
+                 id="M-float"),
+    pytest.param("seed", dict(M=1, N0=4, nu_int=(0,), samples=10, seed=0.5),
+                 id="seed-float"),
+])
+def test_config_refuses_non_integers(field, kwargs):
+    # refused by name, never truncated
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        McConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = McConfig(M=np.int64(2), N0=np.int32(4),
+                   nu_int=np.array([0, 3], dtype=np.uint8),
+                   samples=np.int16(5), seed=np.uint64(2 ** 63 + 7))
+    assert cfg == McConfig(M=2, N0=4, nu_int=(0, 3), samples=5,
+                           seed=2 ** 63 + 7)
+    assert all(type(v) is int for v in
+               (cfg.M, cfg.N0, cfg.samples, cfg.seed) + cfg.nu_int)
+
+
 def test_determinism_bit_identical():
     cfg = McConfig(M=2, N0=6, nu_int=(1, 2), samples=64, seed=123)
     a = sample_min_singular_sq(cfg)
     b = sample_min_singular_sq(cfg)
     assert np.array_equal(a.lambda_min, b.lambda_min)
+    # one generator reset per sample draws what a fresh one per index draws
+    assert all(a.lambda_min[i] == _sample_one(cfg, i)
+               for i in range(cfg.samples))
     cfg2 = McConfig(M=2, N0=6, nu_int=(1, 2), samples=64, seed=124)
     c = sample_min_singular_sq(cfg2)
     assert not np.array_equal(a.lambda_min, c.lambda_min)
@@ -110,7 +150,7 @@ def test_save_and_load_samples(tmp_path):
     for cfg, sampler in ((McConfig(M=1, N0=5, nu_int=(2,), samples=50, seed=9),
                           "bidiagonal"),
                          (McConfig(M=2, N0=3, nu_int=(0, 1), samples=20, seed=9),
-                          "dense")):
+                          "triangular")):
         res = sample_min_singular_sq(cfg)
         path = tmp_path / f"lam_m{cfg.M}.f64"
         save_samples(res, path)
@@ -122,18 +162,28 @@ def test_save_and_load_samples(tmp_path):
                            "count": cfg.samples}
 
 
-def _dense_m1_oracle(cfg: McConfig, seed: int) -> np.ndarray:
-    """lambda_min of X^dag X for dense (N0+nu_1) x N0 complex Gaussian X.
+def _dense_product_oracle(cfg: McConfig, seed: int) -> np.ndarray:
+    """lambda_min of Y^dag Y for the dense product Y = X_M ... X_1.
 
-    The M = 1 sampler before the bidiagonal model, drawn in one batch from
-    an independent stream: a reference for the law, not for the bits.
+    Each X_m is a dense (N0+nu_m) x (N0+nu_{m-1}) complex Gaussian: the
+    library's sampler before the bidiagonal (M = 1) and triangular (M >= 2)
+    models, drawn in batches from an independent stream.  A reference for
+    the law, not for the bits.
     """
-    n0, nu = cfg.N0, cfg.nu_int[0]
+    dims = cfg.dims
     rng = np.random.default_rng(seed)
-    shape = (cfg.samples, n0 + nu, n0)
-    X = math.sqrt(0.5) * (rng.standard_normal(shape)
-                          + 1j * rng.standard_normal(shape))
-    return np.linalg.eigvalsh(X.conj().transpose(0, 2, 1) @ X)[:, 0]
+    Y = None
+    for m in range(1, cfg.M + 1):
+        shape = (cfg.samples, dims[m], dims[m - 1])
+        X = math.sqrt(0.5) * (rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+        Y = X if Y is None else X @ Y
+    return np.linalg.eigvalsh(Y.conj().transpose(0, 2, 1) @ Y)[:, 0]
+
+
+def _ks_critical(n: int, m: int, alpha: float) -> float:
+    """Asymptotic Kolmogorov bound of the two-sample KS distance at level alpha."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((n + m) / (n * m))
 
 
 # the ids name the entries' normalization, total unit variance
@@ -144,10 +194,96 @@ def test_bidiagonal_law_matches_dense_oracle(n0, nu1):
     n = 2000
     cfg = McConfig(M=1, N0=n0, nu_int=(nu1,), samples=n, seed=40 + n0 + nu1)
     lam = sample_min_singular_sq(cfg).lambda_min
-    ref = _dense_m1_oracle(cfg, seed=80 + n0 + nu1)
-    # two-sample KS at level 1e-3 (asymptotic Kolmogorov bound)
-    crit = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) * math.sqrt(2.0 / n)
-    assert ks_distance(lam, ref) <= crit
+    ref = _dense_product_oracle(cfg, seed=80 + n0 + nu1)
+    # two-sample KS at level 1e-3
+    assert ks_distance(lam, ref) <= _ks_critical(n, n, 1e-3)
+
+
+@pytest.mark.parametrize("n0,nu", [
+    pytest.param(n0, nu, id=f"M{len(nu)}-{n0}-nu{''.join(map(str, nu))}")
+    for n0, nu in ((6, (1, 2)), (6, (0, 0)), (12, (1, 2)), (12, (0, 0)),
+                   (8, (0, 1, 0)))])
+def test_triangular_law_matches_dense_oracle(n0, nu):
+    n = 2000
+    cfg = McConfig(M=len(nu), N0=n0, nu_int=nu, samples=n,
+                   seed=500 + 10 * n0 + sum(nu))
+    lam = sample_min_singular_sq(cfg).lambda_min
+    ref = _dense_product_oracle(cfg, seed=600 + 10 * n0 + sum(nu))
+    # two-sample KS at level 1e-6
+    assert ks_distance(lam, ref) <= _ks_critical(n, n, 1e-6)
+
+
+def _mp_sigma_min_sq(a, b, rs, dps=40):
+    """sigma_min^2 of R_M ... R_2 B_1, formed and decomposed in mpmath."""
+    n0 = a.size
+    with mpmath.workdps(dps):
+        t = mpmath.matrix(n0, n0)
+        for j in range(n0):
+            t[j, j] = mpmath.mpf(float(a[j]))
+            if j + 1 < n0:
+                t[j, j + 1] = mpmath.mpf(float(b[j]))
+        for r in rs:
+            t = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                               for row in r]) * t
+        return float(min(mpmath.svd_c(t, compute_uv=False)) ** 2)
+
+
+@pytest.mark.parametrize("M,n0", [(2, 20), (4, 20), (6, 12)])
+def test_triangular_lambda_min_matches_mpmath(M, n0):
+    # the Gram route, eigvalsh(T^dag T) of the same T, misses by 6.7e-9 at
+    # (4, 20) and by 4.5e-9 at (6, 12) on these factors
+    for index in range(2):
+        a, b, rs = _factors(_rng(17, index), n0, (0,) * M)
+        lam = _upper_lambda_min(_upper_product(a, b, rs))
+        ref = _mp_sigma_min_sq(a, b, rs)
+        assert abs(lam - ref) <= 1e-12 * ref
+
+
+def test_degenerate_lambda_min_takes_eigvalsh(monkeypatch):
+    # two equal smallest singular values: no spectral gap to certify
+    rng = np.random.default_rng(4)
+    sv = np.array([0.5, 0.5, 1.0, 2.0, 3.0, 5.0])
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                        + 1j * rng.standard_normal((6, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                        + 1j * rng.standard_normal((6, 6)))
+    _, t = np.linalg.qr((u * sv) @ v.conj().T)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert _upper_lambda_min(t) == pytest.approx(0.25, rel=1e-12)
+    assert calls == [(6, 6)]
+
+
+def test_singular_triangle_is_refused():
+    t = np.triu(np.ones((4, 4), dtype=complex))
+    t[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="ztrtri"):
+        _upper_lambda_min(t)
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (123, 5), (2 ** 63 + 7, 99),
+                                        (-1, 3)])
+def test_reset_stream_equals_constructed_stream(seed, index):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+
+    def draws(gen):
+        return [gen.standard_normal(7), gen.standard_gamma(np.arange(1.0, 6.0)),
+                gen.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                gen.bit_generator.random_raw(5)]
+
+    ref = draws(np.random.Generator(np.random.Philox(key=key)))
+    # a used generator, mid-buffer and holding a spare 32-bit word
+    used = np.random.Generator(np.random.Philox(key=9))
+    used.standard_normal(3)
+    used.integers(0, 2 ** 32, dtype=np.uint32)
+    for gen in (_rng(seed, index), _rng(seed, index, used)):
+        assert all(np.array_equal(x, y) for x, y in zip(draws(gen), ref))
 
 
 def test_bidiagonal_matches_eigvalsh_tridiagonal_reference():
