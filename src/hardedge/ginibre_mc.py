@@ -25,9 +25,9 @@ N_0 is not capped.
 
 M >= 2: lambda_min = 1/lambda_max(A) with A = T^-1 T^-dag, from LAPACK
 ztrtri and zlauum; Y^dag Y is never formed, so lambda_min keeps its
-relative accuracy at any M.  Power iteration on A returns lambda_max when
-a Kato-Temple bound certifies it; otherwise ``numpy.linalg.eigvalsh`` of
-the same A does.
+relative accuracy as M grows, where the Gram route loses digits.  Power
+iteration on A returns lambda_max when a Kato-Temple bound certifies it;
+otherwise ``numpy.linalg.eigvalsh`` of the same A does.
 
 Reproducibility: every sample runs on its own Philox counter-based stream
 keyed by (seed, sample index), so results are bit-identical regardless of

@@ -181,9 +181,9 @@ def _dense_product_oracle(cfg: McConfig, seed: int) -> np.ndarray:
     return np.linalg.eigvalsh(Y.conj().transpose(0, 2, 1) @ Y)[:, 0]
 
 
-def _ks_critical(n: int, m: int, alpha: float) -> float:
-    """Asymptotic Kolmogorov bound of the two-sample KS distance at level alpha."""
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((n + m) / (n * m))
+def _ks_critical(n: int, alpha: float) -> float:
+    """Asymptotic Kolmogorov bound at level alpha, two samples of size n."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt(2.0 / n)
 
 
 # the ids name the entries' normalization, total unit variance
@@ -196,7 +196,7 @@ def test_bidiagonal_law_matches_dense_oracle(n0, nu1):
     lam = sample_min_singular_sq(cfg).lambda_min
     ref = _dense_product_oracle(cfg, seed=80 + n0 + nu1)
     # two-sample KS at level 1e-3
-    assert ks_distance(lam, ref) <= _ks_critical(n, n, 1e-3)
+    assert ks_distance(lam, ref) <= _ks_critical(n, 1e-3)
 
 
 @pytest.mark.parametrize("n0,nu", [
@@ -210,7 +210,7 @@ def test_triangular_law_matches_dense_oracle(n0, nu):
     lam = sample_min_singular_sq(cfg).lambda_min
     ref = _dense_product_oracle(cfg, seed=600 + 10 * n0 + sum(nu))
     # two-sample KS at level 1e-6
-    assert ks_distance(lam, ref) <= _ks_critical(n, n, 1e-6)
+    assert ks_distance(lam, ref) <= _ks_critical(n, 1e-6)
 
 
 def _mp_sigma_min_sq(a, b, rs, dps=40):
