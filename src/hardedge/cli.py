@@ -40,9 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .kernels import HardEdgeParams, MBParams, borodin_kernel_matrix
-from .fredholm import (make_rule, fredholm_det, gap_probability_hardedge,
-                       gap_probability_mb, NonConvergedError)
+# borodin_kernel_matrix and fredholm_det stay bound here for perfbench to wrap
+from .kernels import HardEdgeParams, MBParams, borodin_kernel_matrix  # noqa: F401
+from .fredholm import (fredholm_det, gap_probability_hardedge,  # noqa: F401
+                       gap_probability_mb, mb_logdet_column, NonConvergedError)
 from . import hamiltonian_flow as flow
 from .asymptotics import fit_tail, indicial_exponents, A1_PREDICTED
 from .ginibre_mc import (McConfig, sample_min_singular_sq, empirical_gap,
@@ -76,14 +77,6 @@ def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list,
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _mb_logdet(c: int, r: float, nodes: int) -> float:
-    mb = MBParams(c=float(c))
-    rule = make_rule(nodes, 0.0, r)
-    _, logdet = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
-                             rule)
-    return logdet
-
-
 def cmd_table1(args) -> int:
     r_values = list(range(args.r_min, args.r_max + 1))
     if not r_values or r_values[0] < 1:
@@ -93,13 +86,16 @@ def cmd_table1(args) -> int:
     logE = {0: {}, 1: {}}
     failures = []
     for c in (0, 1):
-        for r in r_values:
-            try:
-                v1 = _mb_logdet(c, float(r), args.nodes)
-                v2 = _mb_logdet(c, float(r), 2 * args.nodes)
+        mb = MBParams(c=float(c))
+        coarse = mb_logdet_column(mb, r_values, args.nodes)
+        fine = mb_logdet_column(mb, r_values, 2 * args.nodes)
+        for r, v1, v2 in zip(r_values, coarse, fine):
+            refused = next((v for v in (v1, v2)
+                            if isinstance(v, FloatingPointError)), None)
+            if refused is None:
                 logE[c][r] = (v2, abs(v2 - v1))
-            except (NonConvergedError, FloatingPointError) as exc:
-                failures.append({"c": c, "r": r, "error": str(exc)})
+            else:
+                failures.append({"c": c, "r": r, "error": str(refused)})
                 logE[c][r] = (math.nan, math.nan)
     a1 = {0: {}, 1: {}}
     ext = {}

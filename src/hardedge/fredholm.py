@@ -10,6 +10,8 @@ then falls exponentially in n whenever the discretized kernel is analytic on
 the closed interval (Bornemann, Math. Comp. 79 (2010), arXiv:0804.2543).
 The reference rule on (-1, 1) is built once per n and shared by every call
 that asks for n nodes; only its affine map to (a, b) is computed per call.
+``mb_logdet_column`` takes a Muttalib-Borodin table column (one c and n, every
+r) from one batched factor-table sweep, then one K and one LU per r.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .kernels import (
     MBParams,
     build_kernel_bundle,
     kernel_matrix,
+    borodin_factor_tables,
     borodin_kernel_matrix,
 )
 
@@ -35,6 +38,7 @@ __all__ = [
     "fredholm_det",
     "GapPoint",
     "gap_probability_mb",
+    "mb_logdet_column",
     "gap_probability_hardedge",
     "NonConvergedError",
 ]
@@ -133,18 +137,36 @@ def _converge_logdet(kernel_fn, interval_len: float, target_tol: float):
         f"no convergence to {target_tol} within {_N_MAX} nodes")
 
 
-def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapPoint:
-    """E^(c,theta)(0;(0,r)) via the Muttalib-Borodin kernel determinant."""
+def _check_mb_interval(r: float) -> None:
     if not r > 0:
         raise ValueError("r must be positive")
     if r > _R_MAX:
         raise ValueError(f"r > {_R_MAX} is refused: E underflows double precision")
 
-    def kfn(xs, ys):
-        return borodin_kernel_matrix(mb, xs, ys)
 
-    logdet, n, est = _converge_logdet(kfn, r, target_tol)
+def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapPoint:
+    """E^(c,theta)(0;(0,r)) via the Muttalib-Borodin kernel determinant."""
+    _check_mb_interval(r)
+    kernel = functools.partial(borodin_kernel_matrix, mb)
+    logdet, n, est = _converge_logdet(kernel, r, target_tol)
     return GapPoint(r, math.exp(logdet), logdet, n, est)
+
+
+def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
+    """log det(1 - K^(c,theta)) on (0, r) at n nodes for every r in rs, each
+    bit for bit its own ``fredholm_det`` call, from one batched Horner sweep
+    per factor; a refused r's entry is its ``FloatingPointError``."""
+    _check_mb_interval(max(rs))
+    rules = [make_rule(n, 0.0, float(r)) for r in rs]
+    nodes = np.array([rule.nodes for rule in rules])
+    column = []
+    for rule, A, B in zip(rules, *borodin_factor_tables(mb, nodes, nodes)):
+        kernel = functools.partial(borodin_kernel_matrix, mb, tables=(A, B))
+        try:
+            column.append(fredholm_det(kernel, rule)[1])
+        except FloatingPointError as exc:
+            column.append(exc)
+    return column
 
 
 def gap_probability_hardedge(params_or_bundle, s: float,

@@ -10,10 +10,11 @@ Two kernel families live here:
   every abscissa, and the 0/0 diagonal is the exact limit
   K(x, x) = sum_j phi_j'(x) psi_j(x).
 * ``borodin_kernel_matrix`` — the hard-edge kernel of the Laguerre
-  Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors,
-  evaluated with one 16-node Gauss-Legendre rule on (0, 1) built at import.
-  The theta=2 integrand is entire in u, so 16 nodes already sit at the
-  double-precision floor of the 100-term series on [0, 15]^2.
+  Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors on
+  one 16-node Gauss-Legendre rule on (0, 1) built at import.  The theta=2
+  integrand is entire in u, so 16 nodes already sit at the double-precision
+  floor of the 100-term series on [0, 15]^2.  ``borodin_factor_tables``
+  tabulates both factors for a stack of node sets, one Horner sweep each.
 
 For theta = 2 the two families describe the same determinantal process: with
 ``c = 2 nu_1 + 1`` and ``nu_2 = nu_1 + 1/2``,
@@ -46,6 +47,7 @@ __all__ = [
     "build_kernel_bundle",
     "kernel_value",
     "kernel_matrix",
+    "borodin_factor_tables",
     "borodin_kernel_matrix",
     "mb_params_for_hardedge",
 ]
@@ -235,16 +237,26 @@ class MBParams:
             raise ValueError("theta must be positive")
 
 
-def borodin_kernel_matrix(mb: MBParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """K^(c,theta) on the grid xs x ys (vectorized over the inner rule)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def borodin_factor_tables(mb: MBParams, xs, ys) -> tuple:
+    """A(x u) w u^c and B((y u)^theta) on the u-rule, one Horner sweep each;
+    leading axes of xs and ys batch.  B's trailing coefficients underflow to
+    0.0 and are dropped, which leaves every finite value's bits unchanged."""
     ca = wright_bessel_coefficients((mb.c + 1.0) / mb.theta, 1.0 / mb.theta,
                                     N_TERMS)
-    cb = wright_bessel_coefficients(mb.c + 1.0, mb.theta, N_TERMS)
-    A = horner(ca, np.multiply.outer(xs, _U))                  # (nx, nu)
-    B = horner(cb, np.multiply.outer(ys, _U) ** mb.theta)      # (ny, nu)
-    return mb.theta * (xs ** mb.c)[:, None] * ((A * (_WU * _U ** mb.c)) @ B.T)
+    cb = np.trim_zeros(wright_bessel_coefficients(mb.c + 1.0, mb.theta, N_TERMS),
+                       "b")
+    A = horner(ca, np.multiply.outer(xs, _U))
+    B = horner(cb, np.multiply.outer(ys, _U) ** mb.theta)
+    return A * (_WU * _U ** mb.c), B
+
+
+def borodin_kernel_matrix(mb: MBParams, xs: np.ndarray, ys: np.ndarray,
+                          tables=None) -> np.ndarray:
+    """K^(c,theta) on the grid xs x ys; ``tables``, if given, is this grid's
+    slice of a batched ``borodin_factor_tables`` call."""
+    xs = np.asarray(xs, dtype=float)
+    A, B = borodin_factor_tables(mb, xs, ys) if tables is None else tables
+    return mb.theta * (xs ** mb.c)[:, None] * (A @ B.T)
 
 
 def mb_params_for_hardedge(params: HardEdgeParams) -> MBParams:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hardedge import cli, verification
+from hardedge import cli, fredholm, verification
 from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
 from hardedge.reference_data import TABLE1
@@ -52,6 +52,60 @@ def test_table1_csv_feeds_fit(tmp_path, capsys):
     assert fit["window"] == [7.0, 8.0, 9.0]
     assert fit["a1"] == cell["a1"]
     assert fit["a1_extrapolated"] == diff["extrapolated_a1"]["0"]
+
+
+@pytest.mark.parametrize("r_max, code", [(15, 0), (16, 2)])
+def test_table1_refuses_r_max_past_cap(r_max, code, tmp_path, capsys,
+                                       monkeypatch):
+    # gap's cap, refused before any determinant is taken
+    if code:
+        monkeypatch.setattr(fredholm, "fredholm_det", _raises(
+            AssertionError("a determinant was computed")))
+    assert main(["table1", "--out", str(tmp_path), "--r-min", "14",
+                 "--r-max", str(r_max), "--nodes", "24"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: r > 15.0 is refused: E underflows double precision\n"
+        assert not (tmp_path / "table1.csv").exists()
+    else:
+        assert err == ""
+
+
+def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
+    # at c=0, r=9 the kernel becomes 2/w_0 at the first node and 0 elsewhere,
+    # so det(1 - K) = -1; only that cell may be refused
+    assert main(["table1", "--out", str(tmp_path / "ok")]) == 0
+    real = fredholm.borodin_kernel_matrix
+
+    def flipped(mb, xs, ys, **kwargs):
+        K = real(mb, xs, ys, **kwargs)
+        if mb.c == 0.0 and xs[0] + xs[-1] == pytest.approx(9.0):
+            K = np.zeros_like(K)
+            K[0, 0] = 2.0 / fredholm.make_rule(len(xs), 0.0, 9.0).weights[0]
+        return K
+
+    monkeypatch.setattr(fredholm, "borodin_kernel_matrix", flipped)
+    assert main(["table1", "--out", str(tmp_path / "bad")]) == 0
+    ok, bad = (json.loads((tmp_path / d / "table1_diff.json").read_text())
+               for d in ("ok", "bad"))
+    assert bad["failures"] == [{"c": 0, "r": 9, "error":
+                                "Fredholm determinant lost positivity"}]
+    rows = {d: [line.split(",") for line in
+                (tmp_path / d / "table1.csv").read_text().splitlines()[1:]]
+            for d in ("ok", "bad")}
+    for good, got in zip(rows["ok"], rows["bad"]):
+        r = int(good[0])
+        assert got[3:] == good[3:]                      # the c=1 column
+        assert got[1] == ("nan" if r == 9 else good[1])
+        # the a1 triples centred at 8, 9 and 10 need r=9
+        assert got[2] == ("" if r in (8, 9, 10) else good[2])
+    cells = {(e["c"], e["r"]): e for e in ok["cells"]}
+    for e in bad["cells"]:
+        ref = {k: v for k, v in cells[(e["c"], e["r"])].items()
+               if not (e["c"] == 0 and e["r"] in (8, 10) and k.startswith("a1"))}
+        assert e == ref
+    assert (0, 9) not in {(e["c"], e["r"]) for e in bad["cells"]}
+    assert len(bad["cells"]) == 21
 
 
 def test_verify_usage_error():

@@ -17,6 +17,7 @@ from hardedge.fredholm import (
     make_rule,
     fredholm_det,
     gap_probability_mb,
+    mb_logdet_column,
     gap_probability_hardedge,
     NonConvergedError,
 )
@@ -124,6 +125,19 @@ def test_gap_probability_mb_reference_values():
 def test_gap_probability_mb_refuses_underflow_range():
     with pytest.raises(ValueError):
         gap_probability_mb(MBParams(c=0.0), 15.5)
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("c", [0, 1])
+def test_mb_logdet_column_equals_per_cell_determinants(c, n):
+    # the column shares its factor tables across r; every cell keeps its bits
+    mb = MBParams(c=float(c))
+    rs = list(range(4, 15))
+    column = mb_logdet_column(mb, rs, n)
+    for r, logdet in zip(rs, column):
+        ref = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
+                           make_rule(n, 0.0, float(r)))[1]
+        assert logdet == ref, (c, r, n)
 
 
 def test_node_doubling_convergence_rate():

@@ -10,9 +10,11 @@ from hardedge.kernels import (
     build_kernel_bundle,
     kernel_value,
     kernel_matrix,
+    borodin_factor_tables,
     borodin_kernel_matrix,
     mb_params_for_hardedge,
 )
+from hardedge.special_functions import N_TERMS, horner, wright_bessel_coefficients
 
 SQRT_PI = math.sqrt(math.pi)
 VALIDATED_M2 = [(-0.5, 0.0), (0.0, 0.5)]
@@ -196,3 +198,22 @@ def test_borodin_matrix_matches_scalar():
         for j, y in enumerate(xs):
             assert K[i, j] == pytest.approx(
                 borodin_kernel_matrix(mb, [x], [y])[0, 0], rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 0.3])
+def test_borodin_batched_tables_keep_every_bit(c):
+    # reference: one cell, the full 100-term series for both factors
+    mb = MBParams(c=c)
+    u, wu = np.polynomial.legendre.leggauss(16)
+    u, wu = 0.5 * (u + 1.0), 0.5 * wu
+    ca = wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
+    cb = wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS)
+    nodes = np.array([np.linspace(0.0, r, 12) for r in (1.0, 7.5, 15.0)])
+    A, B = borodin_factor_tables(mb, nodes, nodes)
+    for row, a, b in zip(nodes, A, B):
+        ref = 2.0 * (row ** c)[:, None] * (
+            (horner(ca, np.multiply.outer(row, u)) * (wu * u ** c))
+            @ horner(cb, np.multiply.outer(row, u) ** 2.0).T)
+        assert np.array_equal(borodin_kernel_matrix(mb, row, row), ref)
+        assert np.array_equal(borodin_kernel_matrix(mb, row, row, tables=(a, b)),
+                              ref)
