@@ -9,7 +9,7 @@ verify    one verification report over a certified flow case (m1,
           m2-special): per category the max residual, its tolerance and
           the abscissa where it peaked; stderr names each failing one
 mc        Monte Carlo gap curves with analytic oracle column for M=1
-gap       single-point Muttalib-Borodin Fredholm evaluation
+gap       single-point theta=2 Muttalib-Borodin Fredholm evaluation
 ode       trajectory export as CSV (columns: s, re/im of every variable,
           logE, res_* columns, one per first integral)
 sigma     the resolvent-jet residuals of verify at given abscissas
@@ -214,9 +214,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    pt = gap_probability_mb(MBParams(c=args.c, theta=args.theta), args.r,
-                            target_tol=args.tol)
-    payload = {"c": args.c, "theta": args.theta, "r": args.r,
+    pt = gap_probability_mb(MBParams(c=args.c), args.r, target_tol=args.tol)
+    payload = {"c": args.c, "theta": 2.0, "r": args.r,
                "E": pt.E, "logE": pt.logE, "nodes": pt.node_count_used,
                "est_error": pt.est_error}
     if args.format == "csv":
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gap", help="single Fredholm gap evaluation")
     g.add_argument("--c", type=float, required=True)
-    g.add_argument("--theta", type=float, default=2.0)
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--tol", type=float, default=1e-9)
     g.add_argument("--format", choices=["json", "csv"], default="json")

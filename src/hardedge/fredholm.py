@@ -145,7 +145,7 @@ def _check_mb_interval(r: float) -> None:
 
 
 def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapPoint:
-    """E^(c,theta)(0;(0,r)) via the Muttalib-Borodin kernel determinant."""
+    """E^(c,2)(0;(0,r)) via the theta = 2 Muttalib-Borodin kernel determinant."""
     _check_mb_interval(r)
     kernel = functools.partial(borodin_kernel_matrix, mb)
     logdet, n, est = _converge_logdet(kernel, r, target_tol)
@@ -153,7 +153,7 @@ def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapP
 
 
 def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
-    """log det(1 - K^(c,theta)) on (0, r) at n nodes for every r in rs, each
+    """log det(1 - K^(c,2)) on (0, r) at n nodes for every r in rs, each
     bit for bit its own ``fredholm_det`` call, from one batched Horner sweep
     per factor; a refused r's entry is its ``FloatingPointError``."""
     _check_mb_interval(max(rs))

@@ -40,14 +40,12 @@ from .sigma_forms import ResolventJet
 __all__ = [
     "HamiltonianState",
     "Trajectory",
-    "SchlesingerView",
     "FlowError",
     "launch_state",
     "rhs",
     "integrate",
     "first_integral_residuals",
     "structural_residuals",
-    "schlesinger_view",
     "eta_derivatives",
     "trajectory_csv",
 ]
@@ -79,13 +77,16 @@ class HamiltonianState:
     into xi/eta doubles as an integration sanity check.
     """
 
-    M: int
     s: float
     x: np.ndarray
     y: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
     params: HardEdgeParams
+
+    @property
+    def M(self) -> int:
+        return self.params.M
 
     def pack(self, aux: float = 0.0) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.xi, self.eta,
@@ -94,7 +95,7 @@ class HamiltonianState:
     @classmethod
     def unpack(cls, params: HardEdgeParams, s: float, vec: np.ndarray):
         m1 = params.M + 1
-        state = cls(M=params.M, s=float(s), x=vec[:m1].copy(),
+        state = cls(s=float(s), x=vec[:m1].copy(),
                     y=vec[m1:2 * m1].copy(), xi=vec[2 * m1:3 * m1].copy(),
                     eta=vec[3 * m1:4 * m1].copy(), params=params)
         return state, float(vec[4 * m1].real)
@@ -104,18 +105,19 @@ class HamiltonianState:
 class Trajectory:
     """States at the launch point and the requested output abscissas.
 
-    states[0] is the launch state at s0; loghead is int_0^{s0} eta_0/t dt
-    from the launch series, and log_gap[i] is the full integral up to
-    states[i].s, so E = exp(log_gap[i]).  tol is the tolerance integrate was
-    asked for.
+    states[0] is the launch state at s0; log_gap[i] is int_0^s eta_0/t dt
+    up to s = states[i].s, so E = exp(log_gap[i]), with log_gap[0] from the
+    launch series.  tol is the tolerance integrate was asked for.
     """
 
     params: HardEdgeParams
-    s0: float
     states: list
     log_gap: list
     tol: float
-    loghead: float
+
+    @property
+    def s0(self) -> float:
+        return self.states[0].s
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,7 @@ def launch_state(params: HardEdgeParams, s0: float):
                 "launches (a Fredholm-data launch is ROADMAP item 2)")
         s = s0
         state = HamiltonianState(
-            M=1, s=s, x=np.array([1j, 1j * s]),
-            y=np.array([-1j * s, 1j]),
+            s=s, x=np.array([1j, 1j * s]), y=np.array([-1j * s, 1j]),
             xi=np.array([s * s / 2, -s], dtype=complex),
             eta=np.array([-s, -s * s / 2], dtype=complex),
             params=params)
@@ -234,8 +235,7 @@ def launch_state(params: HardEdgeParams, s0: float):
     except ValueError as exc:
         raise FlowError(f"no M=2 launch at nu=({n0:g}, {n1:g}, {n2:g}): "
                         f"{exc}") from exc
-    state = HamiltonianState(M=2, s=s0, x=x, y=y, xi=xi, eta=eta,
-                             params=params)
+    state = HamiltonianState(s=s0, x=x, y=y, xi=xi, eta=eta, params=params)
     return state, loghead
 
 
@@ -276,8 +276,8 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     states, log_gap = _run_segments(rhs_real, params, s0, s_targets,
                                     state0.pack(aux=loghead).view(float), tol)
     _gate_first_integrals(states, tol)
-    return Trajectory(params=params, s0=s0, states=[state0] + states,
-                      log_gap=[loghead] + log_gap, tol=tol, loghead=loghead)
+    return Trajectory(params=params, states=[state0] + states,
+                      log_gap=[loghead] + log_gap, tol=tol)
 
 
 # the physical solution is dynamically unstable: state errors injected at
@@ -399,93 +399,73 @@ def first_integral_residuals(state: HamiltonianState) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SchlesingerView:
-    """The matrices (E, C, A) of the associated linear problem at a state."""
-
-    E_mat: np.ndarray
-    C_mat: np.ndarray
-    A_mat: np.ndarray
-
-
-def _c_matrix(xi, eta, superdiag: float) -> np.ndarray:
-    """C from (xi, eta, -1), and C' from (xi', eta', 0): the same entries."""
-    m1 = len(xi)
-    C = np.zeros((m1, m1), dtype=complex)
-    for i in range(m1 - 1):
-        C[i, 0] = -eta[i]
-        C[i, i + 1] = superdiag
-    C[m1 - 1, 0] = xi[0] - eta[m1 - 1]
-    C[m1 - 1, 1:] = xi[1:]
-    return C
-
-
-def schlesinger_view(state: HamiltonianState) -> SchlesingerView:
-    m1 = state.M + 1
-    sign = 1.0 if state.M == 1 else -1.0   # (-1)^(M+1) on the corner entry
-    E = np.zeros((m1, m1), dtype=complex)
-    E[m1 - 1, 0] = sign
-    C = _c_matrix(state.xi, state.eta, -1.0)
-    A = np.outer(state.x, state.y)
-    return SchlesingerView(E_mat=E, C_mat=C, A_mat=A)
+def _max_residual(pairs) -> float:
+    """max |a - b| over the (a, b) pairs, relative to the largest |a|, |b|."""
+    scale = max(max(abs(a), abs(b)) for a, b in pairs)
+    return max(abs(a - b) for a, b in pairs) / max(scale, 1e-300)
 
 
 def structural_residuals(state: HamiltonianState) -> dict:
-    """Folding (M=1), Schlesinger consistency, rank-one A, Tracy-Widom map."""
+    """Folding (M=1), Schlesinger consistency, rank-one A, Tracy-Widom map.
+
+    A = x y^T, so [B, A] = (B x) y^T - x (B^T y)^T: s A' = [C + s E, A] and
+    C' = [E, A] are checked entry by entry on Python scalars.
+    """
     out = {}
     s = state.s
-    view = schlesinger_view(state)
-    E, C, A = view.E_mat, view.C_mat, view.A_mat
-    dx, dy, dxi, deta = rhs(state)
-    m1 = state.M + 1
-    Aprime = np.outer(dx, state.y) + np.outer(state.x, dy)
-    Cprime = _c_matrix(dxi, deta, 0.0)
-    comm1 = (C + s * E) @ A - A @ (C + s * E)
-    res1 = s * Aprime - comm1
-    scale1 = max(np.max(np.abs(comm1)), np.max(np.abs(s * Aprime)), 1e-300)
-    out["schlesinger_A"] = float(np.max(np.abs(res1)) / scale1)
-    comm2 = E @ A - A @ E
-    res2 = Cprime - comm2
-    scale2 = max(np.max(np.abs(comm2)), np.max(np.abs(Cprime)), 1e-300)
-    out["schlesinger_C"] = float(np.max(np.abs(res2)) / scale2)
+    x, y, xi, eta = (a.tolist() for a in (state.x, state.y, state.xi, state.eta))
+    dx, dy, dxi, deta = (a.tolist() for a in rhs(state))
+    m = state.M
+    # E's one entry is (-1)^(M+1) at (M, 0).  Row i < M of C is -eta_i at
+    # column 0 and -1 at column i+1; row M is (xi_0 - eta_M, xi_1, .., xi_M).
+    # C' has C's entries over (xi', eta') and a zero superdiagonal.
+    sign = 1.0 if m == 1 else -1.0
+    # B = C + s E through B x and B^T y
+    corner = xi[0] - eta[m] + s * sign
+    bx = [-eta[i] * x[0] - x[i + 1] for i in range(m)]
+    bx.append(corner * x[0] + sum(xi[k] * x[k] for k in range(1, m + 1)))
+    bty = [sum(-eta[i] * y[i] for i in range(m)) + corner * y[m]]
+    bty += [xi[j] * y[m] - y[j - 1] for j in range(1, m + 1)]
+    out["schlesinger_A"] = _max_residual(
+        [(s * (dx[i] * y[j] + x[i] * dy[j]), bx[i] * y[j] - x[i] * bty[j])
+         for i in range(m + 1) for j in range(m + 1)])
+    # [E, A] = (E x) y^T - x (E^T y)^T lives in column 0 and row M, as does
+    # C'; every other entry of both is zero
+    ex, ey = sign * x[0], sign * y[m]
+    pairs = [(-deta[i], -x[i] * ey) for i in range(m)]
+    pairs.append((dxi[0] - deta[m], ex * y[0] - x[m] * ey))
+    pairs += [(dxi[j], ex * y[j]) for j in range(1, m + 1)]
+    out["schlesinger_C"] = _max_residual(pairs)
     # rank-one property of A: all 2x2 minors vanish
-    minor_max = 0.0
-    scaleA = np.max(np.abs(A)) ** 2
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            for k in range(m1):
-                for l in range(k + 1, m1):
-                    minor_max = max(minor_max, abs(A[i, k] * A[j, l]
-                                                   - A[i, l] * A[j, k]))
-    out["rank_one"] = float(minor_max / scaleA)
+    A = [[xa * yb for yb in y] for xa in x]
+    minor_max = max(abs(A[i][k] * A[j][l] - A[i][l] * A[j][k])
+                    for i in range(m + 1) for j in range(i + 1, m + 1)
+                    for k in range(m + 1) for l in range(k + 1, m + 1))
+    out["rank_one"] = minor_max / max(abs(v) for row in A for v in row) ** 2
 
-    if state.M == 1:
+    if m == 1:
         e1 = state.params.e[0]
-        x0, x1 = state.x
-        y0, y1 = state.y
-        t1 = s ** (-e1) * y0
-        out["fold_x1"] = float(abs(x1 + t1) / max(abs(x1), abs(t1), 1e-300))
-        t2 = s ** e1 * x0
-        out["fold_y1"] = float(abs(y1 - t2) / max(abs(y1), abs(t2), 1e-300))
-        if state.params.nu[0] == 0.0:
-            out.update(_tracy_widom_residuals(state, dx, dy, dxi, deta))
+        t1 = s ** (-e1) * y[0]
+        out["fold_x1"] = abs(x[1] + t1) / max(abs(x[1]), abs(t1), 1e-300)
+        t2 = s ** e1 * x[0]
+        out["fold_y1"] = abs(y[1] - t2) / max(abs(y[1]), abs(t2), 1e-300)
+        out.update(_tracy_widom_residuals(s, state.params.nu[1], x, y, xi,
+                                          eta, dx, dy, dxi, deta))
     return out
 
 
-def _tracy_widom_residuals(state, dx, dy, dxi, deta) -> dict:
+def _tracy_widom_residuals(s, a, x, y, xi, eta, dx, dy, dxi, deta) -> dict:
     """The six relations of the classical hard-edge system at t = 4s.
 
     Variables: q = -i s^(a/2) x0, p = -i s^(-a/2) y0 + (a/2) q, u = -4 eta_0,
     v = -4 xi_0 + (a/2) u, with a = nu_1.
     """
-    s = state.s
-    a = state.params.nu[1]
     t = 4.0 * s
-    x0, y0 = state.x[0], state.y[0]
+    x0, y0 = x[0], y[0]
     q = -1j * s ** (a / 2) * x0
     p = -1j * s ** (-a / 2) * y0 + 0.5 * a * q
-    u = -4.0 * state.eta[0]
-    v = -4.0 * state.xi[0] + 0.5 * a * u
+    u = -4.0 * eta[0]
+    v = -4.0 * xi[0] + 0.5 * a * u
     # d/dt = (1/4) d/ds
     dq = (-1j * (0.5 * a) * s ** (a / 2 - 1) * x0 - 1j * s ** (a / 2) * dx[0]) / 4
     dp = ((-1j * (-0.5 * a) * s ** (-a / 2 - 1) * y0

@@ -9,14 +9,15 @@ Two kernel families live here:
   Horner sweep over the stacked series gives phi_j, phi_j' and psi_j at
   every abscissa, and the 0/0 diagonal is the exact limit
   K(x, x) = sum_j phi_j'(x) psi_j(x).
-* ``borodin_kernel_matrix`` — the hard-edge kernel of the Laguerre
+* ``borodin_kernel_matrix`` — the theta = 2 hard-edge kernel of the Laguerre
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors on
-  one 16-node Gauss-Legendre rule on (0, 1) built at import.  The theta=2
-  integrand is entire in u, so 16 nodes already sit at the double-precision
-  floor of the 100-term series on [0, 15]^2.  ``borodin_factor_tables``
-  tabulates both factors for a stack of node sets, one Horner sweep each.
+  one 16-node Gauss-Legendre rule on (0, 1) built at import.  theta is fixed
+  at 2, where the integrand is entire in u, so 16 nodes already sit at the
+  double-precision floor of the 100-term series on [0, 15]^2 (at other theta
+  the rule is not exact).  ``borodin_factor_tables`` tabulates both factors
+  for a stack of node sets, one Horner sweep each.
 
-For theta = 2 the two families describe the same determinantal process: with
+The two families describe the same determinantal process: with
 ``c = 2 nu_1 + 1`` and ``nu_2 = nu_1 + 1/2``,
 
     K_M(x, y) = y**(-1/2) * K_mb(2 sqrt(y), 2 sqrt(x)),
@@ -27,6 +28,7 @@ are non-symmetric; gap probabilities are unaffected).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +125,6 @@ class KernelBundle:
             raise ValueError(
                 "nu_2 - nu_1 is within 1e-6 of an integer; the 0F2 kernel "
                 "representation is not valid there")
-        self.params = params
         nu = params.nu
         # phi_j = sum_t phi_w[j, t] x**phi_pow[t] P_t(sign_t x) over the first
         # series rows; psi_j likewise over its (power, row) terms with psi_w
@@ -221,42 +222,43 @@ def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class MBParams:
-    """Muttalib-Borodin hard-edge kernel parameters.
-
-    Only theta = 2 carries quantitative validation; other theta values are
-    accepted but untested.
-    """
+    """theta = 2 Muttalib-Borodin hard-edge kernel parameters; theta is
+    fixed (see the module docstring)."""
 
     c: float
-    theta: float = 2.0
 
     def __post_init__(self):
         if not self.c > -1.0:
             raise ValueError("c must exceed -1")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+
+
+@functools.lru_cache(maxsize=32)
+def _wright_coefficients(c: float) -> tuple:
+    """Read-only coefficients of W((c+1)/2, 1/2; .) and W(c+1, 2; .), once per
+    c; B's trailing terms underflow to 0.0 and are dropped, keeping every bit."""
+    ca = wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
+    cb = np.trim_zeros(wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS), "b")
+    ca.flags.writeable = False
+    cb.flags.writeable = False
+    return ca, cb
 
 
 def borodin_factor_tables(mb: MBParams, xs, ys) -> tuple:
-    """A(x u) w u^c and B((y u)^theta) on the u-rule, one Horner sweep each;
-    leading axes of xs and ys batch.  B's trailing coefficients underflow to
-    0.0 and are dropped, which leaves every finite value's bits unchanged."""
-    ca = wright_bessel_coefficients((mb.c + 1.0) / mb.theta, 1.0 / mb.theta,
-                                    N_TERMS)
-    cb = np.trim_zeros(wright_bessel_coefficients(mb.c + 1.0, mb.theta, N_TERMS),
-                       "b")
+    """A(x u) w u^c and B((y u)^2) on the u-rule, one Horner sweep each;
+    leading axes of xs and ys batch."""
+    ca, cb = _wright_coefficients(mb.c)
     A = horner(ca, np.multiply.outer(xs, _U))
-    B = horner(cb, np.multiply.outer(ys, _U) ** mb.theta)
+    B = horner(cb, np.multiply.outer(ys, _U) ** 2.0)
     return A * (_WU * _U ** mb.c), B
 
 
 def borodin_kernel_matrix(mb: MBParams, xs: np.ndarray, ys: np.ndarray,
                           tables=None) -> np.ndarray:
-    """K^(c,theta) on the grid xs x ys; ``tables``, if given, is this grid's
+    """K^(c,2) on the grid xs x ys; ``tables``, if given, is this grid's
     slice of a batched ``borodin_factor_tables`` call."""
     xs = np.asarray(xs, dtype=float)
     A, B = borodin_factor_tables(mb, xs, ys) if tables is None else tables
-    return mb.theta * (xs ** mb.c)[:, None] * (A @ B.T)
+    return 2.0 * (xs ** mb.c)[:, None] * (A @ B.T)
 
 
 def mb_params_for_hardedge(params: HardEdgeParams) -> MBParams:
@@ -270,4 +272,4 @@ def mb_params_for_hardedge(params: HardEdgeParams) -> MBParams:
     n1, n2 = params.nu[1], params.nu[2]
     if abs(n2 - n1 - 0.5) > 1e-12:
         raise ValueError("theta=2 correspondence needs nu_2 = nu_1 + 1/2")
-    return MBParams(c=2.0 * n1 + 1.0, theta=2.0)
+    return MBParams(c=2.0 * n1 + 1.0)

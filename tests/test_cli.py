@@ -16,6 +16,13 @@ def test_gap_command(capsys):
     assert 0.0 < payload["E"] < 1.0
 
 
+def test_gap_has_no_theta_option():
+    # theta is pinned at 2, the only value the 16-node u-rule certifies
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--c", "0", "--theta", "1.5", "--r", "1"])
+    assert exc.value.code == 2
+
+
 def test_table1_degenerate_window(tmp_path, capsys):
     rc = main(["table1", "--out", str(tmp_path), "--r-min", "4",
                "--r-max", "4", "--nodes", "24"])

@@ -11,7 +11,7 @@ from hardedge.kernels import (
     kernel_matrix,
     borodin_kernel_matrix,
 )
-from hardedge import fredholm
+from hardedge import fredholm, kernels
 from hardedge.cli import main
 from hardedge.fredholm import (
     make_rule,
@@ -22,6 +22,26 @@ from hardedge.fredholm import (
     NonConvergedError,
 )
 from hardedge.reference_data import TABLE1
+from hardedge.special_functions import wright_bessel_coefficients
+
+
+def test_wright_coefficients_built_once_per_c(monkeypatch, tmp_path):
+    # two gap evaluations and a table1 run build each factor's series once
+    # per c, as read-only arrays
+    built = []
+
+    def counting(a, b, n_terms):
+        built.append(2.0 * a - 1.0 if b == 0.5 else a - 1.0)
+        return wright_bessel_coefficients(a, b, n_terms)
+
+    monkeypatch.setattr(kernels, "wright_bessel_coefficients", counting)
+    kernels._wright_coefficients.cache_clear()
+    gap_probability_mb(MBParams(c=0.0), 2.0)
+    gap_probability_mb(MBParams(c=0.0), 4.0)
+    assert main(["table1", "--out", str(tmp_path)]) == 0
+    assert sorted(built) == [0.0, 0.0, 1.0, 1.0]
+    for coeffs in kernels._wright_coefficients(0.0):
+        assert not coeffs.flags.writeable
 
 
 def test_gauss_legendre_two_point_rule():

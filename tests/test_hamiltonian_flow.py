@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -249,16 +250,73 @@ def test_schlesinger_and_rank_one(traj_m1, traj_m2):
             assert r["rank_one"] <= 1e-10
 
 
-def test_schlesinger_c_equation_is_commutator(params_m2):
-    # definitional assembly consistency: C' entries equal [E, A] entries
-    st, _ = flow.launch_state(params_m2, 1e-5)
-    view = flow.schlesinger_view(st)
-    E, A = view.E_mat, view.A_mat
-    comm = E @ A - A @ E
-    _, _, dxi, deta = flow.rhs(st)
-    assert comm[0, 0] == pytest.approx(-deta[0], rel=1e-13)
-    assert comm[2, 1] == pytest.approx(dxi[1], rel=1e-13)
-    assert comm[2, 2] == pytest.approx(dxi[2], rel=1e-13)
+def _structural_reference(st):
+    """structural_residuals from the matrices of the linear problem: E, C and
+    A = x y^T built with numpy, both commutators taken as matrix products,
+    and every 2x2 minor of A."""
+    m1 = st.M + 1
+    s = st.s
+    dx, dy, dxi, deta = flow.rhs(st)
+
+    def c_matrix(xi, eta, superdiag):
+        C = np.zeros((m1, m1), dtype=complex)
+        for i in range(m1 - 1):
+            C[i, 0] = -eta[i]
+            C[i, i + 1] = superdiag
+        C[-1, 0] = xi[0] - eta[-1]
+        C[-1, 1:] = xi[1:]
+        return C
+
+    def rel(lhs, rhs):
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
+        return np.max(np.abs(lhs - rhs)) / scale
+
+    E = np.zeros((m1, m1), dtype=complex)
+    E[-1, 0] = (-1.0) ** (st.M + 1)
+    B = c_matrix(st.xi, st.eta, -1.0) + s * E
+    A = np.outer(st.x, st.y)
+    dA = np.outer(dx, st.y) + np.outer(st.x, dy)
+    minors = [abs(A[i, k] * A[j, l] - A[i, l] * A[j, k])
+              for i in range(m1) for j in range(i + 1, m1)
+              for k in range(m1) for l in range(k + 1, m1)]
+    ref = {"schlesinger_A": rel(s * dA, B @ A - A @ B),
+           "schlesinger_C": rel(c_matrix(dxi, deta, 0.0), E @ A - A @ E),
+           "rank_one": max(minors) / np.max(np.abs(A)) ** 2}
+    if st.M == 1:
+        e1, a = st.params.e[0], st.params.nu[1]
+        (x0, x1), (y0, y1) = st.x, st.y
+        t1, t2 = s ** (-e1) * y0, s ** e1 * x0
+        ref["fold_x1"] = abs(x1 + t1) / max(abs(x1), abs(t1))
+        ref["fold_y1"] = abs(y1 - t2) / max(abs(y1), abs(t2))
+        # the classical hard-edge system at t = 4s, d/dt = (1/4) d/ds
+        t = 4.0 * s
+        q = -1j * s ** (a / 2) * x0
+        p = -1j * s ** (-a / 2) * y0 + 0.5 * a * q
+        u, v = -4.0 * st.eta[0], -4.0 * st.xi[0] - 2.0 * a * st.eta[0]
+        dq = (-0.5j * a * s ** (a / 2 - 1) * x0 - 1j * s ** (a / 2) * dx[0]) / 4
+        dp = (0.5j * a * s ** (-a / 2 - 1) * y0
+              - 1j * s ** (-a / 2) * dy[0]) / 4 + 0.5 * a * dq
+        du, dv = -deta[0], -dxi[0] - 0.5 * a * deta[0]
+        rels = {"tw_tq2": [t * q * q, -u * u / 4, -u, -2 * v],
+                "tw_u": [u, -4 * p * p, (a * a - t + 2 * v) * q * q,
+                         -2 * q * p * u],
+                "tw_du": [du, -q * q],
+                "tw_dv": [dv, -q * p],
+                "tw_dq": [t * dq, -p, -q * u / 4],
+                "tw_dp": [t * dp, -(a * a / 4 - t / 4 + v / 2) * q, p * u / 4]}
+        for name, terms in rels.items():
+            ref[name] = abs(sum(terms)) / max(abs(z) for z in terms)
+    return ref
+
+
+def test_structural_residuals_match_matrix_reference(params_m2, traj_m1,
+                                                     traj_m2):
+    launch, _ = flow.launch_state(params_m2, 1e-5)
+    for st in [launch] + traj_m1.states + traj_m2.states:
+        got, ref = flow.structural_residuals(st), _structural_reference(st)
+        assert got.keys() == ref.keys()
+        for name, value in ref.items():
+            assert abs(got[name] - value) <= 1e-15, (st.s, name)
 
 
 def test_tracy_widom_map(traj_m1):
@@ -351,6 +409,13 @@ def test_trajectory_csv_round_trip(traj_m2):
     assert data.shape == (len(traj_m2.states), len(header))
     s_col = data[:, 0]
     assert np.all(np.diff(s_col) > 0)
+
+
+def test_trajectory_s0_is_the_launch_abscissa(traj_m2):
+    later = dataclasses.replace(traj_m2, states=traj_m2.states[2:],
+                                log_gap=traj_m2.log_gap[2:])
+    assert later.s0 == later.states[0].s == traj_m2.states[2].s
+    assert traj_m2.s0 == traj_m2.states[0].s
 
 
 def test_trajectory_begins_with_launch_state(traj_m2):

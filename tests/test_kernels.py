@@ -157,8 +157,6 @@ def test_mb_params_validation():
     with pytest.raises(ValueError):
         MBParams(c=-1.0)
     with pytest.raises(ValueError):
-        MBParams(c=0.0, theta=0.0)
-    with pytest.raises(ValueError):
         mb_params_for_hardedge(HardEdgeParams.from_nu((0.0, 0.3, 0.9)))
 
 
