@@ -17,13 +17,17 @@ phase, as perfbench scales its op latencies, and says so under
 
 ``--against FILE`` then prints, per workload, the new/old ratio of every
 metric and names the per-layer metric that moved most beyond single-run
-scatter, or says that none did.  Against a file whose times are scaled
-otherwise (older files hold wall-clock times) it names no time layer.
+scatter, or says that none did.  A time layer is judged after dividing its
+ratio by the workload's drift, the median ratio of its time layers, so a
+run that was slow throughout names no layer.  Against a file whose times
+are scaled otherwise (older files hold wall-clock times) it names no time
+layer.
 """
 
 import argparse
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +43,8 @@ COUNT_UNITS = ("count/pass", "GFLOP/pass")
 COUNT_BAND, SCATTER_FACTOR = 0.01, 1.3
 # per-layer units that are times, scaled to the reference speed
 TIME_UNITS = ("s/pass", "us")
+# a median of fewer time layers than this is no majority to call drift
+DRIFT_MIN_LAYERS = 3
 
 
 def run_workload(root: Path, workload: str, seed: int, seconds: float,
@@ -111,13 +117,25 @@ def _beyond_scatter(r: float, unit: str) -> bool:
     return r == 0.0 or max(r, 1.0 / r) > SCATTER_FACTOR
 
 
+def _drift(ratios: list) -> float:
+    """Median of a workload's time-layer ratios; 1 for too few layers.
+
+    The calibration kernel does not remove the whole host-speed drift of a
+    traced run: a run slow throughout moves every time layer together
+    (BENCH_16 against BENCH_15: flow's time layers all read x1.17-x1.30 on
+    unchanged code).  The median takes that common move out.
+    """
+    return statistics.median(ratios) if len(ratios) >= DRIFT_MIN_LAYERS else 1.0
+
+
 def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
     """Print every metric's new/old ratio; return the most-moved layer per workload.
 
-    A per-layer metric's move is |log(new/old)|, and it counts only beyond
-    single-run scatter for its unit in the BENCH file; metrics that read 0 on
-    both sides and the tracing overhead itself are left out of the choice,
-    and so are times when the two files scale them differently.
+    A per-layer metric's move is |log(new/old)|, a time's after dividing by
+    the workload's drift, and it counts only beyond single-run scatter for
+    its unit in the BENCH file; metrics that read 0 on both sides and the
+    tracing overhead itself are left out of the choice, and so are times
+    when the two files scale them differently.
     """
     units = {**old.get("units", {}), **new.get("units", {})}
     print(f"{new['commit']} against {old['commit']} (seed {new['seed']}, "
@@ -134,6 +152,15 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
             print(f"{wl}: not in the older file", file=stream)
             continue
         print(f"{wl}:", file=stream)
+        drift = 1.0
+        if times_comparable:
+            drift = _drift([
+                value / base["per_layer"][name]
+                for name, value in entry["per_layer"].items()
+                if units.get(name, "") in TIME_UNITS
+                and not name.startswith("trace.") and value > 0.0
+                and base["per_layer"].get(name, 0.0) > 0.0])
+            print(f"  drift x{drift:.3g} (median time-layer ratio)", file=stream)
         best, best_move = None, 0.0
         for key in ("end_to_end", "per_layer"):
             for name, value in entry[key].items():
@@ -144,6 +171,8 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
                 print(f"  {name:48s} {prev:12.6g} -> {value:12.6g}  x{r:.3g}",
                       file=stream)
                 unit = units.get(name, "")
+                if unit in TIME_UNITS:
+                    r /= drift
                 if (key == "per_layer" and not name.startswith("trace.")
                         and (times_comparable or unit not in TIME_UNITS)
                         and _beyond_scatter(r, unit)):
@@ -154,9 +183,10 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
         if best is None:
             print("  no layer moved beyond single-run scatter", file=stream)
         else:
-            print(f"  moved most: {best} "
-                  f"x{_ratio(entry['per_layer'][best], base['per_layer'][best]):.3g}",
-                  file=stream)
+            r = _ratio(entry["per_layer"][best], base["per_layer"][best])
+            after = (f" (x{r / drift:.3g} after drift)"
+                     if units.get(best, "") in TIME_UNITS and drift != 1.0 else "")
+            print(f"  moved most: {best} x{r:.3g}{after}", file=stream)
     return moved
 
 

@@ -11,8 +11,10 @@ verify    one verification report over a certified flow case (m1,
 mc        Monte Carlo gap curves with analytic oracle column for M=1
 gap       single-point theta=2 Muttalib-Borodin Fredholm evaluation
 ode       trajectory export as CSV (columns: s, re/im of every variable,
-          logE, res_* columns, one per first integral)
-sigma     the resolvent-jet residuals of verify at given abscissas
+          logE, res_* columns, one per first integral); the flow launches
+          at nu=(0,0) and (0,-1/2,0) only and refuses every other nu
+sigma     verify's resolvent-jet residuals at given abscissas (M=2: the
+          flow launches at nu=(0,-1/2,0) only)
 fit       tail fit from the (r, logE) first two columns of a CSV, such as
           table1.csv; a first line that starts with a letter is a header
 indicial  small-s exponent classification for an M=2 index pair
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=["json", "csv"], default="json")
     g.set_defaults(func=cmd_gap)
 
-    o = sub.add_parser("ode", help="trajectory export")
+    o = sub.add_parser("ode", help="trajectory export, nu=(0,0) or (0,-1/2,0)")
     o.add_argument("--m", type=int, choices=[1, 2], default=2)
     o.add_argument("--nu1", type=float, default=-0.5)
     o.add_argument("--nu2", type=float, default=0.0)
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--out", default="out")
     o.set_defaults(func=cmd_ode)
 
-    sg = sub.add_parser("sigma", help="sigma-form residual report")
+    sg = sub.add_parser("sigma", help="sigma-form residuals, nu=(0,-1/2,0)")
     sg.add_argument("--nu1", type=float, default=-0.5)
     sg.add_argument("--nu2", type=float, default=0.0)
     sg.add_argument("--s", type=float, nargs="+", default=[0.5, 1.0, 2.0])

@@ -3,8 +3,7 @@
 For one or two matrix factors the gap probability satisfies
 ``E_M(0;(0,s)) = exp( int_0^s eta_0(t)/t dt )`` where eta_0 rides along a
 system of 4(M+1) coupled first-order ODEs in the variables
-(x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0 (from
-the closed form at M=1, nu=(0,0), and from small-s eta_0 series at M=2),
+(x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0,
 integrates it with an adaptive embedded Runge-Kutta pair (scipy's DOP853,
 whose module is loaded at the first integration, not at import) in complex
 arithmetic, and monitors every first integral and structural identity
@@ -13,13 +12,10 @@ trajectory.  The first integrals gate the launch state before any
 integration, and every output state after it.  The right-hand sides run on
 Python complex scalars, which cost less per call than numpy scalars.
 
-At M=2 launching is the delicate part: the state is built from a small-s
-jet of eta_0 through the recovery relations.  With the six-term series of
-the special index set (0, -1/2, 0) every integral of motion holds at the
-launch point to roundoff and stays flat along the flow; the leading-order
-series of any other index set leaves the launch state off the integrals
-(eighth_integral 3e-2 to 1 at s0 = 1e-5), so the launch gate refuses it.  The
-x/y gauge (x -> lam x, y -> y/lam is a symmetry) is pinned by the boundary
+Two index sets launch: M=1 at nu=(0,0) from its closed-form trajectory, and
+M=2 at (0, -1/2, 0) from the six-term small-s eta_0 series through the
+recovery relations, where every integral of motion holds at launch to
+roundoff.  Every other index set is refused before any work.  The x/y gauge (x -> lam x, y -> y/lam is a symmetry) is pinned by the boundary
 behaviour of the decoupling factor G = x_0/y_2; its printed expansion is
 leading-order only, so gauge-sensitive quantities carry an O(sqrt(s0))
 offset that no invariant or gap quantity sees.
@@ -35,7 +31,7 @@ import numpy as np
 from .kernels import HardEdgeParams
 from .special_functions import gamma_real
 from . import sigma_forms
-from .sigma_forms import ResolventJet
+from .sigma_forms import ResolventJet, _norm_residual
 
 __all__ = [
     "HamiltonianState",
@@ -180,55 +176,34 @@ def rhs(state: HamiltonianState):
 # launch data
 # ---------------------------------------------------------------------------
 
-def _m2_series_jet(params: HardEdgeParams, s: float):
-    """(jet, loghead) for M=2 from the best available small-s series."""
-    if tuple(params.nu) == sigma_forms.SPECIAL_NU:
-        terms = sigma_forms.SPECIAL_ETA0_TERMS
-    else:
-        n0, n1, n2 = params.nu
-        a1, a2 = n1 - n0, n2 - n0
-        cA = -gamma_real(n2 - n1) / (gamma_real(a1 + 2) * gamma_real(a1 + 1)
-                                     * gamma_real(a2 + 1))
-        cB = -gamma_real(n1 - n2) / (gamma_real(a1 + 1) * gamma_real(a2 + 2)
-                                     * gamma_real(a2 + 1))
-        terms = ((cA, a1 + 1.0), (cB, a2 + 1.0))
-    return sigma_forms.eta0_power_series(terms, s)
-
-
 def launch_state(params: HardEdgeParams, s0: float):
-    """(state, loghead): the most accurate available launch at s0.
+    """(state, loghead): the certified launch at s0, or a ``FlowError``.
 
-    M=1 at nu=(0,0) uses the exact closed-form trajectory; every other M=1
-    index set is refused, since no launch for it is certified yet.  M=2
-    builds the state from the eta_0 jet through the recovery relations.  The
-    special index set (0, -1/2, 0) gets the six-term series, and all
-    integrals of motion hold at its launch to roundoff; anything else gets
-    the leading term only, whose launch state misses the integrals by far
-    more than roundoff, and ``integrate`` refuses it at its launch gate.
-    M=2 with integer nu_2 - nu_1 is refused, since the jet has Gamma poles
-    there, and an index set whose jet or gauge split fails is refused with
-    the failing quantity named.
+    M=1 at nu=(0,0) uses the exact closed-form trajectory.  M=2 at
+    (0, -1/2, 0) builds the state from the six-term eta_0 series through the
+    recovery relations, and every integral of motion holds there to
+    roundoff; a gauge split the series cannot make (from s0 ~ 0.1 on) is
+    refused with the failing quantity named.  Every other index set, at
+    either M, is refused before any work: no small-s launch known for it
+    keeps the integrals of motion.
     """
     nu = params.nu
-    if params.M == 1:
-        if nu != (0.0, 0.0):
-            raise FlowError(
-                f"no certified M=1 launch at nu_1={nu[1]:g}: only nu=(0,0) "
-                "launches (a Fredholm-data launch is ROADMAP item 2)")
+    if nu == (0.0, 0.0):
         s = s0
         state = HamiltonianState(
             s=s, x=np.array([1j, 1j * s]), y=np.array([-1j * s, 1j]),
             xi=np.array([s * s / 2, -s], dtype=complex),
-            eta=np.array([-s, -s * s / 2], dtype=complex),
-            params=params)
+            eta=np.array([-s, -s * s / 2], dtype=complex), params=params)
         return state, -s0
-    if not params.generic:
+    if nu != sigma_forms.SPECIAL_NU:
         raise FlowError(
-            f"no M=2 launch at integer nu_2 - nu_1 = {nu[2] - nu[1]:g}: the "
-            "series launch needs nu_2 - nu_1 off the integers")
+            f"no certified launch at nu=({', '.join(f'{v:g}' for v in nu)}): "
+            "only nu=(0,0) and (0,-1/2,0) launch (a Fredholm-data launch is "
+            "ROADMAP item 2)")
     n0, n1, n2 = nu
     try:
-        d, loghead = _m2_series_jet(params, s0)
+        d, loghead = sigma_forms.eta0_power_series(
+            sigma_forms.SPECIAL_ETA0_TERMS, s0)
         g_inv = (-gamma_real(n2 - n1) * gamma_real(n2 - n0 + 1) * s0 ** (n1 + n0)
                  - gamma_real(n1 - n2) * gamma_real(n1 - n0 + 1) * s0 ** (n2 + n0))
         x, y, xi, eta = sigma_forms.state_arrays_from_jet(s0, d, params, g_inv)
@@ -332,12 +307,6 @@ def _gate_first_integrals(states, tol: float) -> None:
 # ---------------------------------------------------------------------------
 # residual evaluators
 # ---------------------------------------------------------------------------
-
-def _norm_residual(terms) -> float:
-    # Python scalars again: an array round trip costs more than the sum
-    scale = max(abs(t) for t in terms)
-    return abs(sum(terms)) / scale if scale > 0 else 0.0
-
 
 def first_integral_residuals(state: HamiltonianState) -> dict:
     """Every integral of motion, evaluated verbatim and scale-normalized."""
@@ -446,9 +415,9 @@ def structural_residuals(state: HamiltonianState) -> dict:
     if m == 1:
         e1 = state.params.e[0]
         t1 = s ** (-e1) * y[0]
-        out["fold_x1"] = abs(x[1] + t1) / max(abs(x[1]), abs(t1), 1e-300)
+        out["fold_x1"] = _max_residual([(x[1], -t1)])
         t2 = s ** e1 * x[0]
-        out["fold_y1"] = abs(y[1] - t2) / max(abs(y[1]), abs(t2), 1e-300)
+        out["fold_y1"] = _max_residual([(y[1], t2)])
         out.update(_tracy_widom_residuals(s, state.params.nu[1], x, y, xi,
                                           eta, dx, dy, dxi, deta))
     return out

@@ -88,6 +88,13 @@ class ResolventJet:
     params: HardEdgeParams
 
 
+def _norm_residual(terms) -> float:
+    # |sum| over the largest |term|, on Python scalars: an array round trip
+    # costs more than the sum
+    scale = max(abs(t) for t in terms)
+    return abs(sum(terms)) / scale if scale > 0 else 0.0
+
+
 def eta0_power_series(terms, s: float) -> tuple:
     """(jet, loghead) of eta_0 = sum c s^p over the (c, p) terms.
 
@@ -369,8 +376,7 @@ def p3_sigma_residual(s: float, eta0: float, d1: float, d2: float,
              -e1 ** 2 * d1 ** 2,
              4 * d1 ** 2 * (s * d1 - eta0 + s + e2),
              -4 * eta0 * d1)
-    scale = max(abs(t) for t in terms)
-    return abs(sum(terms)) / scale if scale > 0 else 0.0
+    return _norm_residual(terms)
 
 
 def special_case_residuals(jet: ResolventJet) -> tuple:
@@ -389,9 +395,7 @@ def special_case_residuals(jet: ResolventJet) -> tuple:
              -12 * s * d1 * d2,
              0.75 * d1 * (d1 * (-48 * s * d1 + 16 * h + 1) + 4),
              -9.0)
-    third = abs(sum(terms)) / max(abs(t) for t in terms)
-    f_id = abs(d1 - 6.0 + 2.0 * jet.F) / max(abs(d1), 6.0, 2.0 * jet.F)
-    return third, f_id
+    return _norm_residual(terms), _norm_residual((d1, -6.0, 2.0 * jet.F))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +547,7 @@ def gode_residual(jet: ResolventJet) -> float:
              -4 * e1 ** 2,
              -12 * (h - e2 - 3 * s * d1 - s * d2 / d1),
              12 * s ** 2 * (d3 / d1 - 0.75 * (d2 / d1) ** 2))
-    return abs(sum(terms)) / max(abs(t) for t in terms)
+    return _norm_residual(terms)
 
 
 def appendix_recover(state) -> dict:

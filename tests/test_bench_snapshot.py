@@ -98,3 +98,31 @@ def test_compare_against_wall_clock_names_no_time_layer():
     # two scaled files compare their times
     assert _load().compare(new, {**old, "scaled_times": "reference speed"},
                            io.StringIO()) == {"table1": "cli.table1_self_s"}
+
+
+def test_compare_divides_times_by_the_workload_drift():
+    # BENCH_16 against BENCH_15: a flow run slow throughout, every time layer
+    # at x1.2-x1.3 and every count flat, names nothing
+    units = {"a_s": "s/pass", "b_s": "s/pass", "c_s": "s/pass", "d_us": "us",
+             "n_calls": "count/pass"}
+    old_layers = {"a_s": 1.0, "b_s": 1.0, "c_s": 1.0, "d_us": 10.0,
+                  "n_calls": 660.0}
+
+    def bench(commit, layers):
+        return {"commit": commit, "seed": 1, "run_seconds": 15, "nproc": 2,
+                "units": units, "scaled_times": "reference speed",
+                "workloads": {"flow": {"end_to_end": {"op_p50_ms": 25.0},
+                                       "per_layer": layers}}}
+
+    old = bench("a", old_layers)
+    slow = bench("b", {"a_s": 1.2, "b_s": 1.25, "c_s": 1.305, "d_us": 12.1,
+                       "n_calls": 660.0})
+    out = io.StringIO()
+    assert _load().compare(slow, old, out) == {"flow": None}
+    assert "drift x1.23 (median time-layer ratio)" in out.getvalue()
+    # BENCH_17 against BENCH_16: one layer at x0.42 among others at x0.8
+    fast = bench("c", {"a_s": 0.42, "b_s": 0.8, "c_s": 0.8, "d_us": 8.0,
+                       "n_calls": 660.0})
+    out = io.StringIO()
+    assert _load().compare(fast, old, out) == {"flow": "a_s"}
+    assert "moved most: a_s x0.42 (x0.525 after drift)" in out.getvalue()

@@ -192,7 +192,7 @@ def _raises(exc):
     pytest.param(["ode", "--m", "1", "--nu1", "0.5"], None, 1,
                  "a Fredholm-data launch is ROADMAP item 2", id="ode-refusal"),
     pytest.param(["sigma", "--nu1", "0", "--nu2", "1"], None, 1,
-                 "no M=2 launch at integer nu_2 - nu_1", id="sigma-refusal"),
+                 "no certified launch at nu=(0, 0, 1)", id="sigma-refusal"),
     pytest.param(["mc", "--samples", "10"],
                  (cli, "sample_min_singular_sq",
                   np.linalg.LinAlgError("Eigenvalues did not converge")),

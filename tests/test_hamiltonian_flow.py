@@ -29,47 +29,49 @@ def test_launch_state_residuals_small_at_tiny_s0(params_m2):
     assert max(r.values()) <= 1e-6
 
 
-@pytest.mark.parametrize("v", [-0.5, 0.3, 1.0, 2.5])
-def test_m1_launch_refused_before_integrating(v, monkeypatch, tmp_path):
-    # M=1 has a certified launch only at nu=(0,0); any other nu_1 is refused
-    # at launch, without running the integrator
-    def no_integration(*args, **kwargs):
-        raise AssertionError("solve_ivp called for a refused launch")
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused launch reached the jet, gate or integrator")
 
-    monkeypatch.setattr(flow, "solve_ivp", no_integration)
-    with pytest.raises(flow.FlowError, match=f"nu_1={v:g}"):
-        flow.integrate(HardEdgeParams.from_nu((0.0, v)), 1e-5, [1e-4, 1.0])
-    assert main(["ode", "--m", "1", "--nu1", str(v), "--s-max", "1.0",
+
+# M=1 off (0,0); M=2 at integer nu_2 - nu_1, with a negative launch radical,
+# with leading-term launches that miss the first integrals, and (0, 0.3, 0),
+# which the loosest gate let through from s0 = 1e-12 with log E 1.4e-4 off
+@pytest.mark.parametrize("nu", [
+    (0.0, -0.5), (0.0, 0.3), (0.0, 1.0), (0.0, 2.5),
+    (0.0, 0.0, 1.0), (0.0, 0.5, 1.5), (0.0, -0.75, -0.5), (0.0, -0.5, -0.75),
+    (0.0, 0.0, 0.5), (0.0, 0.3, 1.1), (0.0, 0.25, -0.25), (0.0, 1.5, 0.0),
+    (0.0, 0.3, 0.0)], ids=lambda nu: ",".join(f"{v:g}" for v in nu))
+def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
+    # only nu=(0,0) and (0,-1/2,0) launch; every other index set is refused
+    # with one text before any jet, first-integral gate or integration, and
+    # ode and sigma exit 1 (a numerical refusal, not a usage error)
+    monkeypatch.setattr(flow, "solve_ivp", _no_work)
+    monkeypatch.setattr(flow, "first_integral_residuals", _no_work)
+    monkeypatch.setattr(flow.sigma_forms, "eta0_power_series", _no_work)
+    monkeypatch.setattr(flow.sigma_forms, "state_arrays_from_jet", _no_work)
+    match = (r"no certified launch at nu=\(" + ", ".join(f"{v:g}" for v in nu)
+             + r"\): only nu=\(0,0\) and \(0,-1/2,0\) launch")
+    for s0, tol in ((1e-5, 1e-10), (1e-12, 1e-6)):
+        with pytest.raises(flow.FlowError, match=match):
+            flow.integrate(HardEdgeParams.from_nu(nu), s0, [1e-4, 1.0], tol=tol)
+    nus = ["--nu1", str(nu[1])] + (["--nu2", str(nu[2])] if len(nu) == 3 else [])
+    assert main(["ode", "--m", str(len(nu) - 1), *nus, "--s-max", "1.0",
                  "--points", "4", "--out", str(tmp_path)]) == 1
+    if len(nu) == 3:
+        assert main(["sigma", *nus, "--s", "0.5"]) == 1
 
 
-def _assert_m2_refused_before_integrating(nu, match, monkeypatch, tmp_path):
-    # a numerical refusal (exit 1 from ode and sigma), not a usage error
-    def no_integration(*args, **kwargs):
-        raise AssertionError("solve_ivp called for a refused launch")
-
-    monkeypatch.setattr(flow, "solve_ivp", no_integration)
-    with pytest.raises(flow.FlowError, match=match):
-        flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, [1e-4, 1.0])
-    nus = ["--nu1", str(nu[1]), "--nu2", str(nu[2])]
-    assert main(["ode", "--m", "2", *nus, "--s-max", "1.0", "--points", "4",
-                 "--out", str(tmp_path)]) == 1
-    assert main(["sigma", *nus, "--s", "0.5"]) == 1
-
-
-@pytest.mark.parametrize("nu", [(0.0, 0.0, 1.0), (0.0, 0.5, 1.5)])
-def test_m2_integer_difference_refused_before_integrating(nu, monkeypatch,
-                                                          tmp_path):
-    _assert_m2_refused_before_integrating(nu, "nu_2 - nu_1 = 1", monkeypatch,
-                                          tmp_path)
-
-
-@pytest.mark.parametrize("nu", [(0.0, -0.75, -0.5), (0.0, -0.5, -0.75)])
-def test_m2_negative_radical_refused_before_integrating(nu, monkeypatch,
-                                                         tmp_path):
-    # the launch jet's F^2 is genuinely negative; the refusal names nu and F^2
-    match = rf"nu=\(0, {nu[1]:g}, {nu[2]:g}\): F\^2 genuinely negative"
-    _assert_m2_refused_before_integrating(nu, match, monkeypatch, tmp_path)
+def test_special_launch_refused_where_the_gauge_split_fails():
+    # the six-term series launches at s0 = 0.05 but cannot split the gauge
+    # from s0 = 0.1 on
+    params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
+    st, _ = flow.launch_state(params, 0.05)
+    assert st.s == 0.05
+    for s0 in (0.1, 0.5):
+        with pytest.raises(flow.FlowError,
+                           match=r"nu=\(0, -0.5, 0\): gauge split needs "
+                                 r"G \* eta0' > 0"):
+            flow.launch_state(params, s0)
 
 
 def test_scipy_integrate_loaded_at_first_integration():
@@ -190,18 +192,6 @@ def test_self_convergence_eta0(params_m2):
         traj = flow.integrate(params_m2, 1e-5, [5.0], tol=tol)
         vals[tol] = traj.states[-1].eta[0].real
     assert abs(vals[1e-9] - vals[1e-10]) <= 10.0 * 1e-9
-
-
-@pytest.mark.parametrize("nu", [(0.0, 0.0, 0.5), (0.0, 0.3, 1.1),
-                                (0.0, 0.25, -0.25), (0.0, 1.5, 0.0)],
-                         ids=["c1", "generic", "quarter", "nu1.5"])
-def test_gate_failed_launch_refused_before_integrating(nu, monkeypatch,
-                                                       tmp_path):
-    # these launch states already fail the first-integral gate, so the gate
-    # refuses them before any integration pass
-    _assert_m2_refused_before_integrating(
-        nu, "first-integral blow-up: eighth_integral@s=1e-05", monkeypatch,
-        tmp_path)
 
 
 @pytest.mark.parametrize("nu, s0", [((0.0, 0.0), 0.0), ((0.0, 0.0), -1e-3),
