@@ -13,11 +13,12 @@ gap       single-point theta=2 Muttalib-Borodin Fredholm evaluation
 ode       trajectory export as CSV (columns: s, re/im of every variable,
           logE, res_* columns, one per first integral); the flow launches
           at nu=(0,0) and (0,-1/2,0) only and refuses every other nu
-sigma     verify's resolvent-jet residuals at given abscissas (M=2: the
-          flow launches at nu=(0,-1/2,0) only)
+sigma     verify's resolvent-jet residuals at given abscissas, nu=(0,-1/2,0)
 fit       tail fit from the (r, logE) first two columns of a CSV, such as
           table1.csv; a first line that starts with a letter is a header
 indicial  small-s exponent classification for an M=2 index pair
+
+mc, ode and indicial take ``--nu nu_1 ... nu_M``: nu_0 = 0, M their count.
 
 Exit codes: 0 success; 1 a numerical refusal or failed check
 (NonConvergedError, FlowError, FloatingPointError, LinAlgError, or a
@@ -175,17 +176,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = McConfig(M=args.m, N0=args.n0, nu_int=tuple(args.nu),
+    cfg = McConfig(M=len(args.nu), N0=args.n0, nu_int=tuple(args.nu),
                    samples=args.samples, seed=args.seed)
-    s_grid = args.s_grid or [0.5, 1.0, 2.0]
     # the oracle may refuse an s; ask it before paying for the samples
     oracle = None
     if cfg.M == 1:
         params = HardEdgeParams.from_nu((0.0, float(cfg.nu_int[0])))
         oracle = [gap_probability_hardedge(params, s, target_tol=1e-9).E
-                  for s in s_grid]
+                  for s in args.s_grid]
     result = sample_min_singular_sq(cfg)
-    rows = empirical_gap(result, s_grid)
+    rows = empirical_gap(result, args.s_grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_paths = []
@@ -209,7 +209,7 @@ def cmd_mc(args) -> int:
             fh.write(",".join(cells) + "\n")
     _write_manifest(out_dir, "mc",
                     {"M": cfg.M, "N0": cfg.N0, "nu": list(cfg.nu_int),
-                     "samples": cfg.samples, "s_grid": list(s_grid)},
+                     "samples": cfg.samples, "s_grid": list(args.s_grid)},
                     [csv_path] + out_paths, seed=cfg.seed)
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -229,25 +229,22 @@ def cmd_gap(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    nu = (0.0, args.nu1) if args.m == 1 else (0.0, args.nu1, args.nu2)
+    params = HardEdgeParams.from_nu((0.0, *args.nu))
     grid = np.geomspace(10 * LAUNCH_S, args.s_max, args.points)
-    traj = flow.integrate(HardEdgeParams.from_nu(nu), LAUNCH_S, grid,
-                          tol=args.tol)
-    text = flow.trajectory_csv(traj)
+    traj = flow.integrate(params, LAUNCH_S, grid, tol=args.tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trajectory.csv"
-    path.write_text(text)
+    path.write_text(flow.trajectory_csv(traj))
     _write_manifest(out_dir, "ode",
-                    {"m": args.m, "nu1": args.nu1, "nu2": args.nu2,
-                     "s_max": args.s_max, "tol": args.tol,
-                     "points": args.points}, [path])
+                    {"M": params.M, "nu": args.nu, "s_max": args.s_max,
+                     "tol": args.tol, "points": args.points}, [path])
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
-    params = HardEdgeParams.from_nu((0.0, args.nu1, args.nu2))
+    params = HardEdgeParams.from_nu(CASES["m2-special"][0])
     traj = flow.integrate(params, LAUNCH_S, sorted(args.s), tol=args.tol)
     # the first state is the launch; every other is one of the abscissas
     report = [{"s": st.s, "eta0": float(st.eta[0].real), **jet_residuals(st)}
@@ -279,7 +276,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_indicial(args) -> int:
-    params = HardEdgeParams.from_nu((0.0, args.nu1, args.nu2))
+    params = HardEdgeParams.from_nu((0.0, *args.nu))
     rep = indicial_exponents(params)
     payload = {
         "nu": list(params.nu),
@@ -325,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("mc", help="Monte Carlo gap curves")
-    m.add_argument("--m", type=int, default=1)
     m.add_argument("--n0", type=int, default=50)
-    m.add_argument("--nu", type=int, nargs="+", default=[0])
+    m.add_argument("--nu", type=int, nargs="+", default=[0], metavar="NU",
+                   help="integer nu_1 .. nu_M; M is their count (default: 0)")
     m.add_argument("--samples", type=int, default=10000)
     m.add_argument("--seed", type=int, default=7)
-    m.add_argument("--s-grid", type=float, nargs="+", default=None)
+    m.add_argument("--s-grid", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     m.add_argument("--save-samples", action="store_true")
     m.add_argument("--out", default="out")
     m.set_defaults(func=cmd_mc)
@@ -343,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gap)
 
     o = sub.add_parser("ode", help="trajectory export, nu=(0,0) or (0,-1/2,0)")
-    o.add_argument("--m", type=int, choices=[1, 2], default=2)
-    o.add_argument("--nu1", type=float, default=-0.5)
-    o.add_argument("--nu2", type=float, default=0.0)
+    o.add_argument("--nu", type=float, nargs="+", metavar="NU",
+                   default=list(CASES["m2-special"][0][1:]),
+                   help="nu_1 .. nu_M; M is their count (default: -0.5 0)")
     o.add_argument("--s-max", type=float, default=5.0)
     o.add_argument("--tol", type=float, default=1e-10)
     o.add_argument("--points", type=int, default=40)
@@ -353,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_ode)
 
     sg = sub.add_parser("sigma", help="sigma-form residuals, nu=(0,-1/2,0)")
-    sg.add_argument("--nu1", type=float, default=-0.5)
-    sg.add_argument("--nu2", type=float, default=0.0)
     sg.add_argument("--s", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     sg.add_argument("--tol", type=float, default=1e-10)
     sg.set_defaults(func=cmd_sigma)
@@ -368,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fit)
 
     i = sub.add_parser("indicial", help="small-s exponent classification")
-    i.add_argument("--nu1", type=float, required=True)
-    i.add_argument("--nu2", type=float, required=True)
+    i.add_argument("--nu", type=float, nargs=2, required=True,
+                   metavar=("NU_1", "NU_2"), help="nu_1 nu_2 (M=2)")
     i.set_defaults(func=cmd_indicial)
     return p
 

@@ -72,33 +72,32 @@ _WU = 0.5 * _WU
 
 @dataclass(frozen=True)
 class HardEdgeParams:
-    """Parameter set {M, nu_0..nu_M} with derived symmetric-function data.
+    """Index set nu_0..nu_M, M = len(nu) - 1, with symmetric-function data.
 
     nu[0] must be 0 (the product construction pins the first index there) and
     every nu_m must exceed -1 for integrability at the hard edge.  ``e``
     holds the elementary symmetric functions e_1..e_{M+1} of all nu's.
     """
 
-    M: int
     nu: tuple
+    M: int = field(init=False)
     e: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.M not in (1, 2):
-            raise ValueError("only M in {1, 2} is supported")
         nu = tuple(float(v) for v in self.nu)
-        if len(nu) != self.M + 1:
-            raise ValueError(f"expected {self.M + 1} indices, got {len(nu)}")
+        if len(nu) - 1 not in (1, 2):
+            raise ValueError("only M in {1, 2} is supported")
         if nu[0] != 0.0:
             raise ValueError("nu_0 must be 0")
         if any(v <= -1.0 for v in nu):
             raise ValueError("every nu_m must exceed -1")
         object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "M", len(nu) - 1)
         object.__setattr__(self, "e", elementary_symmetric(nu))
 
     @classmethod
     def from_nu(cls, nu) -> "HardEdgeParams":
-        return cls(M=len(nu) - 1, nu=tuple(nu))
+        return cls(nu)
 
     @property
     def generic(self) -> bool:

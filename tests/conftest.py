@@ -1,7 +1,14 @@
-import pytest
+import os
 
-from hardedge import HardEdgeParams
-from hardedge.verification import CASES, integrate_case
+# one BLAS thread, as perfbench runs: numpy and scipy each load their own
+# OpenBLAS, and two thread pools alternating on small matrices cost more
+# than they parallelise; set before anything imports numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from hardedge import HardEdgeParams  # noqa: E402
+from hardedge.verification import CASES, integrate_case  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -189,10 +189,10 @@ def _raises(exc):
     pytest.param(["verify", "m1"],
                  (flow, "integrate", flow.FlowError("drift")), 1, "drift",
                  id="verify-flow-error"),
-    pytest.param(["ode", "--m", "1", "--nu1", "0.5"], None, 1,
+    pytest.param(["ode", "--nu", "0.5"], None, 1,
                  "a Fredholm-data launch is ROADMAP item 2", id="ode-refusal"),
-    pytest.param(["sigma", "--nu1", "0", "--nu2", "1"], None, 1,
-                 "no certified launch at nu=(0, 0, 1)", id="sigma-refusal"),
+    pytest.param(["ode", "--nu", "0", "0", "0"], None, 2,
+                 "only M in {1, 2} is supported", id="ode-m3"),
     pytest.param(["mc", "--samples", "10"],
                  (cli, "sample_min_singular_sq",
                   np.linalg.LinAlgError("Eigenvalues did not converge")),
@@ -225,7 +225,7 @@ def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys, monkeypatch):
         raise AssertionError("sampled before the oracle refused")
 
     monkeypatch.setattr(cli, "sample_min_singular_sq", no_sampling)
-    rc = main(["mc", "--m", "1", "--n0", "10", "--samples", "200",
+    rc = main(["mc", "--n0", "10", "--samples", "200",
                "--s-grid", "0.5", "30", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
@@ -234,7 +234,7 @@ def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys, monkeypatch):
 
 
 def test_mc_deterministic_output(tmp_path):
-    args = ["mc", "--m", "1", "--n0", "8", "--nu", "0", "--samples", "400",
+    args = ["mc", "--n0", "8", "--nu", "0", "--samples", "400",
             "--seed", "7", "--s-grid", "0.5", "1.0"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
@@ -248,7 +248,7 @@ def test_mc_deterministic_output(tmp_path):
 
 
 def test_ode_export(tmp_path):
-    rc = main(["ode", "--m", "2", "--nu1", "-0.5", "--nu2", "0.0",
+    rc = main(["ode", "--nu", "-0.5", "0.0",
                "--s-max", "1.0", "--points", "12", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "trajectory.csv").read_text().strip().split("\n")
@@ -259,6 +259,35 @@ def test_ode_export(tmp_path):
     res_cols = [i for i, h in enumerate(header) if h.startswith("res_")
                 and not h.endswith("imag_leakage")]
     assert np.max(np.abs(data[:, res_cols])) < 1e-8
+    manifest = json.loads((tmp_path / "ode.manifest.json").read_text())
+    assert (manifest["parameters"]["M"], manifest["parameters"]["nu"]) == (
+        2, [-0.5, 0.0])
+
+
+def test_ode_m1_from_one_nu(tmp_path):
+    # one --nu value is M=1; the manifest records M and the values given
+    assert main(["ode", "--nu", "0", "--s-max", "1.0", "--points", "4",
+                 "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "ode.manifest.json").read_text())[
+        "parameters"]
+    assert (params["M"], params["nu"]) == (1, [0.0])
+    assert not {"m", "nu1", "nu2"} & set(params)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ode", "--m", "1"], id="ode-m"),
+    pytest.param(["ode", "--nu1", "0"], id="ode-nu1"),
+    pytest.param(["mc", "--m", "2"], id="mc-m"),
+    pytest.param(["sigma", "--nu1", "0"], id="sigma-nu1"),
+    pytest.param(["indicial", "--nu1", "-0.5", "--nu2", "0"],
+                 id="indicial-nu1-nu2"),
+    pytest.param(["indicial", "--nu", "-0.5"], id="indicial-one-nu"),
+    pytest.param(["indicial"], id="indicial-no-nu")])
+def test_index_set_is_named_by_nu_alone(argv, capsys):
+    # M is the number of --nu values, so no option states it again
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_sigma_command(capsys):
@@ -283,6 +312,12 @@ def test_fit_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["a1"] == pytest.approx(a1, abs=1e-10)
     assert payload["a1_extrapolated"] == pytest.approx(a1, abs=1e-8)
+    # the CSV format prints the same numbers under a one-line header
+    assert main(["fit", str(path), "--extrapolate", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    cols = ["a1", "b1", "c1", "residual", "a1_extrapolated"]
+    assert header.split(",") == cols
+    assert [float(v) for v in row.split(",")] == [payload[c] for c in cols]
 
 
 def test_fit_command_refuses_nan_row(tmp_path, capsys):
@@ -295,6 +330,12 @@ def test_fit_command_refuses_nan_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: non-finite point at r=6\n"
+    # a header without rows, as from a table1 run with every cell refused
+    path.write_text("r,logE_c0\n")
+    assert main(["fit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} has no (r, logE) rows\n"
 
 
 def test_ode_launch_point_is_not_an_option():
@@ -310,7 +351,7 @@ def test_ode_refuses_empty_grid(tmp_path, capsys):
 
 
 def test_indicial_command(capsys):
-    rc = main(["indicial", "--nu1", "-0.5", "--nu2", "0.0"])
+    rc = main(["indicial", "--nu", "-0.5", "0.0"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert sorted(set(payload["fixed_exponents"])) == [0.5, 1.0, 1.5]
@@ -318,7 +359,7 @@ def test_indicial_command(capsys):
 
 
 def test_mc_save_samples(tmp_path):
-    rc = main(["mc", "--m", "1", "--n0", "4", "--nu", "0", "--samples", "32",
+    rc = main(["mc", "--n0", "4", "--nu", "0", "--samples", "32",
                "--seed", "3", "--save-samples", "--out", str(tmp_path)])
     assert rc == 0
     raw = tmp_path / "lambda_min.f64"

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from hardedge.kernels import HardEdgeParams
-from hardedge.fredholm import gap_probability_hardedge
 from hardedge.ginibre_mc import (
     McConfig,
     _factors,
@@ -105,16 +103,6 @@ def test_empirical_gap_is_survival_function():
     assert all(b <= a for a, b in zip(ps, ps[1:]))
     for _, p, lo, hi in rows:
         assert lo <= p <= hi
-
-
-def test_m1_gap_matches_bessel_fredholm():
-    cfg = McConfig(M=1, N0=50, nu_int=(0,), samples=10_000, seed=7)
-    res = sample_min_singular_sq(cfg)
-    params = HardEdgeParams.from_nu((0.0, 0.0))
-    for s, p_hat, _, _ in empirical_gap(res, [0.5, 1.0, 2.0]):
-        e = gap_probability_hardedge(params, s, target_tol=1e-9).E
-        sd = math.sqrt(e * (1 - e) / cfg.samples)
-        assert abs(p_hat - e) <= 3.0 * sd
 
 
 def test_wilson_interval():

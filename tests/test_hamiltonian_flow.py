@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def _no_work(*args, **kwargs):
 def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
     # only nu=(0,0) and (0,-1/2,0) launch; every other index set is refused
     # with one text before any jet, first-integral gate or integration, and
-    # ode and sigma exit 1 (a numerical refusal, not a usage error)
+    # ode exits 1 (a numerical refusal, not a usage error)
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
     monkeypatch.setattr(flow, "first_integral_residuals", _no_work)
     monkeypatch.setattr(flow.sigma_forms, "eta0_power_series", _no_work)
@@ -54,11 +55,8 @@ def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
     for s0, tol in ((1e-5, 1e-10), (1e-12, 1e-6)):
         with pytest.raises(flow.FlowError, match=match):
             flow.integrate(HardEdgeParams.from_nu(nu), s0, [1e-4, 1.0], tol=tol)
-    nus = ["--nu1", str(nu[1])] + (["--nu2", str(nu[2])] if len(nu) == 3 else [])
-    assert main(["ode", "--m", str(len(nu) - 1), *nus, "--s-max", "1.0",
+    assert main(["ode", "--nu", *map(str, nu[1:]), "--s-max", "1.0",
                  "--points", "4", "--out", str(tmp_path)]) == 1
-    if len(nu) == 3:
-        assert main(["sigma", *nus, "--s", "0.5"]) == 1
 
 
 def test_special_launch_refused_where_the_gauge_split_fails():
@@ -218,6 +216,52 @@ def test_integrate_validates_inputs(params_m2):
         flow.integrate(params_m2, 0.5, [0.1])
     with pytest.raises(ValueError, match="s_targets is empty"):
         flow.integrate(params_m2, 1e-5, [])
+
+
+def test_gate_refuses_launch_off_its_integrals(params_m2, monkeypatch):
+    # a launch state nudged off its integrals is refused before integration,
+    # with the integral and the launch abscissa named
+    launch_state = flow.launch_state
+
+    def nudged(params, s0):
+        st, loghead = launch_state(params, s0)
+        st.eta[0] += 1e-6
+        return st, loghead
+
+    monkeypatch.setattr(flow, "launch_state", nudged)
+    monkeypatch.setattr(flow, "solve_ivp", _no_work)
+    with pytest.raises(flow.FlowError,
+                       match=r"^first-integral blow-up: \w+@s=1e-05 reached "):
+        flow.integrate(params_m2, 1e-5, [1e-4, 1.0])
+
+
+def test_gate_refuses_drift_at_one_output_state(params_m2, monkeypatch):
+    # a drift in one output state refuses the trajectory and names its s
+    run_segments = flow._run_segments
+
+    def drifted(*args):
+        states, log_gap = run_segments(*args)
+        for st in states:
+            if st.s == 0.5:
+                st.eta[0] += 1e-6
+        return states, log_gap
+
+    monkeypatch.setattr(flow, "_run_segments", drifted)
+    with pytest.raises(flow.FlowError,
+                       match=r"^first-integral blow-up: \w+@s=0.5 reached "):
+        flow.integrate(params_m2, 1e-5, [0.1, 0.5, 1.0])
+
+
+def test_integrator_failure_is_a_flow_error(params_m2, monkeypatch, tmp_path,
+                                            capsys):
+    # an unsuccessful solve_ivp pass raises FlowError, and ode exits 1
+    message = "Required step size is less than spacing between numbers."
+    monkeypatch.setattr(flow, "solve_ivp", lambda *args, **kwargs:
+                        SimpleNamespace(success=False, message=message))
+    with pytest.raises(flow.FlowError, match=f"^integrator failed: {message}$"):
+        flow.integrate(params_m2, 1e-5, [1e-4, 1.0])
+    assert main(["ode", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: integrator failed: {message}\n"
 
 
 # ---------------------------------------------------------------------------
