@@ -43,7 +43,6 @@ class IndicialReport:
     large-s exponents (-2/3 and -1); no solver derives them here.
     """
 
-    params: HardEdgeParams
     fixed_exponents: tuple
     lambda_zero: float
     quadratic_pair: tuple
@@ -84,7 +83,7 @@ def indicial_exponents(params: HardEdgeParams) -> IndicialReport:
         base = complex(t) ** (1.0 / 3.0)
         for k in range(3):
             roots.append(base * np.exp(2j * math.pi * k / 3.0))
-    return IndicialReport(params=params, fixed_exponents=fixed,
+    return IndicialReport(fixed_exponents=fixed,
                           lambda_zero=0.0, quadratic_pair=quad_pair,
                           halfinteger_pair=half_pair,
                           fractional_C1=tuple(roots),

@@ -2,16 +2,16 @@
 
 The integral operator is discretized on an n-point Gauss-Legendre rule as
 ``D_ij = sqrt(w_i w_j) K(x_i, x_j)`` (valid for non-symmetric kernels) and
-the determinant of ``I - D`` is taken through a pivoted LU factorization with
-the log-determinant accumulated from the pivots, so gap probabilities down to
-~1e-12 survive without underflow.  Node doubling from 16 nodes stops when
+only the log-determinant of ``I - D`` is kept, from one
+``numpy.linalg.slogdet`` call, so gap probabilities down to ~1e-12 survive
+without underflow.  Node doubling from 16 nodes stops when
 two successive log-determinants agree to the requested tolerance; the error
 then falls exponentially in n whenever the discretized kernel is analytic on
 the closed interval (Bornemann, Math. Comp. 79 (2010), arXiv:0804.2543).
 The reference rule on (-1, 1) is built once per n and shared by every call
-that asks for n nodes; only its affine map to (a, b) is computed per call.
+that asks for n nodes; only its scaling to (0, b) is computed per call.
 ``mb_logdet_column`` takes a Muttalib-Borodin table column (one c and n, every
-r) from one batched factor-table sweep, then one K and one LU per r.
+r) from one batched factor-table sweep, then one K and one slogdet per r.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import (
     KernelBundle,
@@ -51,8 +50,8 @@ _R_MAX = 15.0
 
 
 class NonConvergedError(RuntimeError):
-    """Node doubling hit the cap, or a determinant lost positivity, before
-    reaching the requested tolerance."""
+    """Node doubling hit the cap, or a determinant was refused (zero,
+    non-finite or negative), before reaching the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -73,47 +72,45 @@ def _reference_rule(n: int) -> tuple:
     return x, w
 
 
-def make_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """The n-point Gauss-Legendre rule (degree 2n-1 exact) mapped to (a, b).
+def make_rule(n: int, b: float) -> QuadratureRule:
+    """The n-point Gauss-Legendre rule (degree 2n-1 exact) mapped to (0, b).
 
     The rule on (-1, 1) comes from a per-n cache, so repeated calls (node
-    doubling, table cells) pay only for the affine map.
+    doubling, table cells) pay only for the scaling.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not b > a:
-        raise ValueError("need b > a")
+    if not b > 0:
+        raise ValueError("need b > 0")
     x, w = _reference_rule(n)
-    nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-    weights = 0.5 * (b - a) * w
-    return QuadratureRule(n, nodes, weights)
+    return QuadratureRule(n, 0.5 * b * x + 0.5 * b, 0.5 * b * w)
 
 
-def fredholm_det(kernel, rule: QuadratureRule) -> tuple:
-    """(det, logdet) of 1 - K discretized on the rule.
+def fredholm_det(kernel, rule: QuadratureRule) -> float:
+    """log det(1 - K) discretized on the rule.
 
     ``kernel(xs, ys)`` must return the matrix K(xs_i, ys_j) for 1-D node
-    arrays.  logdet is accumulated from the LU pivots; a non-positive sign
-    of the determinant raises (the discretized operator left the physical
-    regime or is singular to working precision).
+    arrays.  A determinant that is zero to working precision, non-finite
+    (a NaN or inf in K) or negative (the discretized operator left the
+    physical regime) raises FloatingPointError.
     """
     K = np.asarray(kernel(rule.nodes, rule.nodes), dtype=float)
     sw = np.sqrt(rule.weights)
-    D = np.eye(rule.n) - sw[:, None] * K * sw[None, :]
-    lu, piv = scipy.linalg.lu_factor(D, check_finite=True)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
+    sign, logdet = np.linalg.slogdet(np.eye(rule.n) - sw[:, None] * K * sw[None, :])
+    if sign == 0:
         raise FloatingPointError("factorization singular to working precision")
-    logdet = float(np.sum(np.log(np.abs(diag))))
-    sign = 1.0 if (np.sum(piv != np.arange(rule.n)) + np.sum(diag < 0)) % 2 == 0 else -1.0
-    if sign <= 0:
+    if not math.isfinite(logdet):
+        raise FloatingPointError(f"Fredholm log-determinant is not finite ({logdet})")
+    if sign < 0:
         raise FloatingPointError("Fredholm determinant lost positivity")
-    return math.exp(logdet), logdet
+    return float(logdet)
 
 
 @dataclass(frozen=True)
 class GapPoint:
-    abscissa: float
+    """A converged gap probability: E, log E, the node count that met the
+    tolerance and the last node-doubling step |delta log E|."""
+
     E: float
     logE: float
     node_count_used: int
@@ -126,7 +123,7 @@ def _converge_logdet(kernel_fn, interval_len: float, target_tol: float):
     n = _N_START
     while n <= _N_MAX:
         try:
-            _, logdet = fredholm_det(kernel_fn, make_rule(n, 0.0, interval_len))
+            logdet = fredholm_det(kernel_fn, make_rule(n, interval_len))
         except FloatingPointError as exc:
             raise NonConvergedError(f"{exc} at {n} nodes") from exc
         if prev is not None and abs(logdet - prev) < target_tol:
@@ -149,7 +146,7 @@ def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapP
     _check_mb_interval(r)
     kernel = functools.partial(borodin_kernel_matrix, mb)
     logdet, n, est = _converge_logdet(kernel, r, target_tol)
-    return GapPoint(r, math.exp(logdet), logdet, n, est)
+    return GapPoint(math.exp(logdet), logdet, n, est)
 
 
 def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
@@ -157,13 +154,13 @@ def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
     bit for bit its own ``fredholm_det`` call, from one batched Horner sweep
     per factor; a refused r's entry is its ``FloatingPointError``."""
     _check_mb_interval(max(rs))
-    rules = [make_rule(n, 0.0, float(r)) for r in rs]
+    rules = [make_rule(n, float(r)) for r in rs]
     nodes = np.array([rule.nodes for rule in rules])
     column = []
     for rule, A, B in zip(rules, *borodin_factor_tables(mb, nodes, nodes)):
         kernel = functools.partial(borodin_kernel_matrix, mb, tables=(A, B))
         try:
-            column.append(fredholm_det(kernel, rule)[1])
+            column.append(fredholm_det(kernel, rule))
         except FloatingPointError as exc:
             column.append(exc)
     return column
@@ -191,4 +188,4 @@ def gap_probability_hardedge(params_or_bundle, s: float,
         return kernel_matrix(bundle, (ts / 2.0) ** 2, (us / 2.0) ** 2) * (us / 2.0)
 
     logdet, n, est = _converge_logdet(kfn, 2.0 * math.sqrt(s), target_tol)
-    return GapPoint(s, math.exp(logdet), logdet, n, est)
+    return GapPoint(math.exp(logdet), logdet, n, est)

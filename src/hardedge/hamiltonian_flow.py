@@ -490,8 +490,7 @@ def eta_derivatives(state: HamiltonianState) -> ResolventJet:
          float(d3c.real), float(d4c.real))
     F = sigma_forms.radical_F(s, d, e1, e2)
     return ResolventJet(s=s, d=d, F=F, U=float(U.real), V=float(V.real),
-                        W=float(W.real), Z=float(Z.real),
-                        G=float((x0 / y2).real), params=state.params)
+                        params=state.params)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -73,8 +73,7 @@ class ResolventJet:
     """eta_0 and its first four derivatives at s, plus the bilinear data.
 
     d = (eta0, eta0', eta0'', eta0''', eta0'''').  F is the positive radical;
-    U = s x0 y2', V = s x0' y2, W = s^2 x0 y2'', Z = s^2 x0'' y2, and
-    G = x0/y2 is the decoupling factor (gauge of the x/y splitting).
+    U = s x0 y2' and V = s x0' y2.
     """
 
     s: float
@@ -82,9 +81,6 @@ class ResolventJet:
     F: float
     U: float
     V: float
-    W: float
-    Z: float
-    G: float
     params: HardEdgeParams
 
 
@@ -163,20 +159,15 @@ def uvwz_from_jet(s: float, d, e1: float, e2: float):
 
 
 def _bilinears(s, d, e1, U, V, W, Z, xi1, eta1):
-    """The products x_i y_j in terms of the jet and recovered variables."""
+    """The products x_i y_j the gauge split reads, from the jet and the
+    recovered variables."""
     h, d1 = d[0], d[1]
-    out = {
+    return {
         "x0y1": -(h - e1) * d1 + U,
         "x1y2": h * d1 - V,
-        "x0y2": -d1,
         "x0y0": -s * d1 ** 2 - d1 * xi1 + (1.0 + h - e1) * U + W,
         "x2y2": d1 * eta1 - s * d1 ** 2 + (1.0 + h) * V + Z,
     }
-    out["x1y1"] = out["x0y1"] * out["x1y2"] / out["x0y2"]
-    out["x1y0"] = out["x0y0"] * out["x1y2"] / out["x0y2"]
-    out["x2y1"] = out["x2y2"] * out["x0y1"] / out["x0y2"]
-    out["x2y0"] = out["x2y2"] * out["x0y0"] / out["x0y2"]
-    return out
 
 
 def recover_variables(s: float, d, params: HardEdgeParams) -> dict:

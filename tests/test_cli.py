@@ -88,7 +88,7 @@ def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
         K = real(mb, xs, ys, **kwargs)
         if mb.c == 0.0 and xs[0] + xs[-1] == pytest.approx(9.0):
             K = np.zeros_like(K)
-            K[0, 0] = 2.0 / fredholm.make_rule(len(xs), 0.0, 9.0).weights[0]
+            K[0, 0] = 2.0 / fredholm.make_rule(len(xs), 9.0).weights[0]
         return K
 
     monkeypatch.setattr(fredholm, "borodin_kernel_matrix", flipped)
@@ -201,8 +201,24 @@ def _raises(exc):
                  "c must exceed -1", id="gap-invalid-c"),
     pytest.param(["mc", "--samples", "0"], None, 2, "samples must be >= 1",
                  id="mc-zero-samples"),
-    pytest.param(["ode", "--points", "0"], None, 2, "s_targets is empty",
-                 id="ode-empty-grid"),
+    pytest.param(["ode", "--points", "0"], None, 2,
+                 "--points must be at least 2", id="ode-empty-grid"),
+    pytest.param(["ode", "--points", "1"], None, 2,
+                 "--points must be at least 2", id="ode-points-1"),
+    pytest.param(["ode", "--s-max", "1e-4"], None, 2,
+                 "--s-max must exceed 0.0001, the first output abscissa",
+                 id="ode-s-max-at-first-abscissa"),
+    pytest.param(["ode", "--s-max", "1e-5"], None, 2,
+                 "--s-max must exceed 0.0001, the first output abscissa",
+                 id="ode-s-max-below-first-abscissa"),
+    pytest.param(["sigma", "--s", "0"], None, 2,
+                 "--s values must exceed the launch point 1e-05",
+                 id="sigma-s-zero"),
+    pytest.param(["sigma", "--s", "0.5", "1e-5"], None, 2,
+                 "--s values must exceed the launch point 1e-05",
+                 id="sigma-s-at-launch"),
+    pytest.param(["sigma", "--s", "1", "1"], None, 2,
+                 "--s values must be distinct", id="sigma-s-repeated"),
     pytest.param(["fit", "/nonexistent/tail.csv"], None, 2,
                  "No such file or directory", id="fit-missing-file"),
 ])
@@ -346,8 +362,10 @@ def test_ode_launch_point_is_not_an_option():
 
 
 def test_ode_refuses_empty_grid(tmp_path, capsys):
+    # refused in the option's own terms, before any file is written
     assert main(["ode", "--points", "0", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: s_targets is empty\n"
+    assert capsys.readouterr().err == "error: --points must be at least 2\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_indicial_command(capsys):

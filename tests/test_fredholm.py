@@ -45,23 +45,23 @@ def test_wright_coefficients_built_once_per_c(monkeypatch, tmp_path):
 
 
 def test_gauss_legendre_two_point_rule():
-    rule = make_rule(2, -1.0, 1.0)
-    assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)])
+    rule = make_rule(2, 2.0)
+    assert rule.nodes == pytest.approx([1 - 1 / math.sqrt(3), 1 + 1 / math.sqrt(3)])
     assert rule.weights == pytest.approx([1.0, 1.0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_gauss_legendre_cubic_exactness(n):
-    rule = make_rule(n, 0.0, 1.0)
+    rule = make_rule(n, 1.0)
     assert float(rule.weights @ rule.nodes ** 3) == pytest.approx(0.25,
                                                                   abs=1e-14)
 
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        make_rule(1, 0.0, 1.0)
+        make_rule(1, 1.0)
     with pytest.raises(ValueError):
-        make_rule(4, 1.0, 0.0)
+        make_rule(4, 0.0)
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ def test_each_rule_built_once_per_n(leggauss_calls, tmp_path, capsys):
 
 
 def test_cached_rule_is_read_only(leggauss_calls):
-    make_rule(16, 0.0, 1.0)
+    make_rule(16, 1.0)
     for arr in fredholm._reference_rule(16):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -102,30 +102,58 @@ def test_cached_rule_equals_direct_build(n):
     # the formula make_rule used before the cache, with a = 0 and b = L
     x, w = np.polynomial.legendre.leggauss(n)
     for L in (0.3, 2.0 * math.sqrt(7.0), 14.0):
-        for rule in (make_rule(n, 0.0, L), make_rule(n, 0.0, L)):
+        for rule in (make_rule(n, L), make_rule(n, L)):
             assert np.array_equal(rule.nodes, 0.5 * (L - 0.0) * x + 0.5 * (L + 0.0))
             assert np.array_equal(rule.weights, 0.5 * (L - 0.0) * w)
 
 
 def test_zero_kernel_determinant():
-    rule = make_rule(12, 0.0, 2.0)
-    det, logdet = fredholm_det(lambda xs, ys: np.zeros((12, 12)), rule)
-    assert det == 1.0
+    rule = make_rule(12, 2.0)
+    logdet = fredholm_det(lambda xs, ys: np.zeros((12, 12)), rule)
     assert logdet == 0.0
 
 
 def test_rank_one_kernel_determinant():
     # K(x,y) = x*y on (0,1): det = 1 - int x^2 = 2/3
-    rule = make_rule(16, 0.0, 1.0)
-    det, logdet = fredholm_det(lambda xs, ys: np.outer(xs, ys), rule)
-    assert det == pytest.approx(2.0 / 3.0, abs=1e-12)
+    rule = make_rule(16, 1.0)
+    logdet = fredholm_det(lambda xs, ys: np.outer(xs, ys), rule)
     assert logdet == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
+
+
+def _diagonal_kernel(diagonal):
+    # K = diag(diagonal(w)) for the weights w of the rule on (0, 2)
+    def kernel(xs, ys):
+        return np.diag(diagonal(make_rule(len(xs), 2.0).weights))
+    return kernel
+
+
+@pytest.mark.parametrize("diagonal, message", [
+    (lambda w: 1.0 / w, "factorization singular to working precision"),
+    (lambda w: np.r_[2.0 / w[0], np.zeros(len(w) - 1)],
+     "Fredholm determinant lost positivity"),
+    (lambda w: np.r_[math.nan, np.zeros(len(w) - 1)],
+     "Fredholm log-determinant is not finite (nan)"),
+    (lambda w: np.r_[math.inf, np.zeros(len(w) - 1)],
+     "Fredholm log-determinant is not finite (inf)"),
+], ids=["singular", "negative", "nan", "inf"])
+def test_determinant_refusals(diagonal, message):
+    # K = diag(1/w) zeroes 1 - D on most of the diagonal, 2/w_0 alone makes
+    # det(1 - D) = -1, and a NaN or inf entry makes log det non-finite; node
+    # doubling names the node count at which the determinant was refused
+    kernel = _diagonal_kernel(diagonal)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError) as exc:
+            fredholm_det(kernel, make_rule(12, 2.0))
+        assert str(exc.value) == message
+        with pytest.raises(NonConvergedError) as exc:
+            fredholm._converge_logdet(kernel, 2.0, 1e-9)
+    assert str(exc.value) == f"{message} at 16 nodes"
 
 
 def test_mb_determinant_reference_value():
     mb = MBParams(c=0.0)
-    rule = make_rule(48, 0.0, 4.0)
-    _, logdet = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
+    rule = make_rule(48, 4.0)
+    logdet = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
                              rule)
     assert logdet == pytest.approx(TABLE1[0][4][0], abs=1e-8)
 
@@ -156,7 +184,7 @@ def test_mb_logdet_column_equals_per_cell_determinants(c, n):
     column = mb_logdet_column(mb, rs, n)
     for r, logdet in zip(rs, column):
         ref = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
-                           make_rule(n, 0.0, float(r)))[1]
+                           make_rule(n, float(r)))
         assert logdet == ref, (c, r, n)
 
 
@@ -164,9 +192,9 @@ def test_node_doubling_convergence_rate():
     mb = MBParams(c=0.0)
 
     def logdet_at(n):
-        rule = make_rule(n, 0.0, 6.0)
+        rule = make_rule(n, 6.0)
         return fredholm_det(
-            lambda xs, ys: borodin_kernel_matrix(mb, xs, ys), rule)[1]
+            lambda xs, ys: borodin_kernel_matrix(mb, xs, ys), rule)
 
     vals = {n: logdet_at(n) for n in (8, 16, 32, 64)}
     deltas = [abs(vals[16] - vals[8]), abs(vals[32] - vals[16]),

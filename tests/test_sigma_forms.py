@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,9 +62,7 @@ def test_quartic_detects_perturbation(traj_m2):
     clean = abs(sf.quartic_ode_residual(jet))
     d = list(jet.d)
     d[4] *= 1.01
-    perturbed = sf.ResolventJet(s=jet.s, d=tuple(d), F=jet.F, U=jet.U,
-                                V=jet.V, W=jet.W, Z=jet.Z, G=jet.G,
-                                params=jet.params)
+    perturbed = dataclasses.replace(jet, d=tuple(d))
     res = abs(sf.quartic_ode_residual(perturbed))
     assert res >= 1e-5
     assert res >= 1e6 * clean
@@ -80,9 +79,8 @@ def _random_consistent_jet(rng, params):
             continue
         fsq = sf.f_squared(s, d, e1, e2)
         if fsq > 0.01:
-            F, U, V, W, Z = sf.uvwz_from_jet(s, d, e1, e2)
-            return sf.ResolventJet(s=s, d=d, F=F, U=U, V=V, W=W, Z=Z,
-                                   G=1.0, params=params)
+            F, U, V, _, _ = sf.uvwz_from_jet(s, d, e1, e2)
+            return sf.ResolventJet(s=s, d=d, F=F, U=U, V=V, params=params)
 
 
 def test_quartic_dual_path_agreement(params_m2):
@@ -106,7 +104,7 @@ def test_quartic_dual_path_on_other_indices():
 
 def test_quartic_requires_nonzero_slope(params_m2):
     jet = sf.ResolventJet(s=1.0, d=(1.0, 0.0, 1.0, 1.0, 1.0), F=1.0, U=0.0,
-                          V=0.0, W=0.0, Z=0.0, G=1.0, params=params_m2)
+                          V=0.0, params=params_m2)
     with pytest.raises(ValueError):
         sf.quartic_ode_residual(jet)
 
@@ -170,7 +168,7 @@ def test_special_case_residuals_on_trajectory(traj_m2):
 def test_special_case_rejects_other_indices():
     params = HardEdgeParams.from_nu((0.0, 0.0, 0.5))
     jet = sf.ResolventJet(s=1.0, d=(1.0, 1.0, 1.0, 1.0, 1.0), F=1.0, U=0.0,
-                          V=0.0, W=0.0, Z=0.0, G=1.0, params=params)
+                          V=0.0, params=params)
     with pytest.raises(ValueError):
         sf.special_case_residuals(jet)
 
@@ -180,8 +178,7 @@ def test_special_case_series_jet_residual(params_m2):
     s = 1e-3
     d = sf.eta0_power_series(sf.SPECIAL_ETA0_TERMS, s)[0]
     F = sf.radical_F(s, d, *params_m2.e[:2])
-    jet = sf.ResolventJet(s=s, d=d, F=F, U=0.0, V=0.0, W=0.0, Z=0.0, G=1.0,
-                          params=params_m2)
+    jet = sf.ResolventJet(s=s, d=d, F=F, U=0.0, V=0.0, params=params_m2)
     third, fid = sf.special_case_residuals(jet)
     assert abs(third) <= 1e-5
     assert fid <= 1e-5
