@@ -150,9 +150,14 @@ def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapP
 
 
 def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
-    """log det(1 - K^(c,2)) on (0, r) at n nodes for every r in rs, each
-    bit for bit its own ``fredholm_det`` call, from one batched Horner sweep
-    per factor; a refused r's entry is its ``FloatingPointError``."""
+    """log det(1 - K^(c,2)) on (0, r) at n nodes for every r in rs, from one
+    batched Horner sweep per factor over series cut to the largest r; a
+    refused r's entry is its ``FloatingPointError``.
+
+    On the table-1 columns every entry equals its own ``fredholm_det`` call
+    and the full-series column bit for bit.  That is measured, not
+    guaranteed: the guarantee is the Horner bound on each factor.
+    """
     _check_mb_interval(max(rs))
     rules = [make_rule(n, float(r)) for r in rs]
     nodes = np.array([rule.nodes for rule in rules])

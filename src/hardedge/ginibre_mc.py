@@ -29,6 +29,9 @@ relative accuracy as M grows, where the Gram route loses digits.  Power
 iteration on A returns lambda_max when a Kato-Temple bound certifies it;
 otherwise ``numpy.linalg.eigvalsh`` of the same A does.
 
+The BLAS and LAPACK routines come from ``scipy.linalg``, imported by the
+functions that call them, so importing hardedge does not load it.
+
 Reproducibility: every sample runs on its own Philox counter-based stream
 keyed by (seed, sample index), so results are bit-identical regardless of
 execution order and safe to parallelize by index.  The sample sidecar names
@@ -46,8 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zhemv, ztrmm
-from scipy.linalg.lapack import dstebz, zlauum, ztrtri
 
 __all__ = [
     "McConfig",
@@ -182,6 +183,7 @@ def _bidiagonal_lambda_min(a: np.ndarray, b: np.ndarray) -> float:
     ``scipy.linalg.eigvalsh_tridiagonal(select="i")``, called directly: the
     wrapper's argument checks cost more than the bisection at small n0.
     """
+    from scipy.linalg.lapack import dstebz
     n0 = a.size
     off = np.empty(2 * n0 - 1)
     off[0::2] = a
@@ -199,6 +201,7 @@ def _upper_product(a: np.ndarray, b: np.ndarray, rs: list) -> np.ndarray:
 
     R_2 B_1 takes O(N_0^2): column j is a_j R[:, j] + b_{j-1} R[:, j-1].
     """
+    from scipy.linalg.blas import ztrmm
     r = rs[0]
     t = r * a
     t[:, 1:] += r[:, :-1] * b
@@ -220,6 +223,8 @@ def _upper_lambda_min(t: np.ndarray) -> float:
     returned once that is at most _POWER_RTOL mu.  After _POWER_STEPS
     uncertified steps, ``numpy.linalg.eigvalsh`` of the same A decides.
     """
+    from scipy.linalg.blas import zhemv
+    from scipy.linalg.lapack import zlauum, ztrtri
     inv, info = ztrtri(t)
     if info:
         raise np.linalg.LinAlgError(

@@ -13,9 +13,10 @@ Two kernel families live here:
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors on
   one 16-node Gauss-Legendre rule on (0, 1) built at import.  theta is fixed
   at 2, where the integrand is entire in u, so 16 nodes already sit at the
-  double-precision floor of the 100-term series on [0, 15]^2 (at other theta
-  the rule is not exact).  ``borodin_factor_tables`` tabulates both factors
-  for a stack of node sets, one Horner sweep each.
+  double-precision floor of the series on [0, 15]^2 (at other theta the rule
+  is not exact).  ``borodin_factor_tables`` tabulates both factors for a
+  stack of node sets, one Horner sweep each, over each series cut to the
+  terms that call's largest argument needs (at most ``N_TERMS``).
 
 The two families describe the same determinantal process: with
 ``c = 2 nu_1 + 1`` and ``nu_2 = nu_1 + 1/2``,
@@ -40,6 +41,7 @@ from .special_functions import (
     hyp0f_reg_coefficients,
     wright_bessel_coefficients,
     horner,
+    truncate_series,
 )
 
 __all__ = [
@@ -233,10 +235,11 @@ class MBParams:
 
 @functools.lru_cache(maxsize=32)
 def _wright_coefficients(c: float) -> tuple:
-    """Read-only coefficients of W((c+1)/2, 1/2; .) and W(c+1, 2; .), once per
-    c; B's trailing terms underflow to 0.0 and are dropped, keeping every bit."""
+    """Read-only ``N_TERMS`` coefficients of W((c+1)/2, 1/2; .) and
+    W(c+1, 2; .), once per c; B's trailing terms underflow to 0.0, and
+    ``truncate_series`` drops them."""
     ca = wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
-    cb = np.trim_zeros(wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS), "b")
+    cb = wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS)
     ca.flags.writeable = False
     cb.flags.writeable = False
     return ca, cb
@@ -244,10 +247,19 @@ def _wright_coefficients(c: float) -> tuple:
 
 def borodin_factor_tables(mb: MBParams, xs, ys) -> tuple:
     """A(x u) w u^c and B((y u)^2) on the u-rule, one Horner sweep each;
-    leading axes of xs and ys batch."""
+    leading axes of xs and ys batch.
+
+    Each series is cut by ``truncate_series`` to this call's largest
+    argument, max x u for A and max (y u)^2 for B: at r <= 14, 38 of A's 100
+    terms and 19 of B's.  The values stay within the Horner bound of the
+    full series; bit-identity with it is measured (the table-1 columns), not
+    guaranteed.
+    """
     ca, cb = _wright_coefficients(mb.c)
-    A = horner(ca, np.multiply.outer(xs, _U))
-    B = horner(cb, np.multiply.outer(ys, _U) ** 2.0)
+    xa = np.multiply.outer(xs, _U)
+    yb = np.multiply.outer(ys, _U) ** 2.0
+    A = horner(truncate_series(ca, np.abs(xa).max(initial=0.0)), xa)
+    B = horner(truncate_series(cb, yb.max(initial=0.0)), yb)
     return A * (_WU * _U ** mb.c), B
 
 

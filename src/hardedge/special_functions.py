@@ -4,11 +4,14 @@ Every series here is a plain power series in double precision: the
 regularized hyper-Bessel function 0F_M (M=1 is the Bessel case, J_v(2 sqrt x)
 = x^(v/2) 0F1~(; v+1; -x)) and the Wright Bessel function, each as its first
 ``N_TERMS`` Taylor coefficients (the ``*_coefficients`` functions) for
-``horner`` to evaluate, the path the kernels take.  Real Gamma / reciprocal
-Gamma and elementary symmetric polynomials complete the module.  Horner's
-rule in floating point is exact for slightly perturbed coefficients, so the
-error of p(x) is at most gamma_2N * sum_j |c_j| |x|^j (Higham, *Accuracy and
-Stability of Numerical Algorithms*, section 5.1).
+``horner`` to evaluate, the path the kernels take.  For the Muttalib-Borodin
+tables ``N_TERMS`` is a cap: ``truncate_series`` cuts each row to the terms
+its argument range needs.  Real Gamma / reciprocal Gamma and elementary
+symmetric polynomials complete the module.  Horner's rule in floating point
+is exact for slightly perturbed coefficients, so the error of p(x) is at most
+gamma_2N * sum_j |c_j| |x|^j (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 5.1); that bound, not bit-identity with the full row,
+is what a truncated row is held to.
 
 All functions are pure and safe to call concurrently.
 """
@@ -28,10 +31,13 @@ __all__ = [
     "hyp0f_reg_coefficients",
     "wright_bessel_coefficients",
     "horner",
+    "truncate_series",
 ]
 
-# Taylor terms kept in every series
+# Taylor terms in every series; a cap for the Muttalib-Borodin tables
 N_TERMS = 100
+# truncate_series drops terms below this fraction of the largest one
+_TRUNCATE_REL = 2.0 ** -70
 
 
 class GammaPoleError(ValueError):
@@ -70,6 +76,20 @@ def horner(coeffs: np.ndarray, x: np.ndarray | float):
     for c in coeffs[::-1]:
         result = result * x + c
     return result
+
+
+def truncate_series(coeffs: np.ndarray, x_max: float) -> np.ndarray:
+    """The leading terms of a 1-D coefficient row that matter on |x| <= x_max.
+
+    Keeps coeffs[:J + 1], J the last j with
+    |c_j| x_max^j >= 2^-70 max_k |c_k| x_max^k, so the peak term stays and
+    every dropped one is far under the Horner bound above anywhere on the
+    range.  Returns a view; the whole row where a magnitude overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(coeffs) * x_max ** np.arange(len(coeffs))
+    keep = np.flatnonzero(mags >= _TRUNCATE_REL * mags.max())
+    return coeffs[:keep[-1] + 1] if keep.size else coeffs
 
 
 def hyp0f_reg_coefficients(bs, n_terms: int) -> np.ndarray:

@@ -188,6 +188,22 @@ def test_mb_logdet_column_equals_per_cell_determinants(c, n):
         assert logdet == ref, (c, r, n)
 
 
+def test_truncated_series_keep_every_bit_of_the_full_series(monkeypatch):
+    # table-1 columns and MB gap probabilities from the truncated Wright
+    # series against the same calls on all N_TERMS terms
+    mb_cases = [MBParams(c=float(c)) for c in (0, 1, 2)]
+    rs = list(range(4, 15))
+    columns = {(c, n): mb_logdet_column(mb_cases[c], rs, n)
+               for c in (0, 1) for n in (48, 96)}
+    gaps = {(c, r): gap_probability_mb(mb_cases[c], r).logE
+            for c in (0, 1, 2) for r in (1.0, 4.0, 9.0)}
+    monkeypatch.setattr(kernels, "truncate_series", lambda coeffs, x_max: coeffs)
+    for (c, n), column in columns.items():
+        assert column == mb_logdet_column(mb_cases[c], rs, n), (c, n)
+    for (c, r), log_e in gaps.items():
+        assert log_e == gap_probability_mb(mb_cases[c], r).logE, (c, r)
+
+
 def test_node_doubling_convergence_rate():
     mb = MBParams(c=0.0)
 

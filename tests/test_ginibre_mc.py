@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+import hardedge
 from hardedge.ginibre_mc import (
     McConfig,
     _factors,
@@ -19,6 +24,25 @@ from hardedge.ginibre_mc import (
     wilson_interval,
     ks_distance,
 )
+
+
+def test_scipy_linalg_loaded_at_first_sample():
+    # a fresh interpreter: importing the package leaves scipy.linalg out, the
+    # first Monte Carlo batch brings it in
+    code = "\n".join([
+        "import sys",
+        "import hardedge, hardedge.cli",
+        "assert 'scipy.linalg' not in sys.modules",
+        "hardedge.sample_min_singular_sq(hardedge.McConfig(M=2, N0=4,"
+        " nu_int=(0, 0), samples=2))",
+        "assert 'scipy.linalg' in sys.modules",
+    ])
+    src = str(Path(hardedge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_validation():

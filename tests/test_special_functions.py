@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardedge.special_functions import (
     N_TERMS,
+    _TRUNCATE_REL,
     GammaPoleError,
     gamma_real,
     reciprocal_gamma,
@@ -15,6 +16,7 @@ from hardedge.special_functions import (
     horner,
     hyp0f_reg_coefficients,
     wright_bessel_coefficients,
+    truncate_series,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -157,6 +159,48 @@ def test_series_rows_within_horner_bound():
                     err = abs(float(horner(c, x)) - ref)
                     bound = _GAMMA_2N * float(horner(np.abs(c), abs(x)))
                     assert err <= bound, (x, err, bound)
+
+
+# Wright rows of both Muttalib-Borodin factors and 0F_M rows of the kernels
+_TRUNCATION_ROWS = (
+    [wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS) for c in (0.0, 1.0, 2.0)]
+    + [wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS) for c in (0.0, 1.0, 2.0)]
+    + [hyp0f_reg_coefficients(bs, N_TERMS)
+       for bs in ((1.0,), (0.5,), (3.5,), (0.5, 1.0), (1.3, 0.2), (2.0, 2.5))])
+
+
+@given(row=st.sampled_from(_TRUNCATION_ROWS),
+       x_max=st.floats(0.0, 225.0, exclude_min=True),
+       t=st.floats(-1.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_truncated_series_within_horner_bound(row, x_max, t):
+    # the cut series at any |x| <= x_max is within the Horner bound of all
+    # N_TERMS terms; the peak term stays, and the cut is exactly the
+    # threshold's: every term past it is below, the last kept one is not
+    cut = truncate_series(row, x_max)
+    x = t * x_max
+    bound = _GAMMA_2N * float(horner(np.abs(row), abs(x)))
+    assert abs(float(horner(cut, x)) - float(horner(row, x))) <= bound
+    mags = np.abs(row) * x_max ** np.arange(N_TERMS)
+    threshold = _TRUNCATE_REL * mags.max()
+    assert int(np.argmax(mags)) < len(cut)
+    assert mags[len(cut) - 1] >= threshold
+    assert np.all(mags[len(cut):] < threshold)
+    assert np.array_equal(cut, row[:len(cut)])
+
+
+@given(ratio=st.floats(0.7, 1.5), x_max=st.floats(0.01, 225.0))
+@settings(max_examples=50, deadline=None)
+def test_truncated_series_keeps_every_term_above_threshold(ratio, x_max):
+    # |c_j| x_max^j = ratio^j stays within 2^-70 of the peak: nothing is cut
+    row = (ratio / x_max) ** np.arange(N_TERMS) * (-1.0) ** np.arange(N_TERMS)
+    assert len(truncate_series(row, x_max)) == N_TERMS
+
+
+def test_truncated_series_keeps_the_row_where_magnitudes_overflow():
+    # 1e4^99 overflows, and B's underflowed zero tail makes inf * 0 = nan
+    row = wright_bessel_coefficients(1.0, 2.0, N_TERMS)
+    assert truncate_series(row, 1e4) is row
 
 
 def test_elementary_symmetric_examples():
