@@ -163,7 +163,8 @@ def test_series_rows_within_horner_bound():
 
 # Wright rows of both Muttalib-Borodin factors and 0F_M rows of the kernels
 _TRUNCATION_ROWS = (
-    [wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS) for c in (0.0, 1.0, 2.0)]
+    [wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
+     for c in (0.0, 1.0, 2.0)]
     + [wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS) for c in (0.0, 1.0, 2.0)]
     + [hyp0f_reg_coefficients(bs, N_TERMS)
        for bs in ((1.0,), (0.5,), (3.5,), (0.5, 1.0), (1.3, 0.2), (2.0, 2.5))])
