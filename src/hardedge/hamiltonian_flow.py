@@ -12,24 +12,26 @@ trajectory.  The first integrals gate the launch state before any
 integration, and every output state after it.  The right-hand sides run on
 Python complex scalars, which cost less per call than numpy scalars.
 
-Two index sets launch: M=1 at nu=(0,0) from its closed-form trajectory, and
-M=2 at (0, -1/2, 0) from the six-term small-s eta_0 series through the
-recovery relations, where every integral of motion holds at launch to
-roundoff.  Every other index set is refused before any work.  The x/y gauge (x -> lam x, y -> y/lam is a symmetry) is pinned by the boundary
-behaviour of the decoupling factor G = x_0/y_2; its printed expansion is
-leading-order only, so gauge-sensitive quantities carry an O(sqrt(s0))
-offset that no invariant or gap quantity sees.
+The launch state is read off the Nystrom resolvent on (0, s0), the
+Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
+arXiv:1403.6368): x and y are i Q(s0) and i P(s0), with Q = (I - K)^-1 phi
+and P = (I - K^T)^-1 psi, and xi, eta are inner products of Q with psi.  The
+x/y gauge (x -> lam x, y -> y/lam is a symmetry) is therefore the
+resolvent's own.  Two index sets launch, M=1 at nu=(0,0) and M=2 at
+(0, -1/2, 0); every other index set is refused before any work.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import HardEdgeParams
-from .special_functions import gamma_real
+from .fredholm import fredholm_det, make_rule
+from .kernels import HardEdgeParams, KernelBundle, kernel_matrix
 from . import sigma_forms
 from .sigma_forms import ResolventJet, _norm_residual
 
@@ -102,8 +104,8 @@ class Trajectory:
     """States at the launch point and the requested output abscissas.
 
     states[0] is the launch state at s0; log_gap[i] is int_0^s eta_0/t dt
-    up to s = states[i].s, so E = exp(log_gap[i]), with log_gap[0] from the
-    launch series.  tol is the tolerance integrate was asked for.
+    up to s = states[i].s, so E = exp(log_gap[i]), with log_gap[0] the
+    launch determinant's.  tol is the tolerance integrate was asked for.
     """
 
     params: HardEdgeParams
@@ -179,39 +181,61 @@ def rhs(state: HamiltonianState):
 def launch_state(params: HardEdgeParams, s0: float):
     """(state, loghead): the certified launch at s0, or a ``FlowError``.
 
-    M=1 at nu=(0,0) uses the exact closed-form trajectory.  M=2 at
-    (0, -1/2, 0) builds the state from the six-term eta_0 series through the
-    recovery relations, and every integral of motion holds there to
-    roundoff; a gauge split the series cannot make (from s0 ~ 0.1 on) is
-    refused with the failing quantity named.  Every other index set, at
-    either M, is refused before any work: no small-s launch known for it
-    keeps the integrals of motion.
+    Only nu=(0,0) and (0, -1/2, 0) launch; every other index set is refused
+    before any work.  The state and loghead = log E(s0) come from the
+    16-node Nystrom resolvent, whose determinant ``fredholm_det`` refuses
+    with its ``FloatingPointError``.
     """
     nu = params.nu
-    if nu == (0.0, 0.0):
-        s = s0
-        state = HamiltonianState(
-            s=s, x=np.array([1j, 1j * s]), y=np.array([-1j * s, 1j]),
-            xi=np.array([s * s / 2, -s], dtype=complex),
-            eta=np.array([-s, -s * s / 2], dtype=complex), params=params)
-        return state, -s0
-    if nu != sigma_forms.SPECIAL_NU:
+    if nu not in ((0.0, 0.0), sigma_forms.SPECIAL_NU):
         raise FlowError(
             f"no certified launch at nu=({', '.join(f'{v:g}' for v in nu)}): "
-            "only nu=(0,0) and (0,-1/2,0) launch (a Fredholm-data launch is "
-            "ROADMAP item 2)")
-    n0, n1, n2 = nu
-    try:
-        d, loghead = sigma_forms.eta0_power_series(
-            sigma_forms.SPECIAL_ETA0_TERMS, s0)
-        g_inv = (-gamma_real(n2 - n1) * gamma_real(n2 - n0 + 1) * s0 ** (n1 + n0)
-                 - gamma_real(n1 - n2) * gamma_real(n1 - n0 + 1) * s0 ** (n2 + n0))
-        x, y, xi, eta = sigma_forms.state_arrays_from_jet(s0, d, params, g_inv)
-    except ValueError as exc:
-        raise FlowError(f"no M=2 launch at nu=({n0:g}, {n1:g}, {n2:g}): "
-                        f"{exc}") from exc
-    state = HamiltonianState(s=s0, x=x, y=y, xi=xi, eta=eta, params=params)
-    return state, loghead
+            "only nu=(0,0) and (0,-1/2,0) launch (the other nu wait for "
+            "ROADMAP item 2, step 2)")
+    # gap_probability_hardedge's first node count: 32 nodes move the launch
+    # state by at most 1.2e-12 relative at s0 in [1e-8, 1]
+    return _resolvent_state(params, s0, 16)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_bundle(params: HardEdgeParams) -> KernelBundle:
+    """One ``KernelBundle`` per index set, built at its first launch."""
+    return KernelBundle(params)
+
+
+def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
+    """(state, log E) at s0 from the n-node Nystrom resolvent on (0, s0).
+
+    The rule is ``gap_probability_hardedge``'s: x = (t/2)^2 on n
+    Gauss-Legendre nodes t in (0, 2 sqrt(s0)), the Jacobian t/2 in the
+    weights w.  One ``kernel_matrix`` call on the nodes plus s0 gives K, its
+    row K(s0, .) and its column K(., s0).  With A = I - K W at the nodes,
+    Q = A^-1 phi and W P = A^-T W psi; Q(s0) = phi(s0) + K(s0, .) W Q,
+    P(s0) = psi(s0) + K(., s0)^T W P and U_jk = sum_i w_i Q_j psi_k.  Then
+    x = i Q(s0), y = i P(s0), eta_m = (-1)^M U_mM, xi_m = (-1)^M U_0m for
+    m < M (plus e_2 at M=2, m=1) and xi_M = eta_0 - e_1.
+    """
+    bundle = _kernel_bundle(params)
+    rule = make_rule(n, 2.0 * math.sqrt(s0))
+    half = rule.nodes / 2.0
+    w = rule.weights * half
+    xs = np.append(half ** 2, s0)
+    phi, dphi, psi = bundle.evaluate(xs)
+    K = kernel_matrix(bundle, xs, xs, rows=(phi, dphi, psi))
+    Kn = K[:n, :n]
+    loge = fredholm_det(lambda ts, us: Kn * (us / 2.0), rule)
+    A = np.eye(n) - Kn * w
+    wq = w[:, None] * np.linalg.solve(A, phi[:, :n].T)
+    wp = np.linalg.solve(A.T, (w * psi[:, :n]).T)
+    m = params.M
+    u = (-1.0) ** m * (wq.T @ psi[:, :n].T)
+    xi, eta = u[0].astype(complex), u[:, m].astype(complex)
+    xi[1:m] += params.e[1]              # M=2 only
+    xi[m] = eta[0] - params.e[0]
+    state = HamiltonianState(s=s0, x=1j * (phi[:, n] + K[n, :n] @ wq),
+                             y=1j * (psi[:, n] + K[:n, n] @ wp), xi=xi,
+                             eta=eta, params=params)
+    return state, loge
 
 
 # ---------------------------------------------------------------------------

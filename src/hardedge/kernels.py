@@ -198,13 +198,15 @@ def kernel_value(bundle: KernelBundle, x: float, y: float) -> float:
     return float(kernel_matrix(bundle, [x], [y])[0, 0])
 
 
-def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray,
+                  rows=None) -> np.ndarray:
     """K_M on the grid xs x ys, for xs, ys > 0.
 
     Off the diagonal K = sum_j phi_j(x) psi_j(y) / (x - y).  Pairs inside
     the relative window |x - y| < _DIAG_DELTA * max(x, y) take the exact
     limit K(x, x) = sum_j phi_j'(x) psi_j(x) at the row abscissa x, which
-    holds because sum_j phi_j(x) psi_j(x) = 0.
+    holds because sum_j phi_j(x) psi_j(x) = 0.  ``rows``, if given, is
+    ``bundle.evaluate`` at xs (xs equal to ys) or at xs followed by ys.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -212,7 +214,9 @@ def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray) -> np.nd
         raise ValueError("kernel_matrix requires x, y > 0")
     nx = len(xs)
     same = np.array_equal(xs, ys)
-    phi, dphi, psi = bundle.evaluate(xs if same else np.concatenate([xs, ys]))
+    if rows is None:
+        rows = bundle.evaluate(xs if same else np.concatenate([xs, ys]))
+    phi, dphi, psi = rows
     psi_x, psi_y = psi[:, :nx], (psi if same else psi[:, nx:])
     diag = np.sum(dphi[:, :nx] * psi_x, axis=0)
     diff = xs[:, None] - ys[None, :]

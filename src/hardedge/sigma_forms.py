@@ -5,7 +5,8 @@ The two-matrix Hamiltonian system collapses onto a single function
 relation that pins eta_0 down:
 
 * the radical F (positive square root of an explicit quartic combination of
-  eta_0 derivatives, equal to a bilinear in the phase-space variables),
+  eta_0 derivatives, equal to the bilinear -3 x0 y1 - 3 x1 y2 - e1 x0 y2 in
+  the phase-space variables),
 * the fourth-order polynomial ODE for eta_0, evaluated two independent ways
   (the typeset ten-block polynomial, and a reconstruction through the
   elimination pipeline that produced it),
@@ -14,7 +15,9 @@ relation that pins eta_0 down:
   nu = (0, -1/2, 0),
 * the recovery formulas expressing all twelve Hamiltonian variables through
   the eta_0 jet, and the first-order ODE for the decoupling factor
-  G = x_0/y_2.
+  G = x_0/y_2,
+* the six-term small-s series of eta_0 at nu = (0, -1/2, 0), an oracle for
+  the integrated flow.
 
 Residuals are normalized by the largest absolute summand of each relation so
 tolerances are scale-free in s.  Everything here is a pure function of a
@@ -36,10 +39,7 @@ __all__ = [
     "eta0_power_series",
     "f_squared",
     "radical_F",
-    "radical_F_bilinear",
     "uvwz_from_jet",
-    "recover_variables",
-    "state_arrays_from_jet",
     "quartic_blocks",
     "quartic_typeset_raw",
     "quartic_pipeline_raw",
@@ -132,14 +132,6 @@ def radical_F(s: float, d, e1: float, e2: float) -> float:
     return math.sqrt(max(fsq, 0.0))
 
 
-def radical_F_bilinear(state) -> float:
-    """F from the phase-space bilinear -3 x0 y1 - 3 x1 y2 - e1 x0 y2."""
-    e1 = state.params.e[0]
-    val = (-3.0 * state.x[0] * state.y[1] - 3.0 * state.x[1] * state.y[2]
-           - e1 * state.x[0] * state.y[2])
-    return float(val.real)
-
-
 def uvwz_from_jet(s: float, d, e1: float, e2: float):
     """(F, U, V, W, Z) from the jet alone.
 
@@ -156,78 +148,6 @@ def uvwz_from_jet(s: float, d, e1: float, e2: float):
            - (1.0 + e2 - d[0] + 6.0 * s * d[1]) * S1 - e1 * D)
     P = rhs * 2.0 * d[1] / F
     return F, U, V, (S2 + P) / 2.0, (S2 - P) / 2.0
-
-
-def _bilinears(s, d, e1, U, V, W, Z, xi1, eta1):
-    """The products x_i y_j the gauge split reads, from the jet and the
-    recovered variables."""
-    h, d1 = d[0], d[1]
-    return {
-        "x0y1": -(h - e1) * d1 + U,
-        "x1y2": h * d1 - V,
-        "x0y0": -s * d1 ** 2 - d1 * xi1 + (1.0 + h - e1) * U + W,
-        "x2y2": d1 * eta1 - s * d1 ** 2 + (1.0 + h) * V + Z,
-    }
-
-
-def recover_variables(s: float, d, params: HardEdgeParams) -> dict:
-    """(xi0, xi1, eta1, eta2, F, U, V, W, Z) from the jet.
-
-    Solves the four relations {xi1 - eta1, the two split trace integrals,
-    energy conservation} — the same system behind the closed recovery
-    formulas — numerically as a 4x4 linear system.  A state assembled from
-    this solution satisfies every first integral exactly (up to roundoff),
-    which is what makes series launches conservation-clean.
-    """
-    e1, e2, e3 = params.e
-    F, U, V, W, Z = uvwz_from_jet(s, d, e1, e2)
-    h, d1, d2 = d[0], d[1], d[2]
-    A = np.zeros((4, 4))
-    b = np.zeros(4)
-    # unknown order: (xi0, xi1, eta1, eta2)
-    A[0] = [0.0, 1.0, -1.0, 0.0]
-    b[0] = e2 + h * (h - e1) - h + s * d1
-    A[1] = [3.0, 2 * e1 - 3 * h + 4, -e1 - 1, 0.0]
-    b[1] = -(-2 * (e1 + 2) * e2 + 3 * e3 + (2 * e1 ** 2 + 4 * e1 + e2 + 2) * h
-             - 3 * (e1 + 1) * h ** 2 + h ** 3 - 2 * s * d1 + s ** 2 * d2
-             + 3 * s * U)
-    A[2] = [0.0, 1 - e1, -e1 + 3 * h - 4, 3.0]
-    b[2] = -(-(1 - e1) * e2 + (e1 + e2 + 2 - e1 ** 2) * h - 3 * h ** 2 + h ** 3
-             - 2 * s * d1 + s ** 2 * d2 + 3 * s * V)
-    A[3] = [-d1 ** 2, d1 ** 2 * h, d1 ** 2 * (h - e1), d1 ** 2]
-    b[3] = -(U * Z - V * W + e1 * U * V - d1 * h - s * (U - V) * d1 ** 2
-             + d1 ** 2 * s)
-    xi0, xi1, eta1, eta2 = np.linalg.solve(A, b)
-    return {"xi0": xi0, "xi1": xi1, "eta1": eta1, "eta2": eta2,
-            "F": F, "U": U, "V": V, "W": W, "Z": Z}
-
-
-def state_arrays_from_jet(s: float, d, params: HardEdgeParams, g_inv: float):
-    """(x, y, xi, eta) complex arrays consistent with the jet and gauge 1/G.
-
-    The splitting of the bilinears into individual x_m, y_m carries a free
-    scale (x -> lam x, y -> y/lam leaves every invariant unchanged); g_inv
-    pins it.  x and y come out purely imaginary, as the small-s data demand.
-    """
-    rec = recover_variables(s, d, params)
-    e1 = params.e[0]
-    bil = _bilinears(s, d, e1, rec["U"], rec["V"], rec["W"], rec["Z"],
-                     rec["xi1"], rec["eta1"])
-    d1 = d[1]
-    G = 1.0 / g_inv
-    if G * d1 <= 0.0:
-        raise ValueError("gauge split needs G * eta0' > 0")
-    X0 = -math.sqrt(G * d1)
-    Y2 = d1 / X0
-    X1 = -bil["x1y2"] / Y2
-    X2 = -bil["x2y2"] / Y2
-    Y1 = -bil["x0y1"] / X0
-    Y0 = -bil["x0y0"] / X0
-    x = 1j * np.array([X0, X1, X2])
-    y = 1j * np.array([Y0, Y1, Y2])
-    xi = np.array([rec["xi0"], rec["xi1"], d[0] - e1], dtype=complex)
-    eta = np.array([d[0], rec["eta1"], rec["eta2"]], dtype=complex)
-    return x, y, xi, eta
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +320,9 @@ def special_case_residuals(jet: ResolventJet) -> tuple:
 def rep_formulas(jet: ResolventJet) -> dict:
     """Closed forms for xi0, xi1, eta1, eta2 and the bilinears x_i y_j.
 
-    These are the explicit solutions of the same linear system that
-    ``recover_variables`` solves numerically; they are kept verbatim so the
-    two routes cross-check each other.
+    They solve the four relations {xi1 - eta1, the two split trace
+    integrals, energy conservation} for the jet; ``appendix_recover`` checks
+    them against a trajectory's own variables.
     """
     s, F = jet.s, jet.F
     h, d1, d2, d3, d4 = jet.d

@@ -132,6 +132,13 @@ def test_verify_m1_passes(case, tmp_path, capsys):
         assert check["worst_s"] is None or 0.0 < check["worst_s"] <= 1.0
 
 
+def test_verify_m2_special_passes_to_s_20(tmp_path):
+    # launched from the Nystrom resolvent, the M=2 flow holds every category
+    # to s=20, gap_vs_fredholm included (1.1e-7 there)
+    assert main(["verify", "m2-special", "--s-max", "20",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_verify_integrates_up_to_s_max(monkeypatch, capsys):
     # an --s-max off the case's grid is still the last output abscissa
     seen = []
@@ -190,7 +197,8 @@ def _raises(exc):
                  (flow, "integrate", flow.FlowError("drift")), 1, "drift",
                  id="verify-flow-error"),
     pytest.param(["ode", "--nu", "0.5"], None, 1,
-                 "a Fredholm-data launch is ROADMAP item 2", id="ode-refusal"),
+                 "the other nu wait for ROADMAP item 2, step 2",
+                 id="ode-refusal"),
     pytest.param(["ode", "--nu", "0", "0", "0"], None, 2,
                  "only M in {1, 2} is supported", id="ode-m3"),
     pytest.param(["mc", "--samples", "10"],

@@ -23,7 +23,7 @@ SQRT_PI = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 
 def test_launch_state_residuals_small_at_tiny_s0(params_m2):
-    # the exact-series launch satisfies every integral of motion
+    # the resolvent launch satisfies every integral of motion
     st, _ = flow.launch_state(params_m2, 1e-8)
     r = flow.first_integral_residuals(st)
     r.pop("imag_leakage")
@@ -31,7 +31,8 @@ def test_launch_state_residuals_small_at_tiny_s0(params_m2):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("a refused launch reached the jet, gate or integrator")
+    raise AssertionError("a refused launch reached the resolvent, gate or "
+                         "integrator")
 
 
 # M=1 off (0,0); M=2 at integer nu_2 - nu_1, with a negative launch radical,
@@ -44,12 +45,12 @@ def _no_work(*args, **kwargs):
     (0.0, 0.3, 0.0)], ids=lambda nu: ",".join(f"{v:g}" for v in nu))
 def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
     # only nu=(0,0) and (0,-1/2,0) launch; every other index set is refused
-    # with one text before any jet, first-integral gate or integration, and
-    # ode exits 1 (a numerical refusal, not a usage error)
+    # with one text before any resolvent, first-integral gate or integration,
+    # and ode exits 1 (a numerical refusal, not a usage error)
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
     monkeypatch.setattr(flow, "first_integral_residuals", _no_work)
-    monkeypatch.setattr(flow.sigma_forms, "eta0_power_series", _no_work)
-    monkeypatch.setattr(flow.sigma_forms, "state_arrays_from_jet", _no_work)
+    monkeypatch.setattr(flow, "_kernel_bundle", _no_work)
+    monkeypatch.setattr(flow, "_resolvent_state", _no_work)
     match = (r"no certified launch at nu=\(" + ", ".join(f"{v:g}" for v in nu)
              + r"\): only nu=\(0,0\) and \(0,-1/2,0\) launch")
     for s0, tol in ((1e-5, 1e-10), (1e-12, 1e-6)):
@@ -59,17 +60,44 @@ def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
                  "--points", "4", "--out", str(tmp_path)]) == 1
 
 
-def test_special_launch_refused_where_the_gauge_split_fails():
-    # the six-term series launches at s0 = 0.05 but cannot split the gauge
-    # from s0 = 0.1 on
+def test_special_launch_holds_its_integrals_away_from_zero():
+    # the resolvent launch is not a small-s expansion: every integral of
+    # motion holds to roundoff at s0 up to 0.5
     params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
-    st, _ = flow.launch_state(params, 0.05)
-    assert st.s == 0.05
-    for s0 in (0.1, 0.5):
-        with pytest.raises(flow.FlowError,
-                           match=r"nu=\(0, -0.5, 0\): gauge split needs "
-                                 r"G \* eta0' > 0"):
-            flow.launch_state(params, s0)
+    for s0 in (0.05, 0.1, 0.5):
+        st, _ = flow.launch_state(params, s0)
+        assert st.s == s0
+        r = flow.first_integral_residuals(st)
+        assert max(r.values()) <= 1e-13, (s0, r)
+
+
+def _launch_vector(state, loghead):
+    return np.concatenate([state.x, state.y, state.xi, state.eta, [loghead]])
+
+
+def _max_relative(a, b):
+    """max |a - b| over the largest |b|: normwise, as the state's small
+    components carry no relative accuracy of their own."""
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("s0", [1e-8, 1e-5, 0.05, 1.0])
+def test_m1_launch_is_the_closed_form(s0, params_m1):
+    # at nu=(0,0) the resolvent gives Q = (1, s), P = (-s, 1) and E = e^-s
+    got = _launch_vector(*flow.launch_state(params_m1, s0))
+    closed = np.array([1j, 1j * s0, -1j * s0, 1j, s0 * s0 / 2, -s0, -s0,
+                       -s0 * s0 / 2, -s0])
+    assert _max_relative(got, closed) <= 1e-14
+
+
+@pytest.mark.parametrize("s0", [1e-8, 1e-5, 0.05, 1.0])
+@pytest.mark.parametrize("case", ["m1", "m2"])
+def test_launch_at_16_nodes_matches_32(case, s0, params_m1, params_m2):
+    # the node count is pinned: doubling it moves no launch state
+    params = params_m1 if case == "m1" else params_m2
+    got = _launch_vector(*flow.launch_state(params, s0))
+    ref = _launch_vector(*flow._resolvent_state(params, s0, 32))
+    assert _max_relative(got, ref) <= 1e-11
 
 
 def test_scipy_integrate_loaded_at_first_integration():
@@ -320,12 +348,14 @@ def _structural_reference(st):
 
 def test_structural_residuals_match_matrix_reference(params_m2, traj_m1,
                                                      traj_m2):
+    # both are rounded sums of products: at s=10 each reads up to 2.0e-15
+    # off the 50-digit residual of the same state, so they agree to 4e-15
     launch, _ = flow.launch_state(params_m2, 1e-5)
     for st in [launch] + traj_m1.states + traj_m2.states:
         got, ref = flow.structural_residuals(st), _structural_reference(st)
         assert got.keys() == ref.keys()
         for name, value in ref.items():
-            assert abs(got[name] - value) <= 1e-15, (st.s, name)
+            assert abs(got[name] - value) <= 4e-15, (st.s, name)
 
 
 def test_tracy_widom_rejected_for_m2(traj_m2):
