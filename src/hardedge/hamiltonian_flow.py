@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fredholm import fredholm_det, make_rule
-from .kernels import HardEdgeParams, KernelBundle, kernel_matrix
+from .kernels import HardEdgeParams, KernelBundle, _kernel_from_rows
 from . import sigma_forms
 from .sigma_forms import ResolventJet, _norm_residual
 
@@ -181,9 +181,9 @@ def rhs(state: HamiltonianState):
 def launch_state(params: HardEdgeParams, s0: float):
     """(state, loghead): the certified launch at s0, or a ``FlowError``.
 
-    Only nu=(0,0) and (0, -1/2, 0) launch; every other index set is refused
-    before any work.  The state and loghead = log E(s0) come from the
-    16-node Nystrom resolvent, whose determinant ``fredholm_det`` refuses
+    Only nu=(0,0) and (0, -1/2, 0) launch; every other index set, or s0 > 1,
+    is refused before any work.  The state and loghead = log E(s0) come from
+    the 16-node Nystrom resolvent, whose determinant ``fredholm_det`` refuses
     with its ``FloatingPointError``.
     """
     nu = params.nu
@@ -193,14 +193,14 @@ def launch_state(params: HardEdgeParams, s0: float):
             "only nu=(0,0) and (0,-1/2,0) launch (the other nu wait for "
             "ROADMAP item 2, step 2)")
     # gap_probability_hardedge's first node count: 32 nodes move the launch
-    # state by at most 1.2e-12 relative at s0 in [1e-8, 1]
+    # state by at most 1.2e-12 relative at s0 in [1e-8, 1], the range measured
+    if not s0 <= 1.0:
+        raise FlowError(f"no launch at s0={s0:g}: measured only to s0 = 1")
     return _resolvent_state(params, s0, 16)
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_bundle(params: HardEdgeParams) -> KernelBundle:
-    """One ``KernelBundle`` per index set, built at its first launch."""
-    return KernelBundle(params)
+# one KernelBundle per index set, built at its first launch
+_kernel_bundle = functools.lru_cache(maxsize=8)(KernelBundle)
 
 
 def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
@@ -208,20 +208,19 @@ def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
 
     The rule is ``gap_probability_hardedge``'s: x = (t/2)^2 on n
     Gauss-Legendre nodes t in (0, 2 sqrt(s0)), the Jacobian t/2 in the
-    weights w.  One ``kernel_matrix`` call on the nodes plus s0 gives K, its
+    weights w.  One ``bundle.evaluate`` on the nodes plus s0 gives K, its
     row K(s0, .) and its column K(., s0).  With A = I - K W at the nodes,
     Q = A^-1 phi and W P = A^-T W psi; Q(s0) = phi(s0) + K(s0, .) W Q,
     P(s0) = psi(s0) + K(., s0)^T W P and U_jk = sum_i w_i Q_j psi_k.  Then
     x = i Q(s0), y = i P(s0), eta_m = (-1)^M U_mM, xi_m = (-1)^M U_0m for
     m < M (plus e_2 at M=2, m=1) and xi_M = eta_0 - e_1.
     """
-    bundle = _kernel_bundle(params)
     rule = make_rule(n, 2.0 * math.sqrt(s0))
     half = rule.nodes / 2.0
     w = rule.weights * half
     xs = np.append(half ** 2, s0)
-    phi, dphi, psi = bundle.evaluate(xs)
-    K = kernel_matrix(bundle, xs, xs, rows=(phi, dphi, psi))
+    phi, dphi, psi = _kernel_bundle(params).evaluate(xs)
+    K = _kernel_from_rows(xs, xs, phi, dphi, psi)
     Kn = K[:n, :n]
     loge = fredholm_det(lambda ts, us: Kn * (us / 2.0), rule)
     A = np.eye(n) - Kn * w
@@ -232,10 +231,9 @@ def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
     xi, eta = u[0].astype(complex), u[:, m].astype(complex)
     xi[1:m] += params.e[1]              # M=2 only
     xi[m] = eta[0] - params.e[0]
-    state = HamiltonianState(s=s0, x=1j * (phi[:, n] + K[n, :n] @ wq),
-                             y=1j * (psi[:, n] + K[:n, n] @ wp), xi=xi,
-                             eta=eta, params=params)
-    return state, loge
+    return HamiltonianState(s=s0, x=1j * (phi[:, n] + K[n, :n] @ wq),
+                            y=1j * (psi[:, n] + K[:n, n] @ wp), xi=xi,
+                            eta=eta, params=params), loge
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,7 @@ def structural_residuals(state: HamiltonianState) -> dict:
     """Folding (M=1), Schlesinger consistency, rank-one A, Tracy-Widom map.
 
     A = x y^T, so [B, A] = (B x) y^T - x (B^T y)^T: s A' = [C + s E, A] and
-    C' = [E, A] are checked entry by entry on Python scalars.
+    C' = [E, A] are checked entry by entry on scalars, s A' in long double.
     """
     out = {}
     s = state.s
@@ -413,15 +411,19 @@ def structural_residuals(state: HamiltonianState) -> dict:
     # column 0 and -1 at column i+1; row M is (xi_0 - eta_M, xi_1, .., xi_M).
     # C' has C's entries over (xi', eta') and a zero superdiagonal.
     sign = 1.0 if m == 1 else -1.0
-    # B = C + s E through B x and B^T y
-    corner = xi[0] - eta[m] + s * sign
-    bx = [-eta[i] * x[0] - x[i + 1] for i in range(m)]
-    bx.append(corner * x[0] + sum(xi[k] * x[k] for k in range(1, m + 1)))
-    bty = [sum(-eta[i] * y[i] for i in range(m)) + corner * y[m]]
-    bty += [xi[j] * y[m] - y[j - 1] for j in range(1, m + 1)]
-    out["schlesinger_A"] = _max_residual(
-        [(s * (dx[i] * y[j] + x[i] * dy[j]), bx[i] * y[j] - x[i] * bty[j])
-         for i in range(m + 1) for j in range(m + 1)])
+    # B = C + s E through B x and B^T y, in numpy's long double (64-bit
+    # significands on x86-64): in doubles their products cancel to ~1.6e-15
+    # of rounding at s=10, M=2; here the residual is the state's to ~1e-18
+    X, Y, XI, ETA, DX, DY = (np.array(a, np.clongdouble).tolist()
+                             for a in (x, y, xi, eta, dx, dy))
+    corner = XI[0] - ETA[m] + s * sign
+    bx = [-ETA[i] * X[0] - X[i + 1] for i in range(m)]
+    bx.append(corner * X[0] + sum(XI[k] * X[k] for k in range(1, m + 1)))
+    bty = [sum(-ETA[i] * Y[i] for i in range(m)) + corner * Y[m]]
+    bty += [XI[j] * Y[m] - Y[j - 1] for j in range(1, m + 1)]
+    out["schlesinger_A"] = float(_max_residual(
+        [(s * (DX[i] * Y[j] + X[i] * DY[j]), bx[i] * Y[j] - X[i] * bty[j])
+         for i in range(m + 1) for j in range(m + 1)]))
     # [E, A] = (E x) y^T - x (E^T y)^T lives in column 0 and row M, as does
     # C'; every other entry of both is zero
     ex, ey = sign * x[0], sign * y[m]

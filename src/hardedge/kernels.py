@@ -198,26 +198,26 @@ def kernel_value(bundle: KernelBundle, x: float, y: float) -> float:
     return float(kernel_matrix(bundle, [x], [y])[0, 0])
 
 
-def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray,
-                  rows=None) -> np.ndarray:
+def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """K_M on the grid xs x ys, for xs, ys > 0.
 
     Off the diagonal K = sum_j phi_j(x) psi_j(y) / (x - y).  Pairs inside
     the relative window |x - y| < _DIAG_DELTA * max(x, y) take the exact
     limit K(x, x) = sum_j phi_j'(x) psi_j(x) at the row abscissa x, which
-    holds because sum_j phi_j(x) psi_j(x) = 0.  ``rows``, if given, is
-    ``bundle.evaluate`` at xs (xs equal to ys) or at xs followed by ys.
+    holds because sum_j phi_j(x) psi_j(x) = 0.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("kernel_matrix requires x, y > 0")
+    both = xs if np.array_equal(xs, ys) else np.concatenate([xs, ys])
+    return _kernel_from_rows(xs, ys, *bundle.evaluate(both))
+
+
+def _kernel_from_rows(xs, ys, phi, dphi, psi) -> np.ndarray:
+    """``kernel_matrix`` from ``bundle.evaluate`` at xs, or at xs then ys."""
     nx = len(xs)
-    same = np.array_equal(xs, ys)
-    if rows is None:
-        rows = bundle.evaluate(xs if same else np.concatenate([xs, ys]))
-    phi, dphi, psi = rows
-    psi_x, psi_y = psi[:, :nx], (psi if same else psi[:, nx:])
+    psi_x, psi_y = psi[:, :nx], (psi[:, nx:] if psi.shape[1] > nx else psi)
     diag = np.sum(dphi[:, :nx] * psi_x, axis=0)
     diff = xs[:, None] - ys[None, :]
     near = np.abs(diff) < _DIAG_DELTA * np.maximum(xs[:, None], ys[None, :])

@@ -100,6 +100,18 @@ def test_launch_at_16_nodes_matches_32(case, s0, params_m1, params_m2):
     assert _max_relative(got, ref) <= 1e-11
 
 
+@pytest.mark.parametrize("case", ["m1", "m2"])
+def test_launch_refused_past_its_measured_range(case, params_m1, params_m2,
+                                                monkeypatch):
+    # the 16-node count is measured for s0 <= 1 only; past it, no state
+    params = params_m1 if case == "m1" else params_m2
+    monkeypatch.setattr(flow, "_resolvent_state", _no_work)
+    for s0 in (1.5, 10.0, float("nan")):
+        with pytest.raises(flow.FlowError, match=r"^no launch at s0=\S+: "
+                                                 r"measured only to s0 = 1$"):
+            flow.launch_state(params, s0)
+
+
 def test_scipy_integrate_loaded_at_first_integration():
     # a fresh interpreter: importing the package leaves scipy.integrate out,
     # the first integrate call brings it in
@@ -290,13 +302,17 @@ def test_integrator_failure_is_a_flow_error(params_m2, monkeypatch, tmp_path,
 def _structural_reference(st):
     """structural_residuals from the matrices of the linear problem: E, C and
     A = x y^T built with numpy, both commutators taken as matrix products,
-    and every 2x2 minor of A."""
+    and every 2x2 minor of A.  The matrices hold numpy's extended precision:
+    in doubles the products of [B, A] cancel to ~2e-15 of rounding at s=10,
+    more than the comparison allows."""
     m1 = st.M + 1
     s = st.s
-    dx, dy, dxi, deta = flow.rhs(st)
+    x, y, xi, eta, dx, dy, dxi, deta = (
+        a.astype(np.clongdouble) for a in (st.x, st.y, st.xi, st.eta)
+        + flow.rhs(st))
 
     def c_matrix(xi, eta, superdiag):
-        C = np.zeros((m1, m1), dtype=complex)
+        C = np.zeros((m1, m1), dtype=np.clongdouble)
         for i in range(m1 - 1):
             C[i, 0] = -eta[i]
             C[i, i + 1] = superdiag
@@ -308,11 +324,11 @@ def _structural_reference(st):
         scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
         return np.max(np.abs(lhs - rhs)) / scale
 
-    E = np.zeros((m1, m1), dtype=complex)
+    E = np.zeros((m1, m1), dtype=np.clongdouble)
     E[-1, 0] = (-1.0) ** (st.M + 1)
-    B = c_matrix(st.xi, st.eta, -1.0) + s * E
-    A = np.outer(st.x, st.y)
-    dA = np.outer(dx, st.y) + np.outer(st.x, dy)
+    B = c_matrix(xi, eta, -1.0) + s * E
+    A = np.outer(x, y)
+    dA = np.outer(dx, y) + np.outer(x, dy)
     minors = [abs(A[i, k] * A[j, l] - A[i, l] * A[j, k])
               for i in range(m1) for j in range(i + 1, m1)
               for k in range(m1) for l in range(k + 1, m1)]
@@ -348,14 +364,12 @@ def _structural_reference(st):
 
 def test_structural_residuals_match_matrix_reference(params_m2, traj_m1,
                                                      traj_m2):
-    # both are rounded sums of products: at s=10 each reads up to 2.0e-15
-    # off the 50-digit residual of the same state, so they agree to 4e-15
     launch, _ = flow.launch_state(params_m2, 1e-5)
     for st in [launch] + traj_m1.states + traj_m2.states:
         got, ref = flow.structural_residuals(st), _structural_reference(st)
         assert got.keys() == ref.keys()
         for name, value in ref.items():
-            assert abs(got[name] - value) <= 4e-15, (st.s, name)
+            assert abs(got[name] - value) <= 1e-15, (st.s, name)
 
 
 def test_tracy_widom_rejected_for_m2(traj_m2):
