@@ -68,7 +68,7 @@ def _fmt(x) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list,
-                    seed=None) -> None:
+                    seed=None, diagnostics=None) -> None:
     manifest = {
         "command": command,
         "parameters": params,
@@ -76,6 +76,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list,
         "seed": seed,
         "timestamp_unix": time.time(),
         "outputs": [str(p) for p in outputs],
+        "diagnostics": diagnostics,
     }
     path = out_dir / f"{command}.manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -246,7 +247,8 @@ def cmd_ode(args) -> int:
     path.write_text(flow.trajectory_csv(traj))
     _write_manifest(out_dir, "ode",
                     {"M": params.M, "nu": args.nu, "s_max": args.s_max,
-                     "tol": args.tol, "points": args.points}, [path])
+                     "tol": args.tol, "points": args.points}, [path],
+                    diagnostics={"nfev": traj.nfev})
     print(f"wrote {path}")
     return EXIT_OK
 

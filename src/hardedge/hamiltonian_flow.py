@@ -4,13 +4,16 @@ For one or two matrix factors the gap probability satisfies
 ``E_M(0;(0,s)) = exp( int_0^s eta_0(t)/t dt )`` where eta_0 rides along a
 system of 4(M+1) coupled first-order ODEs in the variables
 (x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0,
-integrates it with an adaptive embedded Runge-Kutta pair (scipy's DOP853,
-whose module is loaded at the first integration, not at import) in complex
-arithmetic, and monitors every first integral and structural identity
-(folding, Schlesinger consistency, the Tracy-Widom map) along the
-trajectory.  The first integrals gate the launch state before any
-integration, and every output state after it.  The right-hand sides run on
-Python complex scalars, which cost less per call than numpy scalars.
+integrates it on the real view of the complex state with Hairer's DOP853
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), the compiled 8(5,3)
+embedded Runge-Kutta code scipy ships behind ``scipy.integrate.ode`` and
+loaded at the first integration, not at import, and monitors every first
+integral and structural identity (folding, Schlesinger consistency, the
+Tracy-Widom map) along the trajectory.  The first integrals gate the launch
+state before any integration, and every output state after it.  The
+right-hand sides run on Python complex scalars, which cost less per call
+than numpy scalars; they and the steppers that call them live as long as
+the module (see ``solve_ivp``).
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -26,6 +29,8 @@ from __future__ import annotations
 import functools
 import io
 import math
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +56,79 @@ __all__ = [
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-6
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported at the first integration.
+@dataclass
+class _Solution:
+    """solve_ivp's outcome: y[:, i] is the state at t[i]."""
 
-    Importing hardedge does not load scipy.integrate, which no Fredholm or
-    Monte Carlo call needs; on a 2-vCPU x86-64 VM it adds 23 MB resident and
-    0.3-0.5 s to the import.
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+# a cached stepper carries a pass's state from leg to leg: one pass at a time
+_STEPPER_LOCK = threading.Lock()
+
+
+def solve_ivp(fun, t_span, y0, method, rtol, atol, t_eval):
+    """y' = fun(t, y) from t_span[0], with output at the increasing t_eval.
+
+    The stepper is Hairer's compiled DOP853, reached through
+    ``scipy.integrate.ode``, at the step-size limits of scipy's
+    ``solve_ivp`` (growth at most 10x, shrink at least 0.2x per step).  It
+    steps to each t_eval abscissa in turn, so every output ends a step and
+    the next leg starts from a fresh first-step guess.  nfev is DOP853's own
+    count of right-hand-side evaluations, summed over the legs.  A failed leg
+    ends the pass with success False and DOP853's return code in message.
+
+    fun must outlive the call: scipy's wrapper keeps a reference to every
+    callable it is handed, so the steppers are cached per (fun, rtol, atol)
+    and the callers pass module-level functions.  One pass runs at a time in
+    the process.  Importing hardedge does not load scipy.integrate, which no
+    Fredholm or Monte Carlo call needs; on a 2-vCPU x86-64 VM it adds 23 MB
+    resident and 0.3-0.5 s to the import.
     """
-    from scipy.integrate import solve_ivp as _solve_ivp
-    return _solve_ivp(*args, **kwargs)
+    if method != "DOP853":
+        raise ValueError(f"unknown method {method!r}: the stepper is DOP853")
+    with _STEPPER_LOCK, warnings.catch_warnings():
+        # a failure is returned below with its code, not warned about
+        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+        stepper = _dop853(fun, rtol, atol).set_initial_value(y0, t_span[0])
+        dop = stepper._integrator
+        ys, nfev = [], 0
+        for t in t_eval:
+            y = stepper.integrate(t)
+            nfev += int(dop.iwork[16])      # Hairer's IWORK(17), NFCN
+            if not stepper.successful():
+                code = stepper.get_return_code()
+                return _Solution(
+                    np.array(t_eval[:len(ys)]), np.array(ys).T, nfev, False,
+                    f"DOP853 return code {code} at t={stepper.t:.17g}: "
+                    f"{dop.messages.get(code, 'unknown code')}")
+            ys.append(y.copy())
+    return _Solution(np.array(t_eval, dtype=float), np.array(ys).T, nfev,
+                     True, "DOP853 reached every output abscissa")
+
+
+# DOP853 needs a cap on steps per leg, solve_ivp had none.  The longest leg
+# measured takes ~260 steps (3074 evaluations: M=1 at tol 1e-12, s = 2 to 60)
+_MAX_STEPS = 100_000
+
+
+@functools.lru_cache(maxsize=8)
+def _dop853(fun, rtol, atol):
+    """One ``scipy.integrate.ode`` DOP853 stepper per (fun, rtol, atol)."""
+    from scipy.integrate import ode
+    stepper = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
+                                      nsteps=_MAX_STEPS, ifactor=10.0,
+                                      dfactor=0.2)
+    # every set_initial_value hands the wrapper the integrator's _solout
+    # anew, a fresh bound method that it would keep (64 B per pass): bind
+    # it once, so that each pass hands over the same object
+    dop = stepper._integrator
+    dop._solout = dop._solout
+    return stepper
 
 
 class FlowError(RuntimeError):
@@ -105,13 +174,15 @@ class Trajectory:
 
     states[0] is the launch state at s0; log_gap[i] is int_0^s eta_0/t dt
     up to s = states[i].s, so E = exp(log_gap[i]), with log_gap[0] the
-    launch determinant's.  tol is the tolerance integrate was asked for.
+    launch determinant's.  tol is the tolerance integrate was asked for;
+    nfev counts the right-hand-side evaluations of every segment.
     """
 
     params: HardEdgeParams
     states: list
     log_gap: list
     tol: float
+    nfev: int
 
     @property
     def s0(self) -> float:
@@ -162,6 +233,16 @@ def _rhs_m2(s, v):
         -x2 * y2,
         eta0 * inv,
     ])
+
+
+# the steppers' right-hand sides: the same equations on the real view of the
+# state, module-level so that each cached stepper holds one for good
+def _rhs_real_m1(s, u):
+    return _rhs_m1(s, u.view(complex)).view(float)
+
+
+def _rhs_real_m2(s, u):
+    return _rhs_m2(s, u.view(complex)).view(float)
 
 
 def rhs(state: HamiltonianState):
@@ -265,16 +346,13 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     state0, loghead = launch_state(params, s0)
     _gate_first_integrals([state0], tol)
 
-    fn = _rhs_m1 if params.M == 1 else _rhs_m2
-
-    def rhs_real(s, u):
-        return fn(s, u.view(complex)).view(float)
-
-    states, log_gap = _run_segments(rhs_real, params, s0, s_targets,
-                                    state0.pack(aux=loghead).view(float), tol)
+    rhs_real = _rhs_real_m1 if params.M == 1 else _rhs_real_m2
+    states, log_gap, nfev = _run_segments(
+        rhs_real, params, s0, s_targets, state0.pack(aux=loghead).view(float),
+        tol)
     _gate_first_integrals(states, tol)
     return Trajectory(params=params, states=[state0] + states,
-                      log_gap=[loghead] + log_gap, tol=tol)
+                      log_gap=[loghead] + log_gap, tol=tol, nfev=nfev)
 
 
 # the physical solution is dynamically unstable: state errors injected at
@@ -294,7 +372,7 @@ def _segment_tol(tol: float, seg_end: float) -> float:
 def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
     ends = [e for e in _GRADE_EDGES if s0 < e < s_targets[-1]]
     ends.append(s_targets[-1])
-    states, log_gap = [], []
+    states, log_gap, nfev = [], [], 0
     v, s_cur = v0, s0
     for seg_end in ends:
         t_eval = [t for t in s_targets if s_cur < t < seg_end]
@@ -304,6 +382,7 @@ def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
                         t_eval=t_eval + [seg_end])
         if not sol.success:
             raise FlowError(f"integrator failed: {sol.message}")
+        nfev += sol.nfev
         for i, s in enumerate(sol.t):
             if s in s_targets:
                 vec = np.ascontiguousarray(sol.y[:, i]).view(complex)
@@ -312,7 +391,7 @@ def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
                 log_gap.append(aux)
         v = np.ascontiguousarray(sol.y[:, -1])
         s_cur = seg_end
-    return states, log_gap
+    return states, log_gap, nfev
 
 
 def _gate_first_integrals(states, tol: float) -> None:

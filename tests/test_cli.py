@@ -6,6 +6,7 @@ import pytest
 from hardedge import cli, fredholm, verification
 from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
+from hardedge.kernels import HardEdgeParams
 from hardedge.reference_data import TABLE1
 
 
@@ -292,10 +293,15 @@ def test_ode_m1_from_one_nu(tmp_path):
     # one --nu value is M=1; the manifest records M and the values given
     assert main(["ode", "--nu", "0", "--s-max", "1.0", "--points", "4",
                  "--out", str(tmp_path)]) == 0
-    params = json.loads((tmp_path / "ode.manifest.json").read_text())[
-        "parameters"]
+    manifest = json.loads((tmp_path / "ode.manifest.json").read_text())
+    params = manifest["parameters"]
     assert (params["M"], params["nu"]) == (1, [0.0])
     assert not {"m", "nu1", "nu2"} & set(params)
+    # the run's cost: the stepper's right-hand-side evaluations
+    grid = np.geomspace(1e-4, 1.0, 4)
+    assert manifest["diagnostics"] == {
+        "nfev": flow.integrate(HardEdgeParams.from_nu((0.0, 0.0)), 1e-5,
+                               grid).nfev}
 
 
 @pytest.mark.parametrize("argv", [
