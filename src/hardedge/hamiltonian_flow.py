@@ -111,8 +111,9 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol, t_eval):
                      True, "DOP853 reached every output abscissa")
 
 
-# DOP853 needs a cap on steps per leg, solve_ivp had none.  The longest leg
-# measured takes ~260 steps (3074 evaluations: M=1 at tol 1e-12, s = 2 to 60)
+# DOP853 stops a leg after this many steps (return code -2); the cap stays
+# far above real legs: the longest measured takes ~260 steps (3074
+# evaluations: M=1 at tol 1e-12, s = 2 to 60)
 _MAX_STEPS = 100_000
 
 
@@ -123,12 +124,17 @@ def _dop853(fun, rtol, atol):
     stepper = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
                                       nsteps=_MAX_STEPS, ifactor=10.0,
                                       dfactor=0.2)
-    # every set_initial_value hands the wrapper the integrator's _solout
-    # anew, a fresh bound method that it would keep (64 B per pass): bind
-    # it once, so that each pass hands over the same object
-    dop = stepper._integrator
-    dop._solout = dop._solout
+    # every set_initial_value hands the wrapper the integrator's _solout, a
+    # fresh bound method each time, which it would keep: 64 B per pass, and
+    # the integrator alive after the cache drops it.  DOP853 calls solout
+    # only for per-step output (iout=1), never asked for here, so it gets a
+    # module-level function instead
+    stepper._integrator._solout = _no_step_output
     return stepper
+
+
+def _no_step_output(x, y):
+    return 1
 
 
 class FlowError(RuntimeError):

@@ -378,21 +378,26 @@ def test_concurrent_integrations_match_serial(params_m1, params_m2):
                          ids=["m1", "m2"])
 def test_integrate_keeps_no_memory_per_trajectory(nu):
     # scipy's DOP853 wrapper keeps a reference to every callable it is
-    # handed, so whatever a pass hands it anew stays alive for good.
-    # Measured over these 200 passes (after 20 traced warm-up passes): 0.8-3.2
-    # KB net with the cached steppers; 16-23 KB with a fresh bound method per
-    # leg (64 B each); 560-700 KB with a closure per pass.  The short
-    # trajectory keeps the run brief: tracemalloc slows each RHS call ~20x.
+    # handed, so whatever a pass hands it anew stays alive for good.  Even
+    # passes reuse one cached stepper; odd ones cycle through 12 more
+    # tolerances, past the cache's 8, so each builds a stepper and the cache
+    # drops one.  Net growth measured over the 200 passes: 1.5 KB; 50 KB with
+    # a closure per pass; 257-332 KB when the wrapper is handed the
+    # integrator's own bound solout, which keeps each dropped stepper alive.
+    # The short trajectory keeps the run brief: tracemalloc slows each RHS
+    # call ~20x.
     params = HardEdgeParams.from_nu(nu)
     targets = [1.1e-5, 1.2e-5]
+    tols = [1e-6 * (1.0 - 0.02 * (k % 2) * (1 + k // 2 % 12))
+            for k in range(220)]
     tracemalloc.start()
     try:
-        for _ in range(20):
-            flow.integrate(params, 1e-5, targets, tol=1e-6)
+        for tol in tols[:20]:
+            flow.integrate(params, 1e-5, targets, tol=tol)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(200):
-            flow.integrate(params, 1e-5, targets, tol=1e-6)
+        for tol in tols[20:]:
+            flow.integrate(params, 1e-5, targets, tol=tol)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
