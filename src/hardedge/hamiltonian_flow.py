@@ -10,10 +10,11 @@ embedded Runge-Kutta code scipy ships behind ``scipy.integrate.ode`` and
 loaded at the first integration, not at import, and monitors every first
 integral and structural identity (folding, Schlesinger consistency, the
 Tracy-Widom map) along the trajectory.  The first integrals gate the launch
-state before any integration, and every output state after it.  The
-right-hand sides run on Python complex scalars, which cost less per call
-than numpy scalars; they and the steppers that call them live as long as
-the module (see ``solve_ivp``).
+state before any integration, and every output state after it.  On the
+physical branch x and y are purely imaginary and xi, eta real; the
+right-hand sides run on the Python float parts that branch leaves nonzero,
+which cost less per call than complex or numpy scalars.  They and the
+steppers that call them live as long as the module (see ``solve_ivp``).
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -146,8 +147,9 @@ class HamiltonianState:
     """Phase-space point of the coupled system at abscissa s.
 
     x, y, xi, eta are complex arrays of length M+1.  On the physical branch
-    x and y are purely imaginary while xi and eta are real; imaginary leakage
-    into xi/eta doubles as an integration sanity check.
+    x and y are purely imaginary while xi and eta are real.  The flow stays
+    on it exactly: its right-hand sides return exact zeros for Re x, Re y,
+    Im xi and Im eta, so the imag_leakage monitor reads 0 by construction.
     """
 
     s: float
@@ -199,64 +201,60 @@ class Trajectory:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _rhs_m1(s, v):
-    # Python scalars: numpy scalar arithmetic costs more than the formula.
-    # numpy divides a complex by a real through the reciprocal, so "* inv"
-    # keeps the array formula's rounding bit for bit; "/ s" would not.
-    x0, x1, y0, y1, xi0, xi1, eta0, eta1, _ = v.tolist()
-    s = float(s)
-    inv = 1.0 / s
-    return np.array([
-        (-eta0 * x0 - x1) * inv,
-        (-eta1 * x0 + s * x0 + xi0 * x0 + xi1 * x1) * inv,
-        (-xi0 * y1 - s * y1 + eta0 * y0 + eta1 * y1) * inv,
-        (-xi1 * y1 + y0) * inv,
-        x0 * y0,
-        x0 * y1,
-        x0 * y1,
-        x1 * y1,
-        eta0 * inv,
-    ])
-
-
-def _rhs_m2(s, v):
-    # Python scalars and "* inv", as in _rhs_m1
-    x0, x1, x2, y0, y1, y2, xi0, xi1, xi2, eta0, eta1, eta2, _ = v.tolist()
-    s = float(s)
-    inv = 1.0 / s
-    return np.array([
-        (-eta0 * x0 - x1) * inv,
-        (-eta1 * x0 - x2) * inv,
-        (-eta2 * x0 - s * x0 + xi0 * x0 + xi1 * x1 + xi2 * x2) * inv,
-        (-xi0 * y2 + s * y2 + eta0 * y0 + eta1 * y1 + eta2 * y2) * inv,
-        (-xi1 * y2 + y0) * inv,
-        (-xi2 * y2 + y1) * inv,
-        -x0 * y0,
-        -x0 * y1,
-        -x0 * y2,
-        -x0 * y2,
-        -x1 * y2,
-        -x2 * y2,
-        eta0 * inv,
-    ])
-
-
-# the steppers' right-hand sides: the same equations on the real view of the
-# state, module-level so that each cached stepper holds one for good
+# The steppers' right-hand sides, on the real view of the state: (Re, Im) of
+# x, y, xi, eta and log E.  They read the parts the physical branch leaves
+# nonzero and put an exact 0.0 in the others, keeping the full layout, as
+# DOP853's error norm averages over every component.  The complex formulas
+# in their operation order (-x0 y0 = X0 Y0 for x = iX, y = iY) on Python
+# floats; "* inv" keeps the rounding of numpy's complex-by-real division,
+# "/ s" would not.  Module-level: each cached stepper holds one for good.
 def _rhs_real_m1(s, u):
-    return _rhs_m1(s, u.view(complex)).view(float)
+    _, X0, _, X1, _, Y0, _, Y1, XI0, _, XI1, _, E0, _, E1, _, _, _ = u.tolist()
+    inv = 1.0 / s
+    return [
+        0.0, (-E0 * X0 - X1) * inv,
+        0.0, (-E1 * X0 + s * X0 + XI0 * X0 + XI1 * X1) * inv,
+        0.0, (-XI0 * Y1 - s * Y1 + E0 * Y0 + E1 * Y1) * inv,
+        0.0, (-XI1 * Y1 + Y0) * inv,
+        -X0 * Y0, 0.0, -X0 * Y1, 0.0,
+        -X0 * Y1, 0.0, -X1 * Y1, 0.0,
+        E0 * inv, 0.0,
+    ]
 
 
 def _rhs_real_m2(s, u):
-    return _rhs_m2(s, u.view(complex)).view(float)
+    (_, X0, _, X1, _, X2, _, Y0, _, Y1, _, Y2, XI0, _, XI1, _, XI2, _,
+     E0, _, E1, _, E2, _, _, _) = u.tolist()
+    inv = 1.0 / s
+    return [
+        0.0, (-E0 * X0 - X1) * inv,
+        0.0, (-E1 * X0 - X2) * inv,
+        0.0, (-E2 * X0 - s * X0 + XI0 * X0 + XI1 * X1 + XI2 * X2) * inv,
+        0.0, (-XI0 * Y2 + s * Y2 + E0 * Y0 + E1 * Y1 + E2 * Y2) * inv,
+        0.0, (-XI1 * Y2 + Y0) * inv,
+        0.0, (-XI2 * Y2 + Y1) * inv,
+        X0 * Y0, 0.0, X0 * Y1, 0.0, X0 * Y2, 0.0,
+        X0 * Y2, 0.0, X1 * Y2, 0.0, X2 * Y2, 0.0,
+        E0 * inv, 0.0,
+    ]
 
 
 def rhs(state: HamiltonianState):
-    """(dx/ds, dy/ds, dxi/ds, deta/ds) at the state's abscissa."""
+    """(dx/ds, dy/ds, dxi/ds, deta/ds) at the state's abscissa.
+
+    The steppers' right-hand side on the state's real view, as complex
+    arrays.  A state off the physical branch (nonzero Re x, Re y, Im xi or
+    Im eta) is refused, not truncated."""
     if state.s <= 0:
         raise ValueError("the system is singular at s = 0")
-    fn = _rhs_m1 if state.M == 1 else _rhs_m2
-    d = fn(state.s, state.pack())
+    for name, part in (("Re x", state.x.real), ("Re y", state.y.real),
+                       ("Im xi", state.xi.imag), ("Im eta", state.eta.imag)):
+        for m, v in enumerate(part.tolist()):
+            if v != 0.0:
+                raise ValueError(f"off the physical branch: {name}{m} = "
+                                 f"{v:g}, not 0")
+    fn = _rhs_real_m1 if state.M == 1 else _rhs_real_m2
+    d = np.array(fn(float(state.s), state.pack().view(float))).view(complex)
     m1 = state.M + 1
     return d[:m1], d[m1:2 * m1], d[2 * m1:3 * m1], d[3 * m1:4 * m1]
 

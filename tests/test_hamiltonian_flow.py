@@ -174,18 +174,91 @@ def _rhs_divided_by_s(s, v):
     ])
 
 
-@pytest.mark.parametrize("fn, n", [(flow._rhs_m1, 9), (flow._rhs_m2, 13)],
-                         ids=["m1", "m2"])
-def test_rhs_bit_identical_to_division_by_s(fn, n):
-    # the right-hand sides multiply by 1/s on Python scalars; numpy divides a
-    # complex by a real the same way, so every entry must agree exactly
+def _physical_branch_state(rng, m1):
+    """A random packed state with x, y in iR and xi, eta, the log-E
+    accumulator in R; the zero parts are +0.0, as the steppers carry them."""
+    v = np.zeros(4 * m1 + 1, dtype=complex)
+    v.imag[:2 * m1] = rng.standard_normal(2 * m1)
+    v.real[2 * m1:] = rng.standard_normal(2 * m1 + 1)
+    return v
+
+
+@pytest.mark.parametrize("fn, m1", [(flow._rhs_real_m1, 2),
+                                    (flow._rhs_real_m2, 3)], ids=["m1", "m2"])
+def test_rhs_bit_identical_to_division_by_s(fn, m1):
+    # the right-hand sides evaluate the complex equations restricted to the
+    # physical branch, the only states the flow visits, multiplying by 1/s on
+    # Python floats; numpy divides a complex by a real the same way, so every
+    # entry must agree exactly with the complex formulas
     rng = np.random.default_rng(20140314)
-    vs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     ss = np.exp(rng.uniform(math.log(1e-5), math.log(60.0), 1000))
-    for s, v in zip(ss, vs):
+    for s in ss:
+        v = _physical_branch_state(rng, m1)
         ref = _rhs_divided_by_s(s, v)
-        assert np.array_equal(fn(s, v), ref)
-        assert np.array_equal(fn(float(s), v), ref)
+        for s_arg in (s, float(s)):
+            got = np.array(fn(s_arg, v.view(float)))
+            assert got.shape == (2 * len(v),)
+            assert np.array_equal(got.view(complex), ref)
+
+
+@pytest.mark.parametrize("name, part", [("x", "real"), ("y", "real"),
+                                        ("xi", "imag"), ("eta", "imag")])
+def test_rhs_refuses_a_state_off_the_physical_branch(name, part, params_m2):
+    # the real form reads only Im x, Im y, Re xi, Re eta: a state with any
+    # other part nonzero is refused with the component named, not truncated
+    st, _ = flow.launch_state(params_m2, 1e-5)
+    flow.rhs(st)
+    getattr(getattr(st, name), part)[1] = 1e-3
+    label = ("Re " if part == "real" else "Im ") + name
+    with pytest.raises(ValueError, match=f"^off the physical branch: "
+                                         f"{label}1 = 0.001, not 0$"):
+        flow.rhs(st)
+
+
+def _reference_real(s, u):
+    # the complex reference on the steppers' real view of the state
+    return _rhs_divided_by_s(s, u.view(complex)).view(float)
+
+
+_PIN_GRID = np.geomspace(1e-4, 10.0, 40)
+
+
+def _trajectory_bytes(traj):
+    return ([b"".join(a.tobytes() for a in (st.x, st.y, st.xi, st.eta))
+             + np.float64(st.s).tobytes() for st in traj.states],
+            np.array(traj.log_gap).tobytes(), traj.nfev)
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_trajectory_matches_complex_reference_rhs(nu, monkeypatch):
+    # the real-form right-hand side steps exactly the trajectory of the
+    # complex equations: the same states, log E and evaluation count, to the
+    # byte (signs of the zero parts included)
+    params = HardEdgeParams.from_nu(nu)
+    library = _trajectory_bytes(flow.integrate(params, 1e-5, _PIN_GRID))
+    name = "_rhs_real_m1" if len(nu) == 2 else "_rhs_real_m2"
+    monkeypatch.setattr(flow, name, _reference_real)
+    reference = _trajectory_bytes(flow.integrate(params, 1e-5, _PIN_GRID))
+    assert library == reference
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_nfev_counts_every_rhs_call(nu, monkeypatch):
+    # Trajectory.nfev is DOP853's own count (NFCN); on the flow's right-hand
+    # sides it must equal the calls the stepper actually makes
+    params = HardEdgeParams.from_nu(nu)
+    name = "_rhs_real_m1" if len(nu) == 2 else "_rhs_real_m2"
+    library, calls = getattr(flow, name), []
+
+    def counted(s, u):
+        calls.append(s)
+        return library(s, u)
+
+    monkeypatch.setattr(flow, name, counted)
+    traj = flow.integrate(params, 1e-5, _PIN_GRID)
+    assert traj.nfev == len(calls) > 0
 
 
 def test_rhs_rejects_s_zero(params_m1):
