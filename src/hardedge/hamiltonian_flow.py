@@ -13,8 +13,9 @@ Tracy-Widom map) along the trajectory.  The first integrals gate the launch
 state before any integration, and every output state after it.  On the
 physical branch x and y are purely imaginary and xi, eta real; the
 right-hand sides run on the Python float parts that branch leaves nonzero,
-which cost less per call than complex or numpy scalars.  They and the
-steppers that call them live as long as the module (see ``solve_ivp``).
+which cost less per call than complex or numpy scalars.  They are
+module-level because the stepper's wrapper keeps every callable it is
+handed (see ``solve_ivp``); each graded segment builds its own stepper.
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -27,10 +28,10 @@ resolvent's own.  Two index sets launch, M=1 at nu=(0,0) and M=2 at
 
 from __future__ import annotations
 
+import bisect
 import functools
 import io
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -59,57 +60,10 @@ _TOL_MIN, _TOL_MAX = 1e-12, 1e-6
 
 @dataclass
 class _Solution:
-    """solve_ivp's outcome: y[:, i] is the state at t[i]."""
+    """solve_ivp's outcome: y[i] is the state at t_eval[i]."""
 
-    t: np.ndarray
     y: np.ndarray
     nfev: int
-    success: bool
-    message: str
-
-
-# a cached stepper carries a pass's state from leg to leg: one pass at a time
-_STEPPER_LOCK = threading.Lock()
-
-
-def solve_ivp(fun, t_span, y0, method, rtol, atol, t_eval):
-    """y' = fun(t, y) from t_span[0], with output at the increasing t_eval.
-
-    The stepper is Hairer's compiled DOP853, reached through
-    ``scipy.integrate.ode``, at the step-size limits of scipy's
-    ``solve_ivp`` (growth at most 10x, shrink at least 0.2x per step).  It
-    steps to each t_eval abscissa in turn, so every output ends a step and
-    the next leg starts from a fresh first-step guess.  nfev is DOP853's own
-    count of right-hand-side evaluations, summed over the legs.  A failed leg
-    ends the pass with success False and DOP853's return code in message.
-
-    fun must outlive the call: scipy's wrapper keeps a reference to every
-    callable it is handed, so the steppers are cached per (fun, rtol, atol)
-    and the callers pass module-level functions.  One pass runs at a time in
-    the process.  Importing hardedge does not load scipy.integrate, which no
-    Fredholm or Monte Carlo call needs; on a 2-vCPU x86-64 VM it adds 23 MB
-    resident and 0.3-0.5 s to the import.
-    """
-    if method != "DOP853":
-        raise ValueError(f"unknown method {method!r}: the stepper is DOP853")
-    with _STEPPER_LOCK, warnings.catch_warnings():
-        # a failure is returned below with its code, not warned about
-        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-        stepper = _dop853(fun, rtol, atol).set_initial_value(y0, t_span[0])
-        dop = stepper._integrator
-        ys, nfev = [], 0
-        for t in t_eval:
-            y = stepper.integrate(t)
-            nfev += int(dop.iwork[16])      # Hairer's IWORK(17), NFCN
-            if not stepper.successful():
-                code = stepper.get_return_code()
-                return _Solution(
-                    np.array(t_eval[:len(ys)]), np.array(ys).T, nfev, False,
-                    f"DOP853 return code {code} at t={stepper.t:.17g}: "
-                    f"{dop.messages.get(code, 'unknown code')}")
-            ys.append(y.copy())
-    return _Solution(np.array(t_eval, dtype=float), np.array(ys).T, nfev,
-                     True, "DOP853 reached every output abscissa")
 
 
 # DOP853 stops a leg after this many steps (return code -2); the cap stays
@@ -118,20 +72,51 @@ def solve_ivp(fun, t_span, y0, method, rtol, atol, t_eval):
 _MAX_STEPS = 100_000
 
 
-@functools.lru_cache(maxsize=8)
-def _dop853(fun, rtol, atol):
-    """One ``scipy.integrate.ode`` DOP853 stepper per (fun, rtol, atol)."""
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
+    """y' = fun(t, y) from t_span[0], with output at the increasing t_eval.
+
+    The stepper is Hairer's compiled DOP853, reached through
+    ``scipy.integrate.ode``, at the step-size limits of scipy's
+    ``solve_ivp`` (growth at most 10x, shrink at least 0.2x per step).  One
+    stepper is built for the call and dropped with it.  It steps to each
+    t_eval abscissa in turn, so every output ends a step and the next leg
+    starts from a fresh first-step guess.  nfev is DOP853's own count of
+    right-hand-side evaluations, summed over the legs.  A failed leg raises
+    ``FlowError`` with DOP853's return code.
+
+    fun must be module-level: scipy's wrapper keeps a reference to every
+    callable it is handed, for the life of the process, so a closure or
+    bound method per call would grow memory with every pass.  Importing
+    hardedge does not load scipy.integrate, which no Fredholm or Monte Carlo
+    call needs; on a 2-vCPU x86-64 VM it adds 23 MB resident and 0.3-0.5 s
+    to the import.
+    """
     from scipy.integrate import ode
     stepper = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
                                       nsteps=_MAX_STEPS, ifactor=10.0,
                                       dfactor=0.2)
-    # every set_initial_value hands the wrapper the integrator's _solout, a
-    # fresh bound method each time, which it would keep: 64 B per pass, and
-    # the integrator alive after the cache drops it.  DOP853 calls solout
-    # only for per-step output (iout=1), never asked for here, so it gets a
-    # module-level function instead
-    stepper._integrator._solout = _no_step_output
-    return stepper
+    dop = stepper._integrator
+    # set_initial_value gives every leg the integrator's _solout, a fresh
+    # bound method, which the wrapper would keep and with it the integrator:
+    # 2.5-3.2 KB per pass.  DOP853 calls solout only for per-step output
+    # (iout=1), never asked for here, so it gets a module-level function
+    dop._solout = _no_step_output
+    stepper.set_initial_value(y0, t_span[0])
+    ys, nfev = [], 0
+    with warnings.catch_warnings():
+        # a failure is raised below with its code, not warned about
+        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+        for t in t_eval:
+            y = stepper.integrate(t)
+            nfev += int(dop.iwork[16])      # Hairer's IWORK(17), NFCN
+            if not stepper.successful():
+                code = stepper.get_return_code()
+                raise FlowError(
+                    f"integrator failed: DOP853 return code {code} at "
+                    f"t={stepper.t:.17g}: "
+                    f"{dop.messages.get(code, 'unknown code')}")
+            ys.append(y.copy())
+    return _Solution(np.array(ys), nfev)
 
 
 def _no_step_output(x, y):
@@ -207,7 +192,7 @@ class Trajectory:
 # DOP853's error norm averages over every component.  The complex formulas
 # in their operation order (-x0 y0 = X0 Y0 for x = iX, y = iY) on Python
 # floats; "* inv" keeps the rounding of numpy's complex-by-real division,
-# "/ s" would not.  Module-level: each cached stepper holds one for good.
+# "/ s" would not.  Module-level: the stepper's wrapper keeps them for good.
 def _rhs_real_m1(s, u):
     _, X0, _, X1, _, Y0, _, Y1, XI0, _, XI1, _, E0, _, E1, _, _, _ = u.tolist()
     inv = 1.0 / s
@@ -361,16 +346,10 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
 
 # the physical solution is dynamically unstable: state errors injected at
 # small s amplify by ~1e3-1e4 toward s ~ 5, so early segments run at a
-# correspondingly tighter tolerance (cheap: they cover few decades)
+# correspondingly tighter tolerance (cheap: they cover few decades).  A
+# segment ending at s runs at tol times the factor of the first edge >= s
 _GRADE_EDGES = (0.1, 2.0)
 _GRADE_FACTORS = (1e-4, 1e-2, 1.0)
-
-
-def _segment_tol(tol: float, seg_end: float) -> float:
-    for edge, factor in zip(_GRADE_EDGES, _GRADE_FACTORS):
-        if seg_end <= edge:
-            return max(tol * factor, _TOL_MIN * 0.1)
-    return max(tol, _TOL_MIN * 0.1)
 
 
 def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
@@ -379,22 +358,18 @@ def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
     states, log_gap, nfev = [], [], 0
     v, s_cur = v0, s0
     for seg_end in ends:
-        t_eval = [t for t in s_targets if s_cur < t < seg_end]
-        sol = solve_ivp(rhs_real, (s_cur, seg_end), v, method="DOP853",
-                        rtol=_segment_tol(tol, seg_end),
-                        atol=_segment_tol(tol, seg_end) * 1e-2,
-                        t_eval=t_eval + [seg_end])
-        if not sol.success:
-            raise FlowError(f"integrator failed: {sol.message}")
+        rtol = max(tol * _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, seg_end)],
+                   _TOL_MIN * 0.1)
+        t_eval = [t for t in s_targets if s_cur < t < seg_end] + [seg_end]
+        sol = solve_ivp(rhs_real, (s_cur, seg_end), v, rtol=rtol,
+                        atol=rtol * 1e-2, t_eval=t_eval)
         nfev += sol.nfev
-        for i, s in enumerate(sol.t):
+        for s, vec in zip(t_eval, sol.y):
             if s in s_targets:
-                vec = np.ascontiguousarray(sol.y[:, i]).view(complex)
-                st, aux = HamiltonianState.unpack(params, s, vec)
+                st, aux = HamiltonianState.unpack(params, s, vec.view(complex))
                 states.append(st)
                 log_gap.append(aux)
-        v = np.ascontiguousarray(sol.y[:, -1])
-        s_cur = seg_end
+        v, s_cur = sol.y[-1], seg_end
     return states, log_gap, nfev
 
 
@@ -607,18 +582,18 @@ def trajectory_csv(traj: Trajectory) -> str:
     m1 = traj.params.M + 1
     names = ([f"x{m}" for m in range(m1)] + [f"y{m}" for m in range(m1)]
              + [f"xi{m}" for m in range(m1)] + [f"eta{m}" for m in range(m1)])
-    res_names = sorted(first_integral_residuals(traj.states[0]))
+    residuals = [first_integral_residuals(st) for st in traj.states]
+    res_names = sorted(residuals[0])
     buf = io.StringIO()
     cols = ["s"] + [f"{p}_{n}" for n in names for p in ("re", "im")] \
         + ["logE"] + [f"res_{r}" for r in res_names]
     buf.write(",".join(cols) + "\n")
-    for st, lg in zip(traj.states, traj.log_gap):
+    for st, lg, res in zip(traj.states, traj.log_gap, residuals):
         vals = [st.s]
         for arr in (st.x, st.y, st.xi, st.eta):
             for z in arr:
                 vals.extend([z.real, z.imag])
         vals.append(lg)
-        res = first_integral_residuals(st)
         vals.extend(res[r] for r in res_names)
         buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
     return buf.getvalue()
