@@ -32,7 +32,6 @@ import bisect
 import functools
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,17 +71,20 @@ class _Solution:
 _MAX_STEPS = 100_000
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
-    """y' = fun(t, y) from t_span[0], with output at the increasing t_eval.
+def solve_ivp(fun, t0, y0, rtol, atol, t_eval):
+    """y' = fun(t, y) from y(t0) = y0, with output at the increasing t_eval.
 
-    The stepper is Hairer's compiled DOP853, reached through
+    The stepper is Hairer's compiled DOP853, built by
     ``scipy.integrate.ode``, at the step-size limits of scipy's
     ``solve_ivp`` (growth at most 10x, shrink at least 0.2x per step).  One
     stepper is built for the call and dropped with it.  It steps to each
     t_eval abscissa in turn, so every output ends a step and the next leg
     starts from a fresh first-step guess.  nfev is DOP853's own count of
     right-hand-side evaluations, summed over the legs.  A failed leg raises
-    ``FlowError`` with DOP853's return code.
+    ``FlowError`` with DOP853's return code.  The legs call the compiled
+    runner directly: ``ode.integrate`` would warn on a failure, and a
+    filter for that warning would edit the process-wide warning filters
+    under every concurrent pass.
 
     fun must be module-level: scipy's wrapper keeps a reference to every
     callable it is handed, for the life of the process, so a closure or
@@ -92,30 +94,26 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
     to the import.
     """
     from scipy.integrate import ode
-    stepper = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
-                                      nsteps=_MAX_STEPS, ifactor=10.0,
-                                      dfactor=0.2)
-    dop = stepper._integrator
-    # set_initial_value gives every leg the integrator's _solout, a fresh
-    # bound method, which the wrapper would keep and with it the integrator:
-    # 2.5-3.2 KB per pass.  DOP853 calls solout only for per-step output
-    # (iout=1), never asked for here, so it gets a module-level function
+    dop = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
+                                  nsteps=_MAX_STEPS, ifactor=10.0,
+                                  dfactor=0.2)._integrator
+    # reset hands every leg the integrator's _solout, a fresh bound method,
+    # which the wrapper would keep and with it the integrator: 2.5-3.3 KB
+    # per pass.  DOP853 calls solout only for per-step output (iout=1),
+    # never asked for here, so it gets a module-level function
     dop._solout = _no_step_output
-    stepper.set_initial_value(y0, t_span[0])
+    dop.reset(len(y0), False)
+    # the compiled code may write into y, so the caller's y0 is copied
+    t, y = t0, np.array(y0, dtype=float)
     ys, nfev = [], 0
-    with warnings.catch_warnings():
-        # a failure is raised below with its code, not warned about
-        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-        for t in t_eval:
-            y = stepper.integrate(t)
-            nfev += int(dop.iwork[16])      # Hairer's IWORK(17), NFCN
-            if not stepper.successful():
-                code = stepper.get_return_code()
-                raise FlowError(
-                    f"integrator failed: DOP853 return code {code} at "
-                    f"t={stepper.t:.17g}: "
-                    f"{dop.messages.get(code, 'unknown code')}")
-            ys.append(y.copy())
+    for t_next in t_eval:
+        t, y, code = dop.runner(fun, t, y, t_next, *dop.call_args, ())
+        nfev += int(dop.iwork[16])          # Hairer's IWORK(17), NFCN
+        if code < 0:
+            raise FlowError(
+                f"integrator failed: DOP853 return code {code} at t={t:.17g}: "
+                f"{dop.messages.get(code, 'unknown code')}")
+        ys.append(y.copy())
     return _Solution(np.array(ys), nfev)
 
 
@@ -358,11 +356,11 @@ def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
     states, log_gap, nfev = [], [], 0
     v, s_cur = v0, s0
     for seg_end in ends:
-        rtol = max(tol * _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, seg_end)],
-                   _TOL_MIN * 0.1)
+        factor = _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, seg_end)]
+        rtol = max(tol * factor, _TOL_MIN * 0.1)
         t_eval = [t for t in s_targets if s_cur < t < seg_end] + [seg_end]
-        sol = solve_ivp(rhs_real, (s_cur, seg_end), v, rtol=rtol,
-                        atol=rtol * 1e-2, t_eval=t_eval)
+        sol = solve_ivp(rhs_real, s_cur, v, rtol=rtol, atol=rtol * 1e-2,
+                        t_eval=t_eval)
         nfev += sol.nfev
         for s, vec in zip(t_eval, sol.y):
             if s in s_targets:

@@ -390,7 +390,7 @@ def test_stepper_failure_names_dop853_return_code(params_m1, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
-            flow.solve_ivp(_blow_up, (0.0, 2.0), np.array([1.0]), rtol=1e-8,
+            flow.solve_ivp(_blow_up, 0.0, np.array([1.0]), rtol=1e-8,
                            atol=1e-10, t_eval=[0.5, 2.0])
         monkeypatch.setattr(flow, "_rhs_real_m1", _blow_up)
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
@@ -416,8 +416,9 @@ def test_trajectory_nfev_sums_its_segments(params_m2, monkeypatch):
 
 
 def test_concurrent_integrations_match_serial(params_m1, params_m2):
-    # passes share no stepper state: six threads, switching every
-    # microsecond, reproduce the serial trajectories bit for bit
+    # passes share no stepper state and leave the process-wide warning
+    # filters alone: six threads, switching every microsecond, reproduce the
+    # serial trajectories bit for bit and find the filters as they were
     cases = [params_m1, params_m2]
     targets = [1e-4, 0.05, 0.15]
 
@@ -427,6 +428,7 @@ def test_concurrent_integrations_match_serial(params_m1, params_m2):
                 for st, lg in zip(traj.states, traj.log_gap)]
 
     serial = [run(p) for p in cases]
+    filters = list(warnings.filters)
     results = {}
     threads = [threading.Thread(target=lambda k=k: results.update(
         {k: run(cases[k % 2])})) for k in range(6)]
@@ -443,6 +445,7 @@ def test_concurrent_integrations_match_serial(params_m1, params_m2):
     assert sorted(results) == list(range(6))
     for k, vecs in results.items():
         assert all(np.array_equal(a, b) for a, b in zip(vecs, serial[k % 2]))
+    assert warnings.filters == filters
 
 
 @pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
@@ -452,7 +455,7 @@ def test_integrate_keeps_no_memory_per_trajectory(nu):
     # handed, so whatever a pass hands it anew stays alive for good.  Every
     # pass builds its own steppers; even passes run at one tolerance, odd
     # ones cycle through 12 more.  Net growth measured over the 200 passes:
-    # 0.2-1.9 KB; 48 KB with a closure per pass; 507-647 KB when the wrapper
+    # 0.4-4.9 KB; 48 KB with a closure per pass; 510-655 KB when the wrapper
     # is handed the integrator's own bound solout, which keeps every stepper
     # alive.  The short trajectory keeps the run brief: tracemalloc slows
     # each RHS call ~20x.
