@@ -10,8 +10,8 @@ then falls exponentially in n whenever the discretized kernel is analytic on
 the closed interval (Bornemann, Math. Comp. 79 (2010), arXiv:0804.2543).
 The reference rule on (-1, 1) is built once per n and shared by every call
 that asks for n nodes; only its scaling to (0, b) is computed per call.
-``mb_logdet_column`` takes a Muttalib-Borodin table column (one c and n, every
-r) from one batched factor-table sweep, then one K and one slogdet per r.
+Every theta = 2 Muttalib-Borodin log-determinant comes from
+``mb_logdet_column``, as a 16 x 16 determinant by Sylvester's identity.
 """
 
 from __future__ import annotations
@@ -22,25 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    KernelBundle,
-    MBParams,
-    build_kernel_bundle,
-    kernel_matrix,
-    borodin_factor_tables,
-    borodin_kernel_matrix,
-)
+# borodin_kernel_matrix stays bound here for perfbench to wrap
+from .kernels import (KernelBundle, MBParams, build_kernel_bundle,  # noqa: F401
+                      kernel_matrix, borodin_factor_tables, borodin_kernel_matrix)
 
-__all__ = [
-    "QuadratureRule",
-    "make_rule",
-    "fredholm_det",
-    "GapPoint",
-    "gap_probability_mb",
-    "mb_logdet_column",
-    "gap_probability_hardedge",
-    "NonConvergedError",
-]
+__all__ = ["QuadratureRule", "make_rule", "fredholm_det", "GapPoint",
+           "gap_probability_mb", "mb_logdet_column", "gap_probability_hardedge",
+           "NonConvergedError"]
 
 # node doubling runs from _N_START up to the cap _N_MAX
 _N_START = 16
@@ -86,17 +74,8 @@ def make_rule(n: int, b: float) -> QuadratureRule:
     return QuadratureRule(n, 0.5 * b * x + 0.5 * b, 0.5 * b * w)
 
 
-def fredholm_det(kernel, rule: QuadratureRule) -> float:
-    """log det(1 - K) discretized on the rule.
-
-    ``kernel(xs, ys)`` must return the matrix K(xs_i, ys_j) for 1-D node
-    arrays.  A determinant that is zero to working precision, non-finite
-    (a NaN or inf in K) or negative (the discretized operator left the
-    physical regime) raises FloatingPointError.
-    """
-    K = np.asarray(kernel(rule.nodes, rule.nodes), dtype=float)
-    sw = np.sqrt(rule.weights)
-    sign, logdet = np.linalg.slogdet(np.eye(rule.n) - sw[:, None] * K * sw[None, :])
+def _checked_logdet(sign, logdet) -> float:
+    """log det from one slogdet entry; refuses a zero, non-finite or negative det."""
     if sign == 0:
         raise FloatingPointError("factorization singular to working precision")
     if not math.isfinite(logdet):
@@ -104,6 +83,19 @@ def fredholm_det(kernel, rule: QuadratureRule) -> float:
     if sign < 0:
         raise FloatingPointError("Fredholm determinant lost positivity")
     return float(logdet)
+
+
+def fredholm_det(kernel, rule: QuadratureRule) -> float:
+    """log det(1 - K) discretized on the rule.
+
+    ``kernel(xs, ys)`` must return the matrix K(xs_i, ys_j) for 1-D node
+    arrays.  A determinant that is zero to working precision, non-finite (a
+    NaN or inf in K) or negative raises FloatingPointError.
+    """
+    K = np.asarray(kernel(rule.nodes, rule.nodes), dtype=float)
+    sw = np.sqrt(rule.weights)
+    return _checked_logdet(
+        *np.linalg.slogdet(np.eye(rule.n) - sw[:, None] * K * sw[None, :]))
 
 
 @dataclass(frozen=True)
@@ -117,13 +109,13 @@ class GapPoint:
     est_error: float
 
 
-def _converge_logdet(kernel_fn, interval_len: float, target_tol: float):
-    """Double n until |delta logdet| < target_tol; return (logdet, n, est)."""
+def _converge_logdet(logdet_at, target_tol: float):
+    """Double n until |delta logdet_at(n)| < target_tol; return (logdet, n, est)."""
     prev = None
     n = _N_START
     while n <= _N_MAX:
         try:
-            logdet = fredholm_det(kernel_fn, make_rule(n, interval_len))
+            logdet = logdet_at(n)
         except FloatingPointError as exc:
             raise NonConvergedError(f"{exc} at {n} nodes") from exc
         if prev is not None and abs(logdet - prev) < target_tol:
@@ -134,38 +126,41 @@ def _converge_logdet(kernel_fn, interval_len: float, target_tol: float):
         f"no convergence to {target_tol} within {_N_MAX} nodes")
 
 
-def _check_mb_interval(r: float) -> None:
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if r > _R_MAX:
-        raise ValueError(f"r > {_R_MAX} is refused: E underflows double precision")
-
-
 def gap_probability_mb(mb: MBParams, r: float, target_tol: float = 1e-9) -> GapPoint:
     """E^(c,2)(0;(0,r)) via the theta = 2 Muttalib-Borodin kernel determinant."""
-    _check_mb_interval(r)
-    kernel = functools.partial(borodin_kernel_matrix, mb)
-    logdet, n, est = _converge_logdet(kernel, r, target_tol)
+
+    def logdet_at(n):
+        (logdet,) = mb_logdet_column(mb, [r], n)
+        if isinstance(logdet, FloatingPointError):
+            raise logdet
+        return logdet
+
+    logdet, n, est = _converge_logdet(logdet_at, target_tol)
     return GapPoint(math.exp(logdet), logdet, n, est)
 
 
 def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
-    """log det(1 - K^(c,2)) on (0, r) at n nodes for every r in rs, from one
-    batched Horner sweep per factor over series cut to the largest r; a
+    """log det(1 - K^(c,2)) on (0, r) at n nodes for every r in rs; a
     refused r's entry is its ``FloatingPointError``.
 
-    On the table-1 columns every entry equals its own ``fredholm_det`` call
-    and the full-series column bit for bit.  That is measured, not
-    guaranteed: the guarantee is the Horner bound on each factor.
+    K^(c,2) = diag(2 x^c) A B^T with A, B the (n, 16) factor tables, so on a
+    rule with weights w, det(I_n - W K) = det(I_16 - G), G = B^T diag(2 w x^c) A.
+    One Horner sweep per factor over the whole column (series cut to the
+    largest r) and one slogdet over the (len(rs), 16, 16) stack give every entry.
     """
-    _check_mb_interval(max(rs))
+    if not min(rs) > 0:
+        raise ValueError("r must be positive")
+    if max(rs) > _R_MAX:
+        raise ValueError(f"r > {_R_MAX} is refused: E underflows double precision")
     rules = [make_rule(n, float(r)) for r in rs]
     nodes = np.array([rule.nodes for rule in rules])
+    weights = np.array([rule.weights for rule in rules])
+    A, B = borodin_factor_tables(mb, nodes, nodes)
+    G = np.swapaxes(B, 1, 2) @ ((2.0 * weights * nodes ** mb.c)[:, :, None] * A)
     column = []
-    for rule, A, B in zip(rules, *borodin_factor_tables(mb, nodes, nodes)):
-        kernel = functools.partial(borodin_kernel_matrix, mb, tables=(A, B))
+    for sign, logdet in zip(*np.linalg.slogdet(np.eye(G.shape[-1]) - G)):
         try:
-            column.append(fredholm_det(kernel, rule))
+            column.append(_checked_logdet(sign, logdet))
         except FloatingPointError as exc:
             column.append(exc)
     return column
@@ -184,13 +179,12 @@ def gap_probability_hardedge(params_or_bundle, s: float,
     """
     if not s > 0:
         raise ValueError("s must be positive")
-    if isinstance(params_or_bundle, KernelBundle):
-        bundle = params_or_bundle
-    else:
-        bundle = build_kernel_bundle(params_or_bundle)
+    bundle = (params_or_bundle if isinstance(params_or_bundle, KernelBundle)
+              else build_kernel_bundle(params_or_bundle))
 
     def kfn(ts, us):
         return kernel_matrix(bundle, (ts / 2.0) ** 2, (us / 2.0) ** 2) * (us / 2.0)
 
-    logdet, n, est = _converge_logdet(kfn, 2.0 * math.sqrt(s), target_tol)
+    logdet, n, est = _converge_logdet(
+        lambda n: fredholm_det(kfn, make_rule(n, 2.0 * math.sqrt(s))), target_tol)
     return GapPoint(math.exp(logdet), logdet, n, est)

@@ -11,12 +11,14 @@ Two kernel families live here:
   K(x, x) = sum_j phi_j'(x) psi_j(x).
 * ``borodin_kernel_matrix`` — the theta = 2 hard-edge kernel of the Laguerre
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors on
-  one 16-node Gauss-Legendre rule on (0, 1) built at import.  theta is fixed
-  at 2, where the integrand is entire in u, so 16 nodes already sit at the
-  double-precision floor of the series on [0, 15]^2 (at other theta the rule
-  is not exact).  ``borodin_factor_tables`` tabulates both factors for a
-  stack of node sets, one Horner sweep each, over each series cut to the
-  terms that call's largest argument needs (at most ``N_TERMS``).
+  one 16-node Gauss-Legendre rule on (0, 1) built at import.  With theta
+  fixed at 2 and c an integer (``MBParams`` refuses other c) the integrand is
+  a polynomial in u, and 16 nodes sit at the double-precision floor of the
+  series on [0, 15]^2 (measured at c in {0, 1}).  ``borodin_factor_tables``
+  tabulates both factors for a stack of node sets, one Horner sweep each,
+  over each series cut to the terms that call's largest argument needs (at
+  most ``N_TERMS``); ``fredholm.mb_logdet_column`` takes its determinant from
+  them, so the n x n matrix is a test reference.
 
 The two families describe the same determinantal process: with
 ``c = 2 nu_1 + 1`` and ``nu_2 = nu_1 + 1/2``,
@@ -228,13 +230,16 @@ def _kernel_from_rows(xs, ys, phi, dphi, psi) -> np.ndarray:
 @dataclass(frozen=True)
 class MBParams:
     """theta = 2 Muttalib-Borodin hard-edge kernel parameters; theta is
-    fixed (see the module docstring)."""
+    fixed and c an integer (see the module docstring)."""
 
     c: float
 
     def __post_init__(self):
         if not self.c > -1.0:
             raise ValueError("c must exceed -1")
+        if not float(self.c).is_integer():
+            raise ValueError("c must be an integer: the 16-node u-rule is "
+                             "exact only where u^c is a polynomial")
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,12 +272,11 @@ def borodin_factor_tables(mb: MBParams, xs, ys) -> tuple:
     return A * (_WU * _U ** mb.c), B
 
 
-def borodin_kernel_matrix(mb: MBParams, xs: np.ndarray, ys: np.ndarray,
-                          tables=None) -> np.ndarray:
-    """K^(c,2) on the grid xs x ys; ``tables``, if given, is this grid's
-    slice of a batched ``borodin_factor_tables`` call."""
+def borodin_kernel_matrix(mb: MBParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """K^(c,2) on the grid xs x ys, 2 x^c A(x u) w u^c B((y u)^2) summed
+    over the u-rule."""
     xs = np.asarray(xs, dtype=float)
-    A, B = borodin_factor_tables(mb, xs, ys) if tables is None else tables
+    A, B = borodin_factor_tables(mb, xs, ys)
     return 2.0 * (xs ** mb.c)[:, None] * (A @ B.T)
 
 

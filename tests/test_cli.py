@@ -65,10 +65,10 @@ def test_table1_csv_feeds_fit(tmp_path, capsys):
 @pytest.mark.parametrize("r_max, code", [(15, 0), (16, 2)])
 def test_table1_refuses_r_max_past_cap(r_max, code, tmp_path, capsys,
                                        monkeypatch):
-    # gap's cap, refused before any determinant is taken
+    # gap's cap, refused before any factor table is built
     if code:
-        monkeypatch.setattr(fredholm, "fredholm_det", _raises(
-            AssertionError("a determinant was computed")))
+        monkeypatch.setattr(fredholm, "borodin_factor_tables", _raises(
+            AssertionError("a factor table was computed")))
     assert main(["table1", "--out", str(tmp_path), "--r-min", "14",
                  "--r-max", str(r_max), "--nodes", "24"]) == code
     err = capsys.readouterr().err
@@ -80,19 +80,22 @@ def test_table1_refuses_r_max_past_cap(r_max, code, tmp_path, capsys,
 
 
 def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
-    # at c=0, r=9 the kernel becomes 2/w_0 at the first node and 0 elsewhere,
-    # so det(1 - K) = -1; only that cell may be refused
+    # at c=0, r=9 the factor tables keep one entry each, A = 1/w_0 and B = 1
+    # at the first node, so G = B^T diag(2 w) A = diag(2, 0, ...) and
+    # det(1 - G) = -1; only that cell may be refused
     assert main(["table1", "--out", str(tmp_path / "ok")]) == 0
-    real = fredholm.borodin_kernel_matrix
+    real = fredholm.borodin_factor_tables
 
-    def flipped(mb, xs, ys, **kwargs):
-        K = real(mb, xs, ys, **kwargs)
-        if mb.c == 0.0 and xs[0] + xs[-1] == pytest.approx(9.0):
-            K = np.zeros_like(K)
-            K[0, 0] = 2.0 / fredholm.make_rule(len(xs), 9.0).weights[0]
-        return K
+    def flipped(mb, xs, ys):
+        A, B = real(mb, xs, ys)
+        for k, row in enumerate(xs):
+            if mb.c == 0.0 and row[0] + row[-1] == pytest.approx(9.0):
+                A[k], B[k] = 0.0, 0.0
+                A[k, 0, 0] = 1.0 / fredholm.make_rule(len(row), 9.0).weights[0]
+                B[k, 0, 0] = 1.0
+        return A, B
 
-    monkeypatch.setattr(fredholm, "borodin_kernel_matrix", flipped)
+    monkeypatch.setattr(fredholm, "borodin_factor_tables", flipped)
     assert main(["table1", "--out", str(tmp_path / "bad")]) == 0
     ok, bad = (json.loads((tmp_path / d / "table1_diff.json").read_text())
                for d in ("ok", "bad"))
@@ -208,6 +211,9 @@ def _raises(exc):
                  1, "Eigenvalues did not converge", id="mc-linalg-error"),
     pytest.param(["gap", "--c", "-2", "--r", "4"], None, 2,
                  "c must exceed -1", id="gap-invalid-c"),
+    pytest.param(["gap", "--c", "1.5", "--r", "4"], None, 2,
+                 "c must be an integer: the 16-node u-rule is exact only "
+                 "where u^c is a polynomial", id="gap-non-integer-c"),
     pytest.param(["mc", "--samples", "0"], None, 2, "samples must be >= 1",
                  id="mc-zero-samples"),
     pytest.param(["ode", "--points", "0"], None, 2,
