@@ -6,16 +6,15 @@ system of 4(M+1) coupled first-order ODEs in the variables
 (x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0,
 integrates it on the real view of the complex state with Hairer's DOP853
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), the compiled 8(5,3)
-embedded Runge-Kutta code scipy ships behind ``scipy.integrate.ode`` and
-loaded at the first integration, not at import, and monitors every first
-integral and structural identity (folding, Schlesinger consistency, the
-Tracy-Widom map) along the trajectory.  The first integrals gate the launch
-state before any integration, and every output state after it.  On the
-physical branch x and y are purely imaginary and xi, eta real; the
-right-hand sides run on the Python float parts that branch leaves nonzero,
-which cost less per call than complex or numpy scalars.  They are
-module-level because the stepper's wrapper keeps every callable it is
-handed (see ``solve_ivp``); each graded segment builds its own stepper.
+embedded Runge-Kutta code in scipy's extension file ``scipy/integrate/_dop``,
+loaded from that file without the ``scipy.integrate`` package, and
+monitors every first integral and structural identity (folding, Schlesinger
+consistency, the Tracy-Widom map) along the trajectory.  The first
+integrals gate the launch state before any integration, and every output
+state after it; the trajectory keeps them.  On the physical branch x and y
+are purely imaginary and xi, eta real; the right-hand sides run on the
+Python float parts that branch leaves nonzero, which cost less per call than
+complex or numpy scalars, and are module-level (see ``solve_ivp``).
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -29,10 +28,13 @@ resolvent's own.  Two index sets launch, M=1 at nu=(0,0) and M=2 at
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import io
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
+from importlib import machinery, util
 
 import numpy as np
 
@@ -57,12 +59,8 @@ __all__ = [
 _TOL_MIN, _TOL_MAX = 1e-12, 1e-6
 
 
-@dataclass
-class _Solution:
-    """solve_ivp's outcome: y[i] is the state at t_eval[i]."""
-
-    y: np.ndarray
-    nfev: int
+# solve_ivp's outcome: y[i] is the state at t_eval[i]
+_Solution = collections.namedtuple("_Solution", "y nfev")
 
 
 # DOP853 stops a leg after this many steps (return code -2); the cap stays
@@ -74,51 +72,64 @@ _MAX_STEPS = 100_000
 def solve_ivp(fun, t0, y0, rtol, atol, t_eval):
     """y' = fun(t, y) from y(t0) = y0, with output at the increasing t_eval.
 
-    The stepper is Hairer's compiled DOP853, built by
-    ``scipy.integrate.ode``, at the step-size limits of scipy's
-    ``solve_ivp`` (growth at most 10x, shrink at least 0.2x per step).  One
-    stepper is built for the call and dropped with it.  It steps to each
-    t_eval abscissa in turn, so every output ends a step and the next leg
-    starts from a fresh first-step guess.  nfev is DOP853's own count of
-    right-hand-side evaluations, summed over the legs.  A failed leg raises
-    ``FlowError`` with DOP853's return code.  The legs call the compiled
-    runner directly: ``ode.integrate`` would warn on a failure, and a
-    filter for that warning would edit the process-wide warning filters
-    under every concurrent pass.
+    The stepper is Hairer's DOP853, scipy's compiled ``dopri853`` loaded by
+    ``_dop853``, at the step-size limits of scipy's ``solve_ivp`` (growth at
+    most 10x, shrink at least 0.2x per step), on work arrays built for the
+    call.  It steps to each t_eval abscissa in turn, so every output ends a
+    step and the next leg starts from a fresh first-step guess.  nfev is
+    DOP853's own count of right-hand-side evaluations, summed over the legs.
+    A failed leg raises ``FlowError`` with DOP853's return code.
 
-    fun must be module-level: scipy's wrapper keeps a reference to every
-    callable it is handed, for the life of the process, so a closure or
-    bound method per call would grow memory with every pass.  Importing
-    hardedge does not load scipy.integrate, which no Fredholm or Monte Carlo
-    call needs; on a 2-vCPU x86-64 VM it adds 23 MB resident and 0.3-0.5 s
-    to the import.
+    iout=1 asks for per-step output from a function that changes nothing:
+    at iout=0 the compiled code reads its solout flag unset and, where that
+    memory holds 2 or more, calls fun once more per step, uncounted.  fun
+    must be module-level: the compiled routine keeps every callable it is
+    handed for the life of the process (5 of 5 closures stayed alive after
+    ``gc.collect()``), so a closure per call would grow memory every pass.
     """
-    from scipy.integrate import ode
-    dop = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
-                                  nsteps=_MAX_STEPS, ifactor=10.0,
-                                  dfactor=0.2)._integrator
-    # reset hands every leg the integrator's _solout, a fresh bound method,
-    # which the wrapper would keep and with it the integrator: 2.5-3.3 KB
-    # per pass.  DOP853 calls solout only for per-step output (iout=1),
-    # never asked for here, so it gets a module-level function
-    dop._solout = _no_step_output
-    dop.reset(len(y0), False)
+    work = np.zeros(11 * len(y0) + 21)
+    work[1:4] = (0.9, 0.2, 10.0)        # safety factor, shrink, growth
+    iwork = np.zeros(21, np.int32)
     # the compiled code may write into y, so the caller's y0 is copied
     t, y = t0, np.array(y0, dtype=float)
     ys, nfev = [], 0
     for t_next in t_eval:
-        t, y, code = dop.runner(fun, t, y, t_next, *dop.call_args, ())
-        nfev += int(dop.iwork[16])          # Hairer's IWORK(17), NFCN
+        t, y, code = _dop853()(fun, t, y, t_next, rtol, atol, _no_step_output,
+                               1, work, iwork, _MAX_STEPS, -1, ())
+        nfev += int(iwork[16])              # Hairer's IWORK(17), NFCN
         if code < 0:
-            raise FlowError(
-                f"integrator failed: DOP853 return code {code} at t={t:.17g}: "
-                f"{dop.messages.get(code, 'unknown code')}")
+            reason = {-1: "input is not consistent", -2: "larger nsteps is needed",
+                      -3: "step size becomes too small",
+                      -4: "problem is probably stiff (interrupted)"}
+            raise FlowError(f"integrator failed: DOP853 return code {code} at "
+                            f"t={t:.17g}: {reason.get(code, 'unknown code')}")
         ys.append(y.copy())
     return _Solution(np.array(ys), nfev)
 
 
 def _no_step_output(x, y):
     return 1
+
+
+@functools.cache
+def _dop853():
+    """scipy's compiled dopri853, from its extension file, once per process.
+
+    find_spec locates scipy without importing it, and the module is run on
+    its own, not entered in sys.modules: the ``scipy.integrate`` package
+    would add ~0.2 s and ~20 MB (scipy.special) to every flow command.
+    Without the file (another scipy layout) the ordinary import serves.
+    """
+    root = util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "integrate", "_dop" + suffix)
+        if os.path.isfile(path):
+            spec = util.spec_from_file_location("scipy.integrate._dop", path)
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dopri853
+    from scipy.integrate._dop import dopri853
+    return dopri853
 
 
 class FlowError(RuntimeError):
@@ -174,6 +185,13 @@ class Trajectory:
     log_gap: list
     tol: float
     nfev: int
+    # integrate's gate residuals, one dict per state; replace() drops them
+    _residuals: list | None = field(default=None, init=False, repr=False)
+
+    def first_integrals(self) -> list:
+        """Every state's ``first_integral_residuals``, the gate's if kept."""
+        return self._residuals or [first_integral_residuals(st)
+                                   for st in self.states]
 
     @property
     def s0(self) -> float:
@@ -331,15 +349,17 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
     state0, loghead = launch_state(params, s0)
-    _gate_first_integrals([state0], tol)
+    residuals = _gate_first_integrals([state0], tol)
 
     rhs_real = _rhs_real_m1 if params.M == 1 else _rhs_real_m2
     states, log_gap, nfev = _run_segments(
         rhs_real, params, s0, s_targets, state0.pack(aux=loghead).view(float),
         tol)
-    _gate_first_integrals(states, tol)
-    return Trajectory(params=params, states=[state0] + states,
+    residuals += _gate_first_integrals(states, tol)
+    traj = Trajectory(params=params, states=[state0] + states,
                       log_gap=[loghead] + log_gap, tol=tol, nfev=nfev)
+    traj._residuals = residuals
+    return traj
 
 
 # the physical solution is dynamically unstable: state errors injected at
@@ -371,15 +391,17 @@ def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
     return states, log_gap, nfev
 
 
-def _gate_first_integrals(states, tol: float) -> None:
-    """Refuse when any state's first-integral drift exceeds 100*tol."""
+def _gate_first_integrals(states, tol: float) -> list:
+    """Each state's first-integral residuals; refuse when any exceeds 100*tol."""
+    residuals = [first_integral_residuals(st) for st in states]
     worst_name, worst = "", 0.0
-    for st in states:
-        for name, val in first_integral_residuals(st).items():
+    for st, res in zip(states, residuals):
+        for name, val in res.items():
             if val > worst:
                 worst_name, worst = f"{name}@s={st.s:g}", val
     if worst > 100.0 * tol:
         raise FlowError(f"first-integral blow-up: {worst_name} reached {worst:.3e}")
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +602,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     m1 = traj.params.M + 1
     names = ([f"x{m}" for m in range(m1)] + [f"y{m}" for m in range(m1)]
              + [f"xi{m}" for m in range(m1)] + [f"eta{m}" for m in range(m1)])
-    residuals = [first_integral_residuals(st) for st in traj.states]
+    residuals = traj.first_integrals()
     res_names = sorted(residuals[0])
     buf = io.StringIO()
     cols = ["s"] + [f"{p}_{n}" for n in names for p in ("re", "im")] \

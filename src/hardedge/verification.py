@@ -135,11 +135,9 @@ def verify(traj: flow.Trajectory) -> dict:
                                                target_tol=1e-9).logE
     rows = {name: [] for name in _CATEGORIES[params.M]}
     refusal = None
-    for st, log_gap in zip(traj.states, traj.log_gap):
-        res = {}
-        fir = flow.first_integral_residuals(st)
-        res["imag_leakage"] = fir.pop("imag_leakage")
-        res["first_integrals"] = max(fir.values())
+    for st, log_gap, fir in zip(traj.states, traj.log_gap, traj.first_integrals()):
+        integrals = [v for k, v in fir.items() if k != "imag_leakage"]
+        res = {"imag_leakage": fir["imag_leakage"], "first_integrals": max(integrals)}
         struct = flow.structural_residuals(st)
         res["schlesinger"] = max(struct["schlesinger_A"], struct["schlesinger_C"])
         res["rank_one"] = struct["rank_one"]

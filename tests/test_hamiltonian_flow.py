@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib.machinery
 import math
 import os
 import re
@@ -116,23 +117,71 @@ def test_launch_refused_past_its_measured_range(case, params_m1, params_m2,
             flow.launch_state(params, s0)
 
 
-def test_scipy_integrate_loaded_at_first_integration():
-    # a fresh interpreter: importing the package leaves scipy.integrate out,
-    # the first integrate call brings it in
-    code = "\n".join([
-        "import sys",
-        "import hardedge, hardedge.cli",
-        "assert 'scipy.integrate' not in sys.modules",
-        "hardedge.integrate(hardedge.HardEdgeParams.from_nu((0.0, 0.0)),"
-        " 1e-5, [1e-4, 0.1])",
-        "assert 'scipy.integrate' in sys.modules",
-    ])
+def _run_fresh(code):
+    """Run code in a fresh interpreter that imports hardedge from this tree."""
     src = str(Path(hardedge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_integrate_never_loaded():
+    # a fresh interpreter: neither the package import, an integration nor a
+    # whole verify command loads scipy.integrate; DOP853 comes from its file
+    _run_fresh("\n".join([
+        "import contextlib, io, sys",
+        "import hardedge, hardedge.cli",
+        "assert 'scipy.integrate' not in sys.modules",
+        "hardedge.integrate(hardedge.HardEdgeParams.from_nu((0.0, 0.0)),"
+        " 1e-5, [1e-4, 0.1])",
+        "assert 'scipy.integrate' not in sys.modules",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert hardedge.cli.main(['verify', 'm1']) == 0",
+        "assert 'scipy.integrate' not in sys.modules",
+    ]))
+
+
+def test_scipy_integrate_still_works_after_integration():
+    # the file-loaded DOP853 is not registered as scipy.integrate._dop: after
+    # an integration, scipy's own package, module and ode(f) dop853 still
+    # work beside it, and the flow steps the same trajectory as before
+    _run_fresh("\n".join([
+        "import math",
+        "import numpy as np",
+        "import hardedge",
+        "from hardedge import hamiltonian_flow as flow",
+        "params = hardedge.HardEdgeParams.from_nu((0.0, -0.5, 0.0))",
+        "before = flow.integrate(params, 1e-5, [1e-4, 0.5, 2.0])",
+        "import scipy.integrate",
+        "from scipy.integrate import _dop, ode",
+        "assert flow._dop853() is not _dop.dopri853",
+        "r = ode(lambda t, y: -y).set_integrator('dop853', rtol=1e-10,"
+        " atol=1e-12)",
+        "y = r.set_initial_value([1.0], 0.0).integrate(1.0)",
+        "assert r.successful() and abs(y[0] - math.exp(-1.0)) < 1e-9, y",
+        "after = flow.integrate(params, 1e-5, [1e-4, 0.5, 2.0])",
+        "assert after.nfev == before.nfev",
+        "assert np.array_equal(after.log_gap, before.log_gap)",
+        "assert all(np.array_equal(a.pack(), b.pack())",
+        "           for a, b in zip(after.states, before.states))",
+    ]))
+
+
+def test_ordinary_import_fallback_steps_the_same_trajectory(monkeypatch):
+    # where no extension file matches (here: no suffix), _dop853 imports
+    # scipy.integrate._dop the ordinary way, and the flow is bit-identical
+    params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
+    from_file = _trajectory_bytes(flow.integrate(params, 1e-5, _PIN_GRID))
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    flow._dop853.cache_clear()
+    try:
+        fallback = _trajectory_bytes(flow.integrate(params, 1e-5, _PIN_GRID))
+        assert flow._dop853() is sys.modules["scipy.integrate._dop"].dopri853
+    finally:
+        flow._dop853.cache_clear()
+    assert fallback == from_file
 
 
 # ---------------------------------------------------------------------------
