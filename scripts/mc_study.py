@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from hardedge.kernels import HardEdgeParams, build_kernel_bundle
+from hardedge.kernels import HardEdgeParams
 from hardedge.fredholm import gap_probability_hardedge
 from hardedge.ginibre_mc import (
     McConfig, sample_min_singular_sq, empirical_gap, ks_distance,
@@ -27,9 +27,9 @@ def run(argv=None):
     cfg = McConfig(M=1, N0=50, nu_int=(0,), samples=args.samples,
                    seed=args.seed)
     res = sample_min_singular_sq(cfg)
-    bundle = build_kernel_bundle(HardEdgeParams.from_nu((0.0, 0.0)))
+    params = HardEdgeParams.from_nu((0.0, 0.0))
     for s, p_hat, lo, hi in empirical_gap(res, [0.25, 0.5, 1.0, 2.0, 3.0]):
-        e = gap_probability_hardedge(bundle, s, target_tol=1e-9).E
+        e = gap_probability_hardedge(params, s, target_tol=1e-9).E
         sd = abs(p_hat - e) / math.sqrt(e * (1 - e) / cfg.samples)
         print(f"  s={s:4.2f}: p_hat={p_hat:.4f} [{lo:.4f},{hi:.4f}] "
               f"E={e:.4f}  sigma-dist={sd:.2f}")

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 # borodin_kernel_matrix and fredholm_det stay bound here for perfbench to wrap
-from .kernels import (HardEdgeParams, MBParams, build_kernel_bundle,  # noqa: F401
+from .kernels import (HardEdgeParams, MBParams,  # noqa: F401
                       borodin_kernel_matrix)
 from .fredholm import (fredholm_det, gap_probability_hardedge,  # noqa: F401
                        gap_probability_mb, mb_logdet_column, NonConvergedError)
@@ -183,9 +183,8 @@ def cmd_mc(args) -> int:
     # the oracle may refuse an s; ask it before paying for the samples
     oracle = None
     if cfg.M == 1:
-        bundle = build_kernel_bundle(
-            HardEdgeParams.from_nu((0.0, float(cfg.nu_int[0]))))
-        oracle = [gap_probability_hardedge(bundle, s, target_tol=1e-9).E
+        params = HardEdgeParams.from_nu((0.0, float(cfg.nu_int[0])))
+        oracle = [gap_probability_hardedge(params, s, target_tol=1e-9).E
                   for s in args.s_grid]
     result = sample_min_singular_sq(cfg)
     rows = empirical_gap(result, args.s_grid)
@@ -236,9 +235,10 @@ def cmd_ode(args) -> int:
     # the grid runs from the first output abscissa 10 * LAUNCH_S to --s-max
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    if not args.s_max > 10 * LAUNCH_S:
+    if not 10 * LAUNCH_S < args.s_max < math.inf:
         raise ValueError(f"--s-max must exceed {10 * LAUNCH_S:g}, "
-                         "the first output abscissa")
+                         f"the first output abscissa, and be finite: "
+                         f"got {args.s_max}")
     grid = np.geomspace(10 * LAUNCH_S, args.s_max, args.points)
     traj = flow.integrate(params, LAUNCH_S, grid, tol=args.tol)
     out_dir = Path(args.out)

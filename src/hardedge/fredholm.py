@@ -26,9 +26,9 @@ import numpy as np
 from .kernels import (KernelBundle, MBParams, build_kernel_bundle,  # noqa: F401
                       kernel_matrix, borodin_factor_tables, borodin_kernel_matrix)
 
-__all__ = ["QuadratureRule", "make_rule", "fredholm_det", "GapPoint",
-           "gap_probability_mb", "mb_logdet_column", "gap_probability_hardedge",
-           "NonConvergedError"]
+__all__ = ["QuadratureRule", "make_rule", "hardedge_rule", "fredholm_det",
+           "GapPoint", "gap_probability_mb", "mb_logdet_column",
+           "gap_probability_hardedge", "NonConvergedError"]
 
 # node doubling runs from _N_START up to the cap _N_MAX
 _N_START = 16
@@ -74,6 +74,15 @@ def make_rule(n: int, b: float) -> QuadratureRule:
     return QuadratureRule(n, 0.5 * b * x + 0.5 * b, 0.5 * b * w)
 
 
+def hardedge_rule(n: int, s: float) -> tuple:
+    """(rule, x, jac): the n-point rule on t in (0, 2 sqrt(s)), x = (t/2)^2 on
+    (0, s) and the Jacobian t/2 that K(x, x) takes on its columns; the one
+    discretization of ``gap_probability_hardedge`` and the flow's launch."""
+    rule = make_rule(n, 2.0 * math.sqrt(s))
+    half = rule.nodes / 2.0
+    return rule, half ** 2, half
+
+
 def _checked_logdet(sign, logdet) -> float:
     """log det from one slogdet entry; refuses a zero, non-finite or negative det."""
     if sign == 0:
@@ -85,14 +94,14 @@ def _checked_logdet(sign, logdet) -> float:
     return float(logdet)
 
 
-def fredholm_det(kernel, rule: QuadratureRule) -> float:
+def fredholm_det(K, rule: QuadratureRule) -> float:
     """log det(1 - K) discretized on the rule.
 
-    ``kernel(xs, ys)`` must return the matrix K(xs_i, ys_j) for 1-D node
-    arrays.  A determinant that is zero to working precision, non-finite (a
-    NaN or inf in K) or negative raises FloatingPointError.
+    K is the (n, n) kernel matrix on the rule's nodes, any change of
+    variables already in it.  A determinant that is zero to working
+    precision, non-finite (a NaN or inf in K) or negative raises
+    FloatingPointError.
     """
-    K = np.asarray(kernel(rule.nodes, rule.nodes), dtype=float)
     sw = np.sqrt(rule.weights)
     return _checked_logdet(
         *np.linalg.slogdet(np.eye(rule.n) - sw[:, None] * K * sw[None, :]))
@@ -111,6 +120,8 @@ class GapPoint:
 
 def _converge_logdet(logdet_at, target_tol: float):
     """Double n until |delta logdet_at(n)| < target_tol; return (logdet, n, est)."""
+    if not target_tol > 0:
+        raise ValueError(f"target_tol must be positive, got {target_tol}")
     prev = None
     n = _N_START
     while n <= _N_MAX:
@@ -170,21 +181,21 @@ def gap_probability_hardedge(params_or_bundle, s: float,
                              target_tol: float = 1e-9) -> GapPoint:
     """E_M(0;(0,s)) by Nystrom discretization of K_M with node doubling.
 
-    Every M goes through the substitution x = (t/2)^2 on (0, 2 sqrt(s)),
-    where the kernel picks up the Jacobian u/2.  The endpoint factors
-    y^{nu_j} of K_M become (u/2)^{2 nu_j}, so with every 2 nu_j an integer
-    the discretized kernel is analytic and node doubling converges
-    exponentially.  Other index sets keep an algebraic endpoint factor,
-    converge slowly and may hit the node cap.
+    Every M is discretized on ``hardedge_rule``: x = (t/2)^2 on
+    (0, 2 sqrt(s)), with the Jacobian u/2 on the kernel's columns.  The
+    endpoint factors y^{nu_j} of K_M become (u/2)^{2 nu_j}, so with every
+    2 nu_j an integer the discretized kernel is analytic and node doubling
+    converges exponentially.  Other index sets keep an algebraic endpoint
+    factor, converge slowly and may hit the node cap.
     """
-    if not s > 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
     bundle = (params_or_bundle if isinstance(params_or_bundle, KernelBundle)
               else build_kernel_bundle(params_or_bundle))
 
-    def kfn(ts, us):
-        return kernel_matrix(bundle, (ts / 2.0) ** 2, (us / 2.0) ** 2) * (us / 2.0)
+    def logdet_at(n):
+        rule, x, jac = hardedge_rule(n, s)
+        return fredholm_det(kernel_matrix(bundle, x, x) * jac, rule)
 
-    logdet, n, est = _converge_logdet(
-        lambda n: fredholm_det(kfn, make_rule(n, 2.0 * math.sqrt(s))), target_tol)
+    logdet, n, est = _converge_logdet(logdet_at, target_tol)
     return GapPoint(math.exp(logdet), logdet, n, est)

@@ -38,8 +38,8 @@ from importlib import machinery, util
 
 import numpy as np
 
-from .fredholm import fredholm_det, make_rule
-from .kernels import HardEdgeParams, KernelBundle, _kernel_from_rows
+from .fredholm import _N_START, fredholm_det, hardedge_rule
+from .kernels import HardEdgeParams, _kernel_from_rows, build_kernel_bundle
 from . import sigma_forms
 from .sigma_forms import ResolventJet, _norm_residual
 
@@ -69,16 +69,17 @@ _Solution = collections.namedtuple("_Solution", "y nfev")
 _MAX_STEPS = 100_000
 
 
-def solve_ivp(fun, t0, y0, rtol, atol, t_eval):
+def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
     """y' = fun(t, y) from y(t0) = y0, with output at the increasing t_eval.
 
     The stepper is Hairer's DOP853, scipy's compiled ``dopri853`` loaded by
     ``_dop853``, at the step-size limits of scipy's ``solve_ivp`` (growth at
-    most 10x, shrink at least 0.2x per step), on work arrays built for the
-    call.  It steps to each t_eval abscissa in turn, so every output ends a
-    step and the next leg starts from a fresh first-step guess.  nfev is
-    DOP853's own count of right-hand-side evaluations, summed over the legs.
-    A failed leg raises ``FlowError`` with DOP853's return code.
+    most 10x, shrink at least 0.2x per step).  It steps to each t_eval[i] in
+    turn, one leg at tolerances rtol[i], atol[i], so every output ends a step
+    and the next leg starts from a fresh first-step guess.  The legs share
+    one work array: DOP853 leaves its settings, work[0:21], as they are.
+    nfev is DOP853's own count of right-hand-side evaluations, summed over
+    the legs.  A failed leg raises ``FlowError`` with DOP853's return code.
 
     iout=1 asks for per-step output from a function that changes nothing:
     at iout=0 the compiled code reads its solout flag unset and, where that
@@ -93,9 +94,10 @@ def solve_ivp(fun, t0, y0, rtol, atol, t_eval):
     # the compiled code may write into y, so the caller's y0 is copied
     t, y = t0, np.array(y0, dtype=float)
     ys, nfev = [], 0
-    for t_next in t_eval:
-        t, y, code = _dop853()(fun, t, y, t_next, rtol, atol, _no_step_output,
-                               1, work, iwork, _MAX_STEPS, -1, ())
+    for t_next, leg_rtol, leg_atol in zip(t_eval, rtol, atol):
+        t, y, code = _dop853()(fun, t, y, t_next, leg_rtol, leg_atol,
+                               _no_step_output, 1, work, iwork, _MAX_STEPS,
+                               -1, ())
         nfev += int(iwork[16])              # Hairer's IWORK(17), NFCN
         if code < 0:
             reason = {-1: "input is not consistent", -2: "larger nsteps is needed",
@@ -177,7 +179,7 @@ class Trajectory:
     states[0] is the launch state at s0; log_gap[i] is int_0^s eta_0/t dt
     up to s = states[i].s, so E = exp(log_gap[i]), with log_gap[0] the
     launch determinant's.  tol is the tolerance integrate was asked for;
-    nfev counts the right-hand-side evaluations of every segment.
+    nfev counts the right-hand-side evaluations of every leg.
     """
 
     params: HardEdgeParams
@@ -269,8 +271,8 @@ def launch_state(params: HardEdgeParams, s0: float):
 
     Only nu=(0,0) and (0, -1/2, 0) launch; every other index set, or s0 > 1,
     is refused before any work.  The state and loghead = log E(s0) come from
-    the 16-node Nystrom resolvent, whose determinant ``fredholm_det`` refuses
-    with its ``FloatingPointError``.
+    the Nystrom resolvent at ``fredholm``'s first node count, whose
+    determinant ``fredholm_det`` refuses with its ``FloatingPointError``.
     """
     nu = params.nu
     if nu not in ((0.0, 0.0), sigma_forms.SPECIAL_NU):
@@ -282,33 +284,28 @@ def launch_state(params: HardEdgeParams, s0: float):
     # state by at most 1.2e-12 relative at s0 in [1e-8, 1], the range measured
     if not s0 <= 1.0:
         raise FlowError(f"no launch at s0={s0:g}: measured only to s0 = 1")
-    return _resolvent_state(params, s0, 16)
-
-
-# one KernelBundle per index set, built at its first launch
-_kernel_bundle = functools.lru_cache(maxsize=8)(KernelBundle)
+    return _resolvent_state(params, s0, _N_START)
 
 
 def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
     """(state, log E) at s0 from the n-node Nystrom resolvent on (0, s0).
 
-    The rule is ``gap_probability_hardedge``'s: x = (t/2)^2 on n
-    Gauss-Legendre nodes t in (0, 2 sqrt(s0)), the Jacobian t/2 in the
-    weights w.  One ``bundle.evaluate`` on the nodes plus s0 gives K, its
-    row K(s0, .) and its column K(., s0).  With A = I - K W at the nodes,
-    Q = A^-1 phi and W P = A^-T W psi; Q(s0) = phi(s0) + K(s0, .) W Q,
+    The rule is ``hardedge_rule``, as in ``gap_probability_hardedge``, with
+    its Jacobian in the weights w.  One ``evaluate`` of the cached bundle on
+    the nodes plus s0 gives K, its row K(s0, .) and its column K(., s0).
+    With A = I - K W at the nodes, Q = A^-1 phi and W P = A^-T W psi;
+    Q(s0) = phi(s0) + K(s0, .) W Q,
     P(s0) = psi(s0) + K(., s0)^T W P and U_jk = sum_i w_i Q_j psi_k.  Then
     x = i Q(s0), y = i P(s0), eta_m = (-1)^M U_mM, xi_m = (-1)^M U_0m for
     m < M (plus e_2 at M=2, m=1) and xi_M = eta_0 - e_1.
     """
-    rule = make_rule(n, 2.0 * math.sqrt(s0))
-    half = rule.nodes / 2.0
-    w = rule.weights * half
-    xs = np.append(half ** 2, s0)
-    phi, dphi, psi = _kernel_bundle(params).evaluate(xs)
+    rule, x, jac = hardedge_rule(n, s0)
+    w = rule.weights * jac
+    xs = np.append(x, s0)
+    phi, dphi, psi = build_kernel_bundle(params).evaluate(xs)
     K = _kernel_from_rows(xs, xs, phi, dphi, psi)
     Kn = K[:n, :n]
-    loge = fredholm_det(lambda ts, us: Kn * (us / 2.0), rule)
+    loge = fredholm_det(Kn * jac, rule)
     A = np.eye(n) - Kn * w
     wq = w[:, None] * np.linalg.solve(A, phi[:, :n].T)
     wp = np.linalg.solve(A.T, (w * psi[:, :n]).T)
@@ -332,14 +329,18 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
 
     The running integral of eta_0/t is carried as an extra state component so
     the gap probability needs no post-hoc quadrature.  The trajectory is
-    integrated once, at tolerances graded below tol near the launch.  The
-    first-integral gate runs twice, with one text: on the launch state before
-    any integration, and on every output state after the pass; a drift above
-    100*tol refuses the trajectory with the offending integral named.
+    integrated in one stepper pass, leg by leg, at tolerances graded below
+    tol near the launch.  The first-integral gate runs twice, with one text:
+    on the launch state before any integration, and on every output state
+    after the pass; a drift above 100*tol refuses the trajectory with the
+    offending integral named.
     """
     s_targets = [float(t) for t in s_targets]
     if not s_targets:
         raise ValueError("s_targets is empty")
+    for t in s_targets:
+        if not math.isfinite(t):
+            raise ValueError(f"s_targets must be finite, got {t}")
     if any(b <= a for a, b in zip(s_targets, s_targets[1:])):
         raise ValueError("s_targets must be strictly increasing")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
@@ -351,44 +352,30 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     state0, loghead = launch_state(params, s0)
     residuals = _gate_first_integrals([state0], tol)
 
-    rhs_real = _rhs_real_m1 if params.M == 1 else _rhs_real_m2
-    states, log_gap, nfev = _run_segments(
-        rhs_real, params, s0, s_targets, state0.pack(aux=loghead).view(float),
-        tol)
-    residuals += _gate_first_integrals(states, tol)
-    traj = Trajectory(params=params, states=[state0] + states,
-                      log_gap=[loghead] + log_gap, tol=tol, nfev=nfev)
+    # legs end at every target and at the grade edges the pass crosses
+    ends = sorted({*s_targets, *(e for e in _GRADE_EDGES
+                                 if s0 < e < s_targets[-1])})
+    rtol = [max(tol * _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, s)],
+                _TOL_MIN * 0.1) for s in ends]
+    sol = solve_ivp(_rhs_real_m1 if params.M == 1 else _rhs_real_m2, s0,
+                    state0.pack(aux=loghead).view(float), ends, rtol,
+                    [r * 1e-2 for r in rtol])
+    out = [HamiltonianState.unpack(params, s, vec.view(complex))
+           for s, vec in zip(ends, sol.y) if s in s_targets]
+    residuals += _gate_first_integrals([st for st, _ in out], tol)
+    traj = Trajectory(params=params, states=[state0] + [st for st, _ in out],
+                      log_gap=[loghead] + [aux for _, aux in out], tol=tol,
+                      nfev=sol.nfev)
     traj._residuals = residuals
     return traj
 
 
 # the physical solution is dynamically unstable: state errors injected at
-# small s amplify by ~1e3-1e4 toward s ~ 5, so early segments run at a
-# correspondingly tighter tolerance (cheap: they cover few decades).  A
-# segment ending at s runs at tol times the factor of the first edge >= s
+# small s amplify by ~1e3-1e4 toward s ~ 5, so early legs run at a
+# correspondingly tighter tolerance (cheap: they cover few decades).  A leg
+# ending at s runs at tol times the factor of the first edge >= s
 _GRADE_EDGES = (0.1, 2.0)
 _GRADE_FACTORS = (1e-4, 1e-2, 1.0)
-
-
-def _run_segments(rhs_real, params, s0, s_targets, v0, tol):
-    ends = [e for e in _GRADE_EDGES if s0 < e < s_targets[-1]]
-    ends.append(s_targets[-1])
-    states, log_gap, nfev = [], [], 0
-    v, s_cur = v0, s0
-    for seg_end in ends:
-        factor = _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, seg_end)]
-        rtol = max(tol * factor, _TOL_MIN * 0.1)
-        t_eval = [t for t in s_targets if s_cur < t < seg_end] + [seg_end]
-        sol = solve_ivp(rhs_real, s_cur, v, rtol=rtol, atol=rtol * 1e-2,
-                        t_eval=t_eval)
-        nfev += sol.nfev
-        for s, vec in zip(t_eval, sol.y):
-            if s in s_targets:
-                st, aux = HamiltonianState.unpack(params, s, vec.view(complex))
-                states.append(st)
-                log_gap.append(aux)
-        v, s_cur = sol.y[-1], seg_end
-    return states, log_gap, nfev
 
 
 def _gate_first_integrals(states, tol: float) -> list:
@@ -421,7 +408,6 @@ def first_integral_residuals(state: HamiltonianState) -> dict:
         xi0, xi1 = xi
         eta0, eta1 = eta
         out["first_integral"] = _norm_residual([xi1, -eta0, e1])
-        out["trace_C"] = _norm_residual([-eta0, xi1, e1])
         out["trace_A"] = _norm_residual([x0 * y0, x1 * y1])
         out["second_integral"] = _norm_residual([eta1, xi0, -e2])
         out["fourth_integral"] = _norm_residual(
@@ -439,7 +425,6 @@ def first_integral_residuals(state: HamiltonianState) -> dict:
             [eta0 * x0 * y0, eta1 * x0 * y1, (-xi0 + eta2 + s) * x0 * y2,
              x1 * y0, x2 * y1, -xi1 * x1 * y2, -xi2 * x2 * y2, eta0])
         out["first_integral"] = _norm_residual([xi2, -eta0, e1])
-        out["trace_C"] = _norm_residual([-eta0, xi2, e1])
         out["fourth_integral"] = _norm_residual(
             [s * x0 * y2, -eta0 * xi2, -eta1, xi1, -e2, eta0])
         out["trace_A"] = _norm_residual([x0 * y0, x1 * y1, x2 * y2])

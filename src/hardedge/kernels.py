@@ -8,7 +8,8 @@ Two kernel families live here:
   (0F1 is the Bessel case).  ``kernel_matrix`` is its only evaluator: one
   Horner sweep over the stacked series gives phi_j, phi_j' and psi_j at
   every abscissa, and the 0/0 diagonal is the exact limit
-  K(x, x) = sum_j phi_j'(x) psi_j(x).
+  K(x, x) = sum_j phi_j'(x) psi_j(x).  ``build_kernel_bundle`` caches one
+  bundle per index set.
 * ``borodin_kernel_matrix`` — the theta = 2 hard-edge kernel of the Laguerre
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors on
   one 16-node Gauss-Legendre rule on (0, 1) built at import.  With theta
@@ -91,6 +92,9 @@ class HardEdgeParams:
         nu = tuple(float(v) for v in self.nu)
         if len(nu) - 1 not in (1, 2):
             raise ValueError("only M in {1, 2} is supported")
+        for m, v in enumerate(nu):
+            if not np.isfinite(v):
+                raise ValueError(f"nu_{m} must be finite, got {v}")
         if nu[0] != 0.0:
             raise ValueError("nu_0 must be 0")
         if any(v <= -1.0 for v in nu):
@@ -190,8 +194,9 @@ class KernelBundle:
         return phi, dphi, psi
 
 
+@functools.lru_cache(maxsize=32)
 def build_kernel_bundle(params: HardEdgeParams) -> KernelBundle:
-    """Construct the phi/psi evaluators for K_M; M=2 requires generic nu."""
+    """K_M's phi/psi evaluators, one per index set; M=2 requires generic nu."""
     return KernelBundle(params)
 
 

@@ -122,10 +122,8 @@ def verify(traj: flow.Trajectory) -> dict:
     """
     params = traj.params
     if params.M == 1:
-        bundle = kernels.build_kernel_bundle(params)
-
         def fredholm_log_gap(s):
-            return fredholm.gap_probability_hardedge(bundle, s,
+            return fredholm.gap_probability_hardedge(params, s,
                                                      target_tol=1e-9).logE
     else:
         mb = kernels.mb_params_for_hardedge(params)

@@ -196,6 +196,10 @@ def _raises(exc):
     return fail
 
 
+_NO_DOP853 = (flow, "solve_ivp", AssertionError("reached DOP853"))
+_NO_DOUBLING = AssertionError("reached node doubling")
+
+
 @pytest.mark.parametrize("argv, patch, code, message", [
     pytest.param(["verify", "m1"],
                  (flow, "integrate", flow.FlowError("drift")), 1, "drift",
@@ -234,6 +238,26 @@ def _raises(exc):
                  id="sigma-s-at-launch"),
     pytest.param(["sigma", "--s", "1", "1"], None, 2,
                  "--s values must be distinct", id="sigma-s-repeated"),
+    # non-finite and non-positive values, refused by name before DOP853 or
+    # node doubling: reaching either raises an AssertionError main lets by
+    pytest.param(["indicial", "--nu", "nan", "0"], None, 2,
+                 "nu_1 must be finite, got nan", id="indicial-nu-nan"),
+    pytest.param(["verify", "m1", "--s-max", "nan"], _NO_DOP853, 2,
+                 "s_targets must be finite, got nan", id="verify-s-max-nan"),
+    pytest.param(["verify", "m1", "--s-max", "inf"], _NO_DOP853, 2,
+                 "s_targets must be finite, got inf", id="verify-s-max-inf"),
+    pytest.param(["sigma", "--s", "inf"], _NO_DOP853, 2,
+                 "s_targets must be finite, got inf", id="sigma-s-inf"),
+    pytest.param(["ode", "--s-max", "inf"], _NO_DOP853, 2,
+                 "--s-max must exceed 0.0001, the first output abscissa, and "
+                 "be finite: got inf", id="ode-s-max-inf"),
+    pytest.param(["gap", "--c", "0", "--r", "4", "--tol", "-1"],
+                 (fredholm, "mb_logdet_column", _NO_DOUBLING), 2,
+                 "target_tol must be positive, got -1.0",
+                 id="gap-tol-negative"),
+    pytest.param(["mc", "--s-grid", "inf"],
+                 (fredholm, "hardedge_rule", _NO_DOUBLING), 2,
+                 "s must be positive and finite, got inf", id="mc-s-grid-inf"),
     pytest.param(["fit", "/nonexistent/tail.csv"], None, 2,
                  "No such file or directory", id="fit-missing-file"),
 ])

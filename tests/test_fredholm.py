@@ -109,22 +109,15 @@ def test_cached_rule_equals_direct_build(n):
 
 def test_zero_kernel_determinant():
     rule = make_rule(12, 2.0)
-    logdet = fredholm_det(lambda xs, ys: np.zeros((12, 12)), rule)
+    logdet = fredholm_det(np.zeros((12, 12)), rule)
     assert logdet == 0.0
 
 
 def test_rank_one_kernel_determinant():
     # K(x,y) = x*y on (0,1): det = 1 - int x^2 = 2/3
     rule = make_rule(16, 1.0)
-    logdet = fredholm_det(lambda xs, ys: np.outer(xs, ys), rule)
+    logdet = fredholm_det(np.outer(rule.nodes, rule.nodes), rule)
     assert logdet == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
-
-
-def _diagonal_kernel(diagonal):
-    # K = diag(diagonal(w)) for the weights w of the rule on (0, 2)
-    def kernel(xs, ys):
-        return np.diag(diagonal(make_rule(len(xs), 2.0).weights))
-    return kernel
 
 
 @pytest.mark.parametrize("diagonal, message", [
@@ -140,22 +133,24 @@ def test_determinant_refusals(diagonal, message):
     # K = diag(1/w) zeroes 1 - D on most of the diagonal, 2/w_0 alone makes
     # det(1 - D) = -1, and a NaN or inf entry makes log det non-finite; node
     # doubling names the node count at which the determinant was refused
-    kernel = _diagonal_kernel(diagonal)
+    def logdet_at(n):
+        rule = make_rule(n, 2.0)
+        return fredholm_det(np.diag(diagonal(rule.weights)), rule)
+
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError) as exc:
-            fredholm_det(kernel, make_rule(12, 2.0))
+            logdet_at(12)
         assert str(exc.value) == message
         with pytest.raises(NonConvergedError) as exc:
-            fredholm._converge_logdet(
-                lambda n: fredholm_det(kernel, make_rule(n, 2.0)), 1e-9)
+            fredholm._converge_logdet(logdet_at, 1e-9)
     assert str(exc.value) == f"{message} at 16 nodes"
 
 
 def test_mb_determinant_reference_value():
     mb = MBParams(c=0.0)
     rule = make_rule(48, 4.0)
-    logdet = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
-                             rule)
+    logdet = fredholm_det(borodin_kernel_matrix(mb, rule.nodes, rule.nodes),
+                          rule)
     assert logdet == pytest.approx(TABLE1[0][4][0], abs=1e-8)
 
 
@@ -192,8 +187,9 @@ def test_mb_logdet_column_equals_per_cell_determinants(c, n):
     column = mb_logdet_column(mb, rs, n)
     for r, logdet in zip(rs, column):
         assert mb_logdet_column(mb, [r], n) == [logdet], (c, r, n)
-        ref = fredholm_det(lambda xs, ys: borodin_kernel_matrix(mb, xs, ys),
-                           make_rule(n, float(r)))
+        rule = make_rule(n, float(r))
+        ref = fredholm_det(borodin_kernel_matrix(mb, rule.nodes, rule.nodes),
+                           rule)
         assert abs(logdet - ref) <= SYLVESTER_VS_NYSTROM, (c, r, n)
 
 
@@ -218,8 +214,8 @@ def test_node_doubling_convergence_rate():
 
     def logdet_at(n):
         rule = make_rule(n, 6.0)
-        return fredholm_det(
-            lambda xs, ys: borodin_kernel_matrix(mb, xs, ys), rule)
+        return fredholm_det(borodin_kernel_matrix(mb, rule.nodes, rule.nodes),
+                            rule)
 
     vals = {n: logdet_at(n) for n in (8, 16, 32, 64)}
     deltas = [abs(vals[16] - vals[8]), abs(vals[32] - vals[16]),

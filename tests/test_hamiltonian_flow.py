@@ -54,7 +54,7 @@ def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
     # and ode exits 1 (a numerical refusal, not a usage error)
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
     monkeypatch.setattr(flow, "first_integral_residuals", _no_work)
-    monkeypatch.setattr(flow, "_kernel_bundle", _no_work)
+    monkeypatch.setattr(flow, "build_kernel_bundle", _no_work)
     monkeypatch.setattr(flow, "_resolvent_state", _no_work)
     match = (r"no certified launch at nu=\(" + ", ".join(f"{v:g}" for v in nu)
              + r"\): only nu=\(0,0\) and \(0,-1/2,0\) launch")
@@ -373,6 +373,11 @@ def test_integrate_validates_inputs(params_m2):
         flow.integrate(params_m2, 0.5, [0.1])
     with pytest.raises(ValueError, match="s_targets is empty"):
         flow.integrate(params_m2, 1e-5, [])
+    # a non-finite target is refused by name, before launch or integration
+    for targets, bad in (([math.nan], "nan"), ([1e-4, math.inf], "inf")):
+        with pytest.raises(ValueError,
+                           match=f"^s_targets must be finite, got {bad}$"):
+            flow.integrate(params_m2, 1e-5, targets)
 
 
 def test_gate_refuses_launch_off_its_integrals(params_m2, monkeypatch):
@@ -394,16 +399,14 @@ def test_gate_refuses_launch_off_its_integrals(params_m2, monkeypatch):
 
 def test_gate_refuses_drift_at_one_output_state(params_m2, monkeypatch):
     # a drift in one output state refuses the trajectory and names its s
-    run_segments = flow._run_segments
+    solve_ivp = flow.solve_ivp
 
-    def drifted(*args):
-        states, log_gap, nfev = run_segments(*args)
-        for st in states:
-            if st.s == 0.5:
-                st.eta[0] += 1e-6
-        return states, log_gap, nfev
+    def drifted(fun, t0, y0, t_eval, rtol, atol):
+        sol = solve_ivp(fun, t0, y0, t_eval, rtol, atol)
+        sol.y[t_eval.index(0.5)].view(complex)[9] += 1e-6     # eta_0, M=2
+        return sol
 
-    monkeypatch.setattr(flow, "_run_segments", drifted)
+    monkeypatch.setattr(flow, "solve_ivp", drifted)
     with pytest.raises(flow.FlowError,
                        match=r"^first-integral blow-up: \w+@s=0.5 reached "):
         flow.integrate(params_m2, 1e-5, [0.1, 0.5, 1.0])
@@ -439,29 +442,43 @@ def test_stepper_failure_names_dop853_return_code(params_m1, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
-            flow.solve_ivp(_blow_up, 0.0, np.array([1.0]), rtol=1e-8,
-                           atol=1e-10, t_eval=[0.5, 2.0])
+            flow.solve_ivp(_blow_up, 0.0, np.array([1.0]), t_eval=[0.5, 2.0],
+                           rtol=[1e-8, 1e-8], atol=[1e-10, 1e-10])
         monkeypatch.setattr(flow, "_rhs_real_m1", _blow_up)
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
             flow.integrate(params_m1, 1e-5, [1e-4, 2.0])
     assert not caught, [str(w.message) for w in caught]
 
 
-def test_trajectory_nfev_sums_its_segments(params_m2, monkeypatch):
-    # Trajectory.nfev is the sum over the graded segments of the stepper's
-    # own counts, one stepper pass per segment
-    counts = []
-    solve_ivp = flow.solve_ivp
+def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
+    # one stepper pass per trajectory, with one DOP853 leg per target and
+    # per grade edge crossed, each at its graded tolerance; Trajectory.nfev
+    # sums the legs' own counts.  The legs share one work array, whose
+    # settings work[0:21] DOP853 leaves as they are
+    passes, legs = [], []
+    solve_ivp, dop853 = flow.solve_ivp, flow._dop853()
 
-    def counted(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        counts.append(sol.nfev)
-        return sol
+    def counted(*args):
+        passes.append(list(args[3]))
+        return solve_ivp(*args)
+
+    def leg(fun, t, y, t_next, rtol, atol, solout, iout, work, iwork, *rest):
+        settings = work[:21].copy()
+        out = dop853(fun, t, y, t_next, rtol, atol, solout, iout, work,
+                     iwork, *rest)
+        assert np.array_equal(work[:21], settings)
+        legs.append((t_next, rtol, int(iwork[16])))
+        return out
 
     monkeypatch.setattr(flow, "solve_ivp", counted)
-    traj = flow.integrate(params_m2, 1e-5, [0.05, 1.0, 3.0])
-    assert len(counts) == 3 and min(counts) > 0
-    assert traj.nfev == sum(counts)
+    monkeypatch.setattr(flow, "_dop853", lambda: leg)
+    traj = flow.integrate(params_m2, 1e-5, [0.05, 1.0, 3.0], tol=1e-8)
+    assert passes == [[0.05, 0.1, 1.0, 2.0, 3.0]]
+    assert [t for t, _, _ in legs] == passes[0]
+    assert [r / 1e-8 for _, r, _ in legs] == pytest.approx(
+        [1e-4, 1e-4, 1e-2, 1e-2, 1.0])
+    assert min(n for _, _, n in legs) > 0
+    assert traj.nfev == sum(n for _, _, n in legs)
 
 
 def test_concurrent_integrations_match_serial(params_m1, params_m2):

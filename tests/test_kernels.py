@@ -27,6 +27,11 @@ def test_params_validation():
         HardEdgeParams.from_nu((0.0, -1.5, 0.0))    # below the edge
     with pytest.raises(ValueError):
         HardEdgeParams.from_nu((0.0, 0.1, 0.2, 0.3))  # M=3 unsupported
+    for nu, message in (((0.0, math.nan), "nu_1 must be finite, got nan"),
+                        ((0.0, 0.5, math.inf),
+                         "nu_2 must be finite, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HardEdgeParams.from_nu(nu)
 
 
 def test_generic_condition_rejected():
