@@ -17,7 +17,8 @@ alike, so a moved refusal shows too.
 - verify: both ``hardedge verify`` reports at --s-max 5, 10 and 25 (exit
   code, stdout, stderr);
 - sigma: ``hardedge sigma`` at its default and at three other abscissas;
-- table1: ``hardedge table1``'s table1.csv.
+- table1: ``hardedge table1``'s table1.csv and table1_diff.json (the
+  extrapolated a_1 and each cell's est_error).
 """
 
 import contextlib
@@ -104,7 +105,8 @@ def sigma(h):
 def table1(h):
     with tempfile.TemporaryDirectory() as tmp:
         _cli(["table1", "--out", tmp])     # its stdout names tmp
-        h.update((Path(tmp) / "table1.csv").read_bytes())
+        for name in ("table1.csv", "table1_diff.json"):
+            h.update((Path(tmp) / name).read_bytes())
 
 
 FAMILIES = (trajectories, gap_hardedge, gap_mb, verify, sigma, table1)

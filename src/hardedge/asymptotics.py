@@ -25,6 +25,8 @@ __all__ = [
     "tail_model",
     "TailFit",
     "fit_tail",
+    "local_triples",
+    "extrapolate_a1",
     "A1_PREDICTED",
 ]
 
@@ -136,8 +138,29 @@ class TailFit:
 
 
 def _design(rs: np.ndarray) -> np.ndarray:
-    return np.vstack([rs ** (4.0 / 3.0), rs ** (2.0 / 3.0),
-                      np.ones_like(rs)]).T
+    return np.stack([rs ** (4.0 / 3.0), rs ** (2.0 / 3.0), np.ones_like(rs)], -1)
+
+
+def local_triples(by_r: dict, centers) -> np.ndarray:
+    """(a1, b1, c1) per center c from the exact 3x3 system on (c-1, c, c+1)
+    of by_r (r -> log E): one stacked solve, bit for bit a solve per center."""
+    windows = [[c - 1.0, c, c + 1.0] for c in centers]
+    for window in windows:
+        if any(w not in by_r for w in window):
+            raise ValueError(f"local triple needs data at {window}")
+    les = [[[by_r[w]] for w in window] for window in windows]
+    return np.linalg.solve(_design(np.array(windows).reshape(-1, 3)),
+                           np.array(les).reshape(-1, 3, 1))[..., 0]
+
+
+def extrapolate_a1(centers, a1s) -> float:
+    """a_inf of the fit a1(r) = a_inf + k r^(-2/3) over the last 5 centers."""
+    if len(centers) < 2:
+        raise ValueError("extrapolation needs at least two local triples")
+    cs = np.array(centers[-5:], dtype=float)
+    A = np.vstack([np.ones_like(cs), cs ** (-2.0 / 3.0)]).T
+    coef, *_ = np.linalg.lstsq(A, np.asarray(a1s[-5:]), rcond=None)
+    return float(coef[0])
 
 
 def fit_tail(points, mode: str = "local_triple", extrapolate: bool = False,
@@ -163,17 +186,9 @@ def fit_tail(points, mode: str = "local_triple", extrapolate: bool = False,
         raise ValueError("r values must be positive and distinct")
 
     by_r = dict(pts)
-
-    def triple_at(c: float) -> np.ndarray:
-        window = [c - 1.0, c, c + 1.0]
-        if any(w not in by_r for w in window):
-            raise ValueError(f"local triple needs data at {window}")
-        A = _design(np.array(window))
-        return np.linalg.solve(A, np.array([by_r[w] for w in window]))
-
     if mode == "local_triple":
         c = center if center is not None else rs[-2]
-        a1, b1, c1 = triple_at(c)
+        a1, b1, c1 = local_triples(by_r, [c])[0]
         window = (c - 1.0, c, c + 1.0)
         resid = 0.0
     elif mode == "global_lsq":
@@ -190,13 +205,6 @@ def fit_tail(points, mode: str = "local_triple", extrapolate: bool = False,
     a1_ext = None
     if extrapolate:
         centers = [r for r in rs if (r - 1.0) in by_r and (r + 1.0) in by_r]
-        centers = centers[-5:]
-        if len(centers) < 2:
-            raise ValueError("extrapolation needs at least two local triples")
-        a1s = np.array([triple_at(c)[0] for c in centers])
-        cs = np.array(centers)
-        A = np.vstack([np.ones_like(cs), cs ** (-2.0 / 3.0)]).T
-        coef, *_ = np.linalg.lstsq(A, a1s, rcond=None)
-        a1_ext = float(coef[0])
+        a1_ext = extrapolate_a1(centers, local_triples(by_r, centers)[:, 0])
     return TailFit(a1=float(a1), b1=float(b1), c1=float(c1), window=window,
                    a1_extrapolated=a1_ext, residual=resid)

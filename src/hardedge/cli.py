@@ -34,6 +34,7 @@ run manifest next to them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,7 +50,8 @@ from .kernels import (HardEdgeParams, MBParams,  # noqa: F401
 from .fredholm import (fredholm_det, gap_probability_hardedge,  # noqa: F401
                        gap_probability_mb, mb_logdet_column, NonConvergedError)
 from . import hamiltonian_flow as flow
-from .asymptotics import fit_tail, indicial_exponents, A1_PREDICTED
+from .asymptotics import (A1_PREDICTED, extrapolate_a1, fit_tail,
+                          indicial_exponents, local_triples)
 from .ginibre_mc import (McConfig, sample_min_singular_sq, empirical_gap,
                          save_samples)
 from .reference_data import TABLE1
@@ -102,19 +104,14 @@ def cmd_table1(args) -> int:
             else:
                 failures.append({"c": c, "r": r, "error": str(refused)})
                 logE[c][r] = (math.nan, math.nan)
-    a1 = {0: {}, 1: {}}
-    ext = {}
+    a1, ext = {}, {}
     for c in (0, 1):
-        pts = [(float(r), logE[c][r][0]) for r in r_values
-               if math.isfinite(logE[c][r][0])]
+        by_r = {r: v for r, (v, _) in logE[c].items() if math.isfinite(v)}
         # a triple is centred at every r whose neighbours both solved
-        for r in r_values[1:-1]:
-            if all(math.isfinite(logE[c][q][0]) for q in (r - 1, r, r + 1)):
-                a1[c][r] = fit_tail(pts, mode="local_triple",
-                                    center=float(r)).a1
-        ext[c] = (fit_tail(pts, mode="local_triple", center=float(max(a1[c])),
-                           extrapolate=True).a1_extrapolated
-                  if len(a1[c]) >= 2 else None)
+        centers = [r for r in r_values[1:-1] if {r - 1, r, r + 1} <= by_r.keys()]
+        a1s = local_triples(by_r, centers)[:, 0].tolist()
+        a1[c] = dict(zip(centers, a1s))
+        ext[c] = extrapolate_a1(centers, a1s) if len(centers) >= 2 else None
     csv_path = out_dir / "table1.csv"
     with csv_path.open("w", newline="") as fh:
         fh.write("r,logE_c0,a1_c0,logE_c1,a1_c1\n")
@@ -315,6 +312,7 @@ def _c2s(v):
     return {"re": v.real, "im": v.imag}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hardedge",
                                 description=__doc__,
@@ -337,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mc", help="Monte Carlo gap curves")
     m.add_argument("--n0", type=int, default=50)
-    m.add_argument("--nu", type=int, nargs="+", default=[0], metavar="NU",
+    m.add_argument("--nu", type=int, nargs="+", default=(0,), metavar="NU",
                    help="integer nu_1 .. nu_M; M is their count (default: 0)")
     m.add_argument("--samples", type=int, default=10000)
     m.add_argument("--seed", type=int, default=7)
-    m.add_argument("--s-grid", type=float, nargs="+", default=[0.5, 1.0, 2.0])
+    m.add_argument("--s-grid", type=float, nargs="+", default=(0.5, 1.0, 2.0))
     m.add_argument("--save-samples", action="store_true")
     m.add_argument("--out", default="out")
     m.set_defaults(func=cmd_mc)
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("ode", help="trajectory export, nu=(0,0) or (0,-1/2,0)")
     o.add_argument("--nu", type=float, nargs="+", metavar="NU",
-                   default=list(CASES["m2-special"][0][1:]),
+                   default=CASES["m2-special"][0][1:],
                    help="nu_1 .. nu_M; M is their count (default: -0.5 0)")
     o.add_argument("--s-max", type=float, default=5.0)
     o.add_argument("--tol", type=float, default=1e-10)
@@ -364,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_ode)
 
     sg = sub.add_parser("sigma", help="sigma-form residuals, nu=(0,-1/2,0)")
-    sg.add_argument("--s", type=float, nargs="+", default=[0.5, 1.0, 2.0])
+    sg.add_argument("--s", type=float, nargs="+", default=(0.5, 1.0, 2.0))
     sg.add_argument("--tol", type=float, default=1e-10)
     sg.set_defaults(func=cmd_sigma)
 

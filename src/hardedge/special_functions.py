@@ -4,7 +4,9 @@ Every series here is a plain power series in double precision: the
 regularized hyper-Bessel function 0F_M (M=1 is the Bessel case, J_v(2 sqrt x)
 = x^(v/2) 0F1~(; v+1; -x)) and the Wright Bessel function, each as its first
 ``N_TERMS`` Taylor coefficients (the ``*_coefficients`` functions) for
-``horner`` to evaluate, the path the kernels take.  For the Muttalib-Borodin
+``horner`` to evaluate, the path the kernels take: one call per argument
+table, in place, with the multiply and add of ``result * x + c`` in their
+order (the same bits, no temporaries per term).  For the Muttalib-Borodin
 tables ``N_TERMS`` is a cap: ``truncate_series`` cuts each row to the terms
 its argument range needs.  Real Gamma / reciprocal Gamma and elementary
 symmetric polynomials complete the module.  Horner's rule in floating point
@@ -71,11 +73,13 @@ def reciprocal_gamma(x: float) -> float:
 
 
 def horner(coeffs: np.ndarray, x: np.ndarray | float):
-    """Evaluate sum_j coeffs[j] * x**j by Horner's rule (array friendly)."""
+    """sum_j coeffs[j] * x**j by Horner's rule, in place: the value has x's
+    shape, each coeffs[j] broadcasts into it, and x is left unchanged."""
     result = np.zeros_like(np.asarray(x, dtype=float))
     for c in coeffs[::-1]:
-        result = result * x + c
-    return result
+        result *= x
+        result += c
+    return result[()]
 
 
 def truncate_series(coeffs: np.ndarray, x_max: float) -> np.ndarray:

@@ -8,6 +8,8 @@ from hardedge.asymptotics import (
     indicial_exponents,
     tail_model,
     fit_tail,
+    local_triples,
+    extrapolate_a1,
     A1_PREDICTED,
 )
 from hardedge.reference_data import TABLE1
@@ -137,3 +139,44 @@ def test_fit_tail_validation():
     pts[3] = (7.0, math.nan)
     with pytest.raises(ValueError, match="non-finite point at r=7"):
         fit_tail(pts, extrapolate=True)
+
+
+def _triple_solved_alone(by_r, c):
+    # one 3x3 solve per center, as fit_tail ran it before the stacked solve
+    window = np.array([c - 1.0, c, c + 1.0])
+    A = np.vstack([window ** (4.0 / 3.0), window ** (2.0 / 3.0),
+                   np.ones_like(window)]).T
+    return np.linalg.solve(A, np.array([by_r[w] for w in window]))
+
+
+@pytest.mark.parametrize("refused", [None, 9], ids=["full", "refused_r9"])
+@pytest.mark.parametrize("c", [0, 1])
+def test_stacked_triples_keep_every_bit(c, refused):
+    # a column as table1 builds it, with one refused middle cell dropped:
+    # each stacked row is the lone solve's, and fit_tail reads the same bits
+    by_r = {float(r): TABLE1[c][r][0] for r in range(4, 15) if r != refused}
+    pts = sorted(by_r.items())
+    centers = [r for r in range(5, 14) if {r - 1, r, r + 1} <= by_r.keys()]
+    assert len(centers) == (9 if refused is None else 6)
+    triples = local_triples(by_r, centers)
+    assert triples.shape == (len(centers), 3)
+    for r, row in zip(centers, triples):
+        assert row.tobytes() == _triple_solved_alone(by_r, r).tobytes()
+        assert row[0] == fit_tail(pts, center=float(r)).a1
+    # the drift fit over the five largest centers, on the lone solves' a1
+    cs = np.array(centers[-5:], dtype=float)
+    a1s = np.array([_triple_solved_alone(by_r, r)[0] for r in centers[-5:]])
+    coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(cs), cs ** (-2.0 / 3.0)]).T,
+                               a1s, rcond=None)
+    ext = fit_tail(pts, center=13.0, extrapolate=True).a1_extrapolated
+    assert extrapolate_a1(centers, triples[:, 0]) == ext == float(coef[0])
+
+
+def test_stacked_triples_of_a_degenerate_window():
+    # table1 at r_min = r_max: no center, no triple, no extrapolation
+    by_r = {4.0: TABLE1[0][4][0]}
+    assert local_triples(by_r, []).shape == (0, 3)
+    with pytest.raises(ValueError, match="at least two local triples"):
+        extrapolate_a1([], local_triples(by_r, [])[:, 0])
+    with pytest.raises(ValueError, match=r"needs data at \[3.0, 4.0, 5.0\]"):
+        local_triples(by_r, [4.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardedge import cli, fredholm, verification
+from hardedge.asymptotics import fit_tail
 from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
 from hardedge.kernels import HardEdgeParams
@@ -79,11 +80,10 @@ def test_table1_refuses_r_max_past_cap(r_max, code, tmp_path, capsys,
         assert err == ""
 
 
-def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
+def _refuse_c0_r9(monkeypatch):
     # at c=0, r=9 the factor tables keep one entry each, A = 1/w_0 and B = 1
     # at the first node, so G = B^T diag(2 w) A = diag(2, 0, ...) and
     # det(1 - G) = -1; only that cell may be refused
-    assert main(["table1", "--out", str(tmp_path / "ok")]) == 0
     real = fredholm.borodin_factor_tables
 
     def flipped(mb, xs, ys):
@@ -96,6 +96,11 @@ def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
         return A, B
 
     monkeypatch.setattr(fredholm, "borodin_factor_tables", flipped)
+
+
+def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
+    assert main(["table1", "--out", str(tmp_path / "ok")]) == 0
+    _refuse_c0_r9(monkeypatch)
     assert main(["table1", "--out", str(tmp_path / "bad")]) == 0
     ok, bad = (json.loads((tmp_path / d / "table1_diff.json").read_text())
                for d in ("ok", "bad"))
@@ -117,6 +122,57 @@ def test_table1_refused_cell_leaves_the_others(tmp_path, capsys, monkeypatch):
         assert e == ref
     assert (0, 9) not in {(e["c"], e["r"]) for e in bad["cells"]}
     assert len(bad["cells"]) == 21
+
+
+@pytest.mark.parametrize("argv, refuse, n_centers", [
+    ([], False, (9, 9)),
+    ([], True, (6, 9)),
+    (["--r-max", "4", "--nodes", "24"], False, (0, 0)),
+], ids=["full", "refused_c0_r9", "degenerate_window"])
+def test_table1_a1_columns_are_fit_tail_bit_for_bit(argv, refuse, n_centers,
+                                                     tmp_path, capsys, monkeypatch):
+    # the stacked a1 solve writes, at every center, fit_tail's local a1 and,
+    # per column, its extrapolated a1; the CSV's 17 digits round-trip
+    if refuse:
+        _refuse_c0_r9(monkeypatch)
+    assert main(["table1", "--out", str(tmp_path)] + argv) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "table1.csv").read_text().splitlines()[1:]]
+    ext = json.loads((tmp_path / "table1_diff.json").read_text())["extrapolated_a1"]
+    for c in (0, 1):
+        pts = [(float(row[0]), float(row[1 + 2 * c])) for row in rows
+               if row[1 + 2 * c] != "nan"]
+        a1 = {float(row[0]): float(row[2 + 2 * c]) for row in rows if row[2 + 2 * c]}
+        assert len(a1) == n_centers[c]
+        for r, value in a1.items():
+            assert value == fit_tail(pts, center=r).a1
+        if a1:
+            fit = fit_tail(pts, center=max(a1), extrapolate=True)
+            assert ext[str(c)] == fit.a1_extrapolated
+        else:
+            assert ext[str(c)] is None
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # one argparse tree per process: a call's options, defaults and usage
+    # errors do not reach the next call
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["table1", "--out", str(tmp_path / "a"), "--nodes", "8",
+                 "--r-max", "6"]) == 0
+    assert main(["table1", "--out", str(tmp_path / "b"), "--r-max", "6"]) == 0
+    for d, nodes in (("a", 8), ("b", 48)):
+        manifest = json.loads((tmp_path / d / "table1.manifest.json").read_text())
+        assert manifest["parameters"]["nodes"] == nodes
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--nodes", "many"])
+    assert exc.value.code == 2
+    assert main(["table1", "--out", str(tmp_path / "c"), "--r-max", "6"]) == 0
+    assert (tmp_path / "c" / "table1.csv").read_bytes() == \
+        (tmp_path / "b" / "table1.csv").read_bytes()
+    # a list default would be one object in every call's namespace
+    for argv in (["mc"], ["ode"], ["sigma"]):
+        args = cli.build_parser().parse_args(argv)
+        assert not any(isinstance(v, list) for v in vars(args).values())
 
 
 def test_verify_usage_error():

@@ -161,6 +161,43 @@ def test_series_rows_within_horner_bound():
                     assert err <= bound, (x, err, bound)
 
 
+def _horner_out_of_place(coeffs, x):
+    # the recurrence as written before horner worked in place
+    result = np.zeros_like(np.asarray(x, dtype=float))
+    for c in coeffs[::-1]:
+        result = result * x + c
+    return result
+
+
+def _horner_cases():
+    rng = np.random.default_rng(29)
+    # a kernel bundle: (N_TERMS, rows, 1) coefficients against (rows, n)
+    rows = np.array([hyp0f_reg_coefficients((b, b + 0.3), N_TERMS)
+                     for b in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)])
+    signs = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0])[:, None]
+    yield pytest.param(rows.T[:, :, None], signs * rng.uniform(1e-3, 16.0, 40),
+                       id="bundle")
+    # a table-1 column: the cut Wright row of A at (len(rs), n, 16)
+    xa = np.multiply.outer(rng.uniform(0.0, 14.0, (11, 96)), rng.uniform(0, 1, 16))
+    row = wright_bessel_coefficients(0.5, 0.5, N_TERMS)
+    yield pytest.param(truncate_series(row, xa.max()), xa, id="table1")
+    yield pytest.param(row, 3.7, id="scalar")
+
+
+@pytest.mark.parametrize("coeffs, x", list(_horner_cases()))
+def test_horner_in_place_keeps_every_bit(coeffs, x):
+    # the same multiply and add in the same order: bit-identical values in
+    # x's shape, x untouched, and a numpy.float64 for a scalar x
+    before = np.copy(x)
+    got, ref = horner(coeffs, x), _horner_out_of_place(coeffs, x)
+    assert type(got) is type(ref)
+    assert np.shape(got) == np.shape(x)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    assert np.asarray(x).tobytes() == before.tobytes()
+    if np.ndim(x) == 0:
+        assert type(got) is np.float64
+
+
 # Wright rows of both Muttalib-Borodin factors and 0F_M rows of the kernels
 _TRUNCATION_ROWS = (
     [wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
