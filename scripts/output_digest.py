@@ -18,7 +18,10 @@ alike, so a moved refusal shows too.
   code, stdout, stderr);
 - sigma: ``hardedge sigma`` at its default and at three other abscissas;
 - table1: ``hardedge table1``'s table1.csv and table1_diff.json (the
-  extrapolated a_1 and each cell's est_error).
+  extrapolated a_1 and each cell's est_error);
+- ode: ``hardedge ode --s-max 10``'s trajectory.csv at --nu 0 and at the
+  default nu, each at --tol 1e-8 and 1e-12 (not its manifest, which holds
+  a timestamp).
 """
 
 import contextlib
@@ -109,7 +112,17 @@ def table1(h):
             h.update((Path(tmp) / name).read_bytes())
 
 
-FAMILIES = (trajectories, gap_hardedge, gap_mb, verify, sigma, table1)
+def ode(h):
+    with tempfile.TemporaryDirectory() as tmp:
+        for nu in (["--nu", "0"], []):
+            for tol in ("1e-8", "1e-12"):
+                out = Path(tmp) / f"{len(nu)}_{tol}"
+                _cli(["ode", *nu, "--s-max", "10", "--tol", tol,
+                      "--out", str(out)])      # its stdout names tmp
+                h.update((out / "trajectory.csv").read_bytes())
+
+
+FAMILIES = (trajectories, gap_hardedge, gap_mb, verify, sigma, table1, ode)
 
 
 def main() -> int:

@@ -53,7 +53,7 @@ from . import hamiltonian_flow as flow
 from .asymptotics import (A1_PREDICTED, extrapolate_a1, fit_tail,
                           indicial_exponents, local_triples)
 from .ginibre_mc import (McConfig, sample_min_singular_sq, empirical_gap,
-                         save_samples)
+                         save_samples, _checked_s_grid)
 from .reference_data import TABLE1
 from .verification import (CASES, LAUNCH_S, TOLERANCES, integrate_case,
                            jet_residuals, verify)
@@ -177,14 +177,15 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     cfg = McConfig(M=len(args.nu), N0=args.n0, nu_int=tuple(args.nu),
                    samples=args.samples, seed=args.seed)
-    # the oracle may refuse an s; ask it before paying for the samples
+    # a bad s, or the oracle's refusal of one, comes before any sample
+    s_grid = _checked_s_grid(args.s_grid)
     oracle = None
     if cfg.M == 1:
         params = HardEdgeParams.from_nu((0.0, float(cfg.nu_int[0])))
         oracle = [gap_probability_hardedge(params, s, target_tol=1e-9).E
-                  for s in args.s_grid]
+                  for s in s_grid]
     result = sample_min_singular_sq(cfg)
-    rows = empirical_gap(result, args.s_grid)
+    rows = empirical_gap(result, s_grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_paths = []
@@ -208,7 +209,7 @@ def cmd_mc(args) -> int:
             fh.write(",".join(cells) + "\n")
     _write_manifest(out_dir, "mc",
                     {"M": cfg.M, "N0": cfg.N0, "nu": list(cfg.nu_int),
-                     "samples": cfg.samples, "s_grid": list(args.s_grid)},
+                     "samples": cfg.samples, "s_grid": s_grid},
                     [csv_path] + out_paths, seed=cfg.seed)
     print(f"wrote {csv_path}")
     return EXIT_OK

@@ -275,15 +275,23 @@ def wilson_interval(k: int, n: int, z: float = 2.5758293035489004) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _checked_s_grid(s_grid) -> list:
+    """s_grid as floats; a non-positive or non-finite s is refused by value."""
+    for s in map(float, s_grid):
+        if not 0 < s < math.inf:
+            raise ValueError(f"s must be positive and finite, got {s}")
+    return [float(s) for s in s_grid]
+
+
 def empirical_gap(result: McResult, s_grid) -> list:
     """[(s, p_hat, ci_low, ci_high)]: empirical P(lambda_min > s/N0)."""
     lam = result.lambda_min
     out = []
     n = lam.size
-    for s in s_grid:
+    for s in _checked_s_grid(s_grid):
         k = int(np.count_nonzero(lam > s / result.config.N0))
         lo, hi = wilson_interval(k, n)
-        out.append((float(s), k / n, lo, hi))
+        out.append((s, k / n, lo, hi))
     return out
 
 

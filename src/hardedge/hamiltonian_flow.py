@@ -4,13 +4,14 @@ For one or two matrix factors the gap probability satisfies
 ``E_M(0;(0,s)) = exp( int_0^s eta_0(t)/t dt )`` where eta_0 rides along a
 system of 4(M+1) coupled first-order ODEs in the variables
 (x_m, y_m, xi_m, eta_m).  This module launches that system near s = 0,
-integrates it on the real view of the complex state with Hairer's DOP853
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), the compiled 8(5,3)
-embedded Runge-Kutta code in scipy's extension file ``scipy/integrate/_dop``,
-loaded from that file without the ``scipy.integrate`` package, and
-monitors every first integral and structural identity (folding, Schlesinger
-consistency, the Tracy-Widom map) along the trajectory.  The first
-integrals gate the launch state before any integration, and every output
+integrates it with Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs
+I, sec. II.10), the compiled 8(5,3) embedded Runge-Kutta code in scipy's
+extension file ``scipy/integrate/_dop``, loaded from that file without the
+``scipy.integrate`` package, and monitors every first integral and
+structural identity (folding, Schlesinger consistency, the Tracy-Widom map)
+along the trajectory.  A state is one row of the stepper's output: one real
+vector with (Re, Im) of x, y, xi, eta and log E.  The first integrals gate
+the launch state before any integration, and every output
 state after it; the trajectory keeps them.  On the physical branch x and y
 are purely imaginary and xi, eta real; the right-hand sides run on the
 Python float parts that branch leaves nonzero, which cost less per call than
@@ -30,7 +31,6 @@ from __future__ import annotations
 import bisect
 import collections
 import functools
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -93,8 +93,8 @@ def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
     iwork = np.zeros(21, np.int32)
     # the compiled code may write into y, so the caller's y0 is copied
     t, y = t0, np.array(y0, dtype=float)
-    ys, nfev = [], 0
-    for t_next, leg_rtol, leg_atol in zip(t_eval, rtol, atol):
+    ys, nfev = np.empty((len(t_eval), len(y0))), 0
+    for i, (t_next, leg_rtol, leg_atol) in enumerate(zip(t_eval, rtol, atol)):
         t, y, code = _dop853()(fun, t, y, t_next, leg_rtol, leg_atol,
                                _no_step_output, 1, work, iwork, _MAX_STEPS,
                                -1, ())
@@ -105,8 +105,8 @@ def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
                       -4: "problem is probably stiff (interrupted)"}
             raise FlowError(f"integrator failed: DOP853 return code {code} at "
                             f"t={t:.17g}: {reason.get(code, 'unknown code')}")
-        ys.append(y.copy())
-    return _Solution(np.array(ys), nfev)
+        ys[i] = y
+    return _Solution(ys, nfev)
 
 
 def _no_step_output(x, y):
@@ -142,49 +142,42 @@ class FlowError(RuntimeError):
 class HamiltonianState:
     """Phase-space point of the coupled system at abscissa s.
 
-    x, y, xi, eta are complex arrays of length M+1.  On the physical branch
-    x and y are purely imaginary while xi and eta are real.  The flow stays
-    on it exactly: its right-hand sides return exact zeros for Re x, Re y,
-    Im xi and Im eta, so the imag_leakage monitor reads 0 by construction.
+    u is the stepper's real vector: (Re, Im) of x, y, xi, eta (M+1 entries
+    each), then of log E; x, y, xi, eta are complex views of u.  On the
+    physical branch x and y are purely imaginary while xi and eta are real.
+    The flow stays on it exactly: its right-hand sides return exact zeros
+    for Re x, Re y, Im xi and Im eta, so the imag_leakage monitor reads 0
+    by construction.
     """
 
     s: float
-    x: np.ndarray
-    y: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
+    u: np.ndarray
     params: HardEdgeParams
+    x: np.ndarray = field(init=False, repr=False)
+    y: np.ndarray = field(init=False, repr=False)
+    xi: np.ndarray = field(init=False, repr=False)
+    eta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.x, self.y, self.xi, self.eta = self.u.view(complex)[:-1].reshape(4, -1)
 
     @property
     def M(self) -> int:
         return self.params.M
-
-    def pack(self, aux: float = 0.0) -> np.ndarray:
-        return np.concatenate([self.x, self.y, self.xi, self.eta,
-                               [complex(aux)]])
-
-    @classmethod
-    def unpack(cls, params: HardEdgeParams, s: float, vec: np.ndarray):
-        m1 = params.M + 1
-        state = cls(s=float(s), x=vec[:m1].copy(),
-                    y=vec[m1:2 * m1].copy(), xi=vec[2 * m1:3 * m1].copy(),
-                    eta=vec[3 * m1:4 * m1].copy(), params=params)
-        return state, float(vec[4 * m1].real)
 
 
 @dataclass
 class Trajectory:
     """States at the launch point and the requested output abscissas.
 
-    states[0] is the launch state at s0; log_gap[i] is int_0^s eta_0/t dt
-    up to s = states[i].s, so E = exp(log_gap[i]), with log_gap[0] the
-    launch determinant's.  tol is the tolerance integrate was asked for;
-    nfev counts the right-hand-side evaluations of every leg.
+    states[0] is the launch state at s0; log_gap[i], states[i]'s log-E slot,
+    is int_0^s eta_0/t dt up to s = states[i].s, so E = exp(log_gap[i]),
+    with log_gap[0] the launch determinant's.  tol is the tolerance integrate
+    was asked for; nfev counts the right-hand-side evaluations of every leg.
     """
 
     params: HardEdgeParams
     states: list
-    log_gap: list
     tol: float
     nfev: int
     # integrate's gate residuals, one dict per state; replace() drops them
@@ -199,18 +192,22 @@ class Trajectory:
     def s0(self) -> float:
         return self.states[0].s
 
+    @property
+    def log_gap(self) -> list:
+        return [float(st.u[-2]) for st in self.states]
+
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-# The steppers' right-hand sides, on the real view of the state: (Re, Im) of
-# x, y, xi, eta and log E.  They read the parts the physical branch leaves
-# nonzero and put an exact 0.0 in the others, keeping the full layout, as
-# DOP853's error norm averages over every component.  The complex formulas
-# in their operation order (-x0 y0 = X0 Y0 for x = iX, y = iY) on Python
-# floats; "* inv" keeps the rounding of numpy's complex-by-real division,
-# "/ s" would not.  Module-level: the stepper's wrapper keeps them for good.
+# The steppers' right-hand sides, on a state's real vector u.  They read the
+# parts the physical branch leaves nonzero and put an exact 0.0 in the others,
+# keeping the full layout, as DOP853's error norm averages over every
+# component.  The complex formulas in their operation order (-x0 y0 = X0 Y0
+# for x = iX, y = iY) on Python floats; "* inv" keeps the rounding of numpy's
+# complex-by-real division, "/ s" would not.  Module-level: the stepper's
+# wrapper keeps them for good.
 def _rhs_real_m1(s, u):
     _, X0, _, X1, _, Y0, _, Y1, XI0, _, XI1, _, E0, _, E1, _, _, _ = u.tolist()
     inv = 1.0 / s
@@ -257,9 +254,8 @@ def rhs(state: HamiltonianState):
                 raise ValueError(f"off the physical branch: {name}{m} = "
                                  f"{v:g}, not 0")
     fn = _rhs_real_m1 if state.M == 1 else _rhs_real_m2
-    d = np.array(fn(float(state.s), state.pack().view(float))).view(complex)
-    m1 = state.M + 1
-    return d[:m1], d[m1:2 * m1], d[2 * m1:3 * m1], d[3 * m1:4 * m1]
+    d = np.array(fn(float(state.s), state.u)).view(complex)
+    return tuple(d[:-1].reshape(4, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +310,9 @@ def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
     xi, eta = u[0].astype(complex), u[:, m].astype(complex)
     xi[1:m] += params.e[1]              # M=2 only
     xi[m] = eta[0] - params.e[0]
-    return HamiltonianState(s=s0, x=1j * (phi[:, n] + K[n, :n] @ wq),
-                            y=1j * (psi[:, n] + K[:n, n] @ wp), xi=xi,
-                            eta=eta, params=params), loge
+    z = np.concatenate([1j * (phi[:, n] + K[n, :n] @ wq),
+                        1j * (psi[:, n] + K[:n, n] @ wp), xi, eta, [loge]])
+    return HamiltonianState(s=s0, u=z.view(float), params=params), loge
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +345,7 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
         raise ValueError("s0 must be positive: the system is singular at s = 0")
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
-    state0, loghead = launch_state(params, s0)
+    state0, _ = launch_state(params, s0)
     residuals = _gate_first_integrals([state0], tol)
 
     # legs end at every target and at the grade edges the pass crosses
@@ -358,13 +354,11 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     rtol = [max(tol * _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, s)],
                 _TOL_MIN * 0.1) for s in ends]
     sol = solve_ivp(_rhs_real_m1 if params.M == 1 else _rhs_real_m2, s0,
-                    state0.pack(aux=loghead).view(float), ends, rtol,
-                    [r * 1e-2 for r in rtol])
-    out = [HamiltonianState.unpack(params, s, vec.view(complex))
-           for s, vec in zip(ends, sol.y) if s in s_targets]
-    residuals += _gate_first_integrals([st for st, _ in out], tol)
-    traj = Trajectory(params=params, states=[state0] + [st for st, _ in out],
-                      log_gap=[loghead] + [aux for _, aux in out], tol=tol,
+                    state0.u, ends, rtol, [r * 1e-2 for r in rtol])
+    out = [HamiltonianState(s=s, u=u, params=params)
+           for s, u in zip(ends, sol.y) if s in s_targets]
+    residuals += _gate_first_integrals(out, tol)
+    traj = Trajectory(params=params, states=[state0, *out], tol=tol,
                       nfev=sol.nfev)
     traj._residuals = residuals
     return traj
@@ -583,22 +577,18 @@ def eta_derivatives(state: HamiltonianState) -> ResolventJet:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    """CSV export: s, Re/Im of every variable, logE, residual columns."""
-    m1 = traj.params.M + 1
-    names = ([f"x{m}" for m in range(m1)] + [f"y{m}" for m in range(m1)]
-             + [f"xi{m}" for m in range(m1)] + [f"eta{m}" for m in range(m1)])
+    """CSV export: s, Re/Im of every variable, logE, residual columns.
+
+    A row is s, the state's u without its last slot Im log E, and residuals.
+    """
+    names = [f"{v}{m}" for v in ("x", "y", "xi", "eta")
+             for m in range(traj.params.M + 1)]
     residuals = traj.first_integrals()
     res_names = sorted(residuals[0])
-    buf = io.StringIO()
     cols = ["s"] + [f"{p}_{n}" for n in names for p in ("re", "im")] \
         + ["logE"] + [f"res_{r}" for r in res_names]
-    buf.write(",".join(cols) + "\n")
-    for st, lg, res in zip(traj.states, traj.log_gap, residuals):
-        vals = [st.s]
-        for arr in (st.x, st.y, st.xi, st.eta):
-            for z in arr:
-                vals.extend([z.real, z.imag])
-        vals.append(lg)
-        vals.extend(res[r] for r in res_names)
-        buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-    return buf.getvalue()
+    lines = [",".join(cols)]
+    for st, res in zip(traj.states, residuals):
+        vals = [st.s, *st.u[:-1].tolist(), *(res[r] for r in res_names)]
+        lines.append(",".join(f"{v:.17g}" for v in vals))
+    return "\n".join(lines) + "\n"

@@ -108,25 +108,25 @@ def eta0_power_series(terms, s: float) -> tuple:
     return tuple(d), loghead
 
 
-def _f_squared_terms(s: float, d, e1: float, e2: float) -> tuple:
-    """The six signed summands of f_squared, in summation order."""
-    return (4 * e1 ** 2 * d[1] ** 2, -(12 * e2 * d[1] ** 2),
-            12 * d[0] * d[1] ** 2, -(36 * s * d[1] ** 3),
-            9 * s ** 2 * d[2] ** 2, -(12 * s * d[1] * (d[2] + s * d[3])))
+def _f_squared_with_scale(s: float, d, e1: float, e2: float) -> tuple:
+    """(f_squared, the largest magnitude among its six summands)."""
+    terms = (4 * e1 ** 2 * d[1] ** 2, -(12 * e2 * d[1] ** 2),
+             12 * d[0] * d[1] ** 2, -(36 * s * d[1] ** 3),
+             9 * s ** 2 * d[2] ** 2, -(12 * s * d[1] * (d[2] + s * d[3])))
+    # left to right as typeset: the builtin sum compensates from Python 3.12
+    t0, t1, t2, t3, t4, t5 = terms
+    return t0 + t1 + t2 + t3 + t4 + t5, max(map(abs, terms))
 
 
 def f_squared(s: float, d, e1: float, e2: float) -> float:
     """The quartic combination of eta_0 derivatives whose root is F."""
-    # left to right as typeset: the builtin sum compensates from Python 3.12
-    t0, t1, t2, t3, t4, t5 = _f_squared_terms(s, d, e1, e2)
-    return t0 + t1 + t2 + t3 + t4 + t5
+    return _f_squared_with_scale(s, d, e1, e2)[0]
 
 
 def radical_F(s: float, d, e1: float, e2: float) -> float:
     """Positive root of f_squared; tiny negatives are clipped to zero."""
-    fsq = f_squared(s, d, e1, e2)
-    scale = max(*map(abs, _f_squared_terms(s, d, e1, e2)), 1e-300)
-    if fsq < -1e-10 * scale:
+    fsq, scale = _f_squared_with_scale(s, d, e1, e2)
+    if fsq < -1e-10 * max(scale, 1e-300):
         raise ValueError(f"F^2 genuinely negative ({fsq:.3e}): wrong branch "
                          "or corrupted jet")
     return math.sqrt(max(fsq, 0.0))

@@ -98,10 +98,10 @@ def integrate_case(case: str, s_max: float | None = None,
 def jet_residuals(st: flow.HamiltonianState) -> dict:
     """The M=2 eta_0-jet categories at one state, as absolute residuals."""
     jet = flow.eta_derivatives(st)
-    scale = sum(abs(v) for v in sigma_forms.quartic_blocks(jet).values())
-    res = {"quartic": abs(sigma_forms.quartic_ode_residual(jet)),
-           "quartic_dual_path": abs(sigma_forms.quartic_typeset_raw(jet)
-                                    - sigma_forms.quartic_pipeline_raw(jet))
+    blocks = sigma_forms.quartic_blocks(jet).values()
+    raw, scale = sum(blocks), sum(abs(v) for v in blocks)
+    res = {"quartic": abs(raw / scale),
+           "quartic_dual_path": abs(raw - sigma_forms.quartic_pipeline_raw(jet))
            / scale}
     if st.params.nu == sigma_forms.SPECIAL_NU:
         third, fid = sigma_forms.special_case_residuals(jet)

@@ -330,6 +330,23 @@ def test_exit_code(argv, patch, code, message, monkeypatch, capsys, tmp_path):
     assert message in err
 
 
+@pytest.mark.parametrize("nu", [["0"], ["0", "0"]], ids=["m1", "m2"])
+@pytest.mark.parametrize("s, shown", [("-1", "-1.0"), ("nan", "nan"),
+                                      ("0", "0.0")])
+def test_mc_refuses_a_bad_s_before_any_sample(nu, s, shown, monkeypatch,
+                                              capsys, tmp_path):
+    # at every M, one ValueError names the value before the M=1 oracle or
+    # any sample runs, and no mc_gap.csv is written
+    monkeypatch.setattr(cli, "sample_min_singular_sq",
+                        _raises(AssertionError("drew a sample")))
+    monkeypatch.setattr(fredholm, "hardedge_rule", _raises(_NO_DOUBLING))
+    argv = ["mc", "--nu", *nu, "--s-grid", "0.5", s, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: s must be positive and "
+                                       f"finite, got {shown}\n")
+    assert not (tmp_path / "mc_gap.csv").exists()
+
+
 def test_mc_oracle_refusal_exits_numerical(tmp_path, capsys, monkeypatch):
     # the M=1 oracle refuses at s=30, before any sample is drawn
     def no_sampling(cfg):

@@ -121,12 +121,22 @@ def test_m2_smallest_eigenvalue_positive():
 def test_empirical_gap_is_survival_function():
     cfg = McConfig(M=1, N0=8, nu_int=(0,), samples=500, seed=2)
     res = sample_min_singular_sq(cfg)
-    rows = empirical_gap(res, [0.0, 0.5, 1.0, 2.0])
+    # s = 1e-4 lies below the smallest of these samples, 7.1e-4 scaled
+    rows = empirical_gap(res, [1e-4, 0.5, 1.0, 2.0])
     assert rows[0][1] == 1.0
     ps = [r[1] for r in rows]
     assert all(b <= a for a, b in zip(ps, ps[1:]))
     for _, p, lo, hi in rows:
         assert lo <= p <= hi
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_empirical_gap_refuses_a_non_positive_or_non_finite_s(s):
+    res = sample_min_singular_sq(McConfig(M=2, N0=2, nu_int=(0, 0),
+                                          samples=2, seed=1))
+    with pytest.raises(ValueError,
+                       match=f"^s must be positive and finite, got {s}$"):
+        empirical_gap(res, [0.5, s])
 
 
 def test_wilson_interval():

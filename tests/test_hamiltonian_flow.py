@@ -164,7 +164,7 @@ def test_scipy_integrate_still_works_after_integration():
         "after = flow.integrate(params, 1e-5, [1e-4, 0.5, 2.0])",
         "assert after.nfev == before.nfev",
         "assert np.array_equal(after.log_gap, before.log_gap)",
-        "assert all(np.array_equal(a.pack(), b.pack())",
+        "assert all(np.array_equal(a.u, b.u)",
         "           for a, b in zip(after.states, before.states))",
     ]))
 
@@ -699,9 +699,41 @@ def test_trajectory_csv_round_trip(traj_m2):
     assert np.all(np.diff(s_col) > 0)
 
 
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_state_is_one_row_of_the_stepper(nu):
+    # x, y, xi, eta are complex views of the stepper's vector u: a write to
+    # eta shows in u and in rhs; log_gap and each CSV row read u as it is
+    params = HardEdgeParams.from_nu(nu)
+    traj = flow.integrate(params, 1e-5, [1e-4, 0.5, 2.0])
+    m1 = params.M + 1
+    for i, st in enumerate(traj.states):
+        assert traj.log_gap[i] == st.u[-2]
+        assert type(traj.log_gap[i]) is float
+        assert all(a.dtype == complex for a in (st.x, st.y, st.xi, st.eta))
+    residuals = traj.first_integrals()
+    names = sorted(residuals[0])
+    rows = flow.trajectory_csv(traj).splitlines()[1:]
+    assert len(rows) == len(traj.states)
+    for row, st, res in zip(rows, traj.states, residuals):
+        want = [st.s, *st.u[:-2], st.u[-2], *(res[r] for r in names)]
+        assert row == ",".join(f"{v:.17g}" for v in want)
+    st = traj.states[2]
+    before = np.array(flow.rhs(st)[1])
+    eta_slot = 2 * 3 * m1                  # Re eta_0 in u
+    u0 = st.u[eta_slot]
+    st.eta[0] += 0.25
+    assert st.u[eta_slot] == u0 + 0.25
+    assert flow.HamiltonianState(st.s, st.u, params).eta[0] == st.eta[0]
+    # eta_0 enters dy_0/ds as eta_0 y_0 / s
+    assert np.array_equal(flow.rhs(st)[1][1:], before[1:])
+    assert flow.rhs(st)[1][0] == pytest.approx(
+        before[0] + 0.25 * st.y[0] / st.s, rel=1e-12)
+
+
 def test_trajectory_s0_is_the_launch_abscissa(traj_m2):
-    later = dataclasses.replace(traj_m2, states=traj_m2.states[2:],
-                                log_gap=traj_m2.log_gap[2:])
+    later = dataclasses.replace(traj_m2, states=traj_m2.states[2:])
+    assert later.log_gap == traj_m2.log_gap[2:]
     assert later.s0 == later.states[0].s == traj_m2.states[2].s
     assert traj_m2.s0 == traj_m2.states[0].s
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import hardedge
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
-FAMILIES = ["trajectories", "gap_hardedge", "gap_mb", "verify", "sigma", "table1"]
+FAMILIES = ["trajectories", "gap_hardedge", "gap_mb", "verify", "sigma", "table1",
+            "ode"]
 
 
 def test_output_digest_prints_one_line_per_family():

@@ -2,16 +2,20 @@ import dataclasses
 import math
 from types import SimpleNamespace
 
-import numpy as np
-
 from hardedge import fredholm
 from hardedge import hamiltonian_flow as flow
 from hardedge.verification import verify
 
 
+def _nudged(st):
+    """st with eta_0 moved by 1e-6, on a copy of its vector."""
+    out = dataclasses.replace(st, u=st.u.copy())
+    out.eta[0] += 1e-6
+    return out
+
+
 def test_nudged_state_fails_where_nudged(traj_m2):
-    states = [dataclasses.replace(st, eta=st.eta + np.array([1e-6, 0.0, 0.0]))
-              if st.s == 0.5 else st for st in traj_m2.states]
+    states = [_nudged(st) if st.s == 0.5 else st for st in traj_m2.states]
     check = verify(dataclasses.replace(traj_m2, states=states))["first_integrals"]
     assert not check.ok
     assert check.worst_s == 0.5
@@ -19,8 +23,7 @@ def test_nudged_state_fails_where_nudged(traj_m2):
 
 def test_category_without_states_reads_zero(traj_m2):
     # every kept state lies below s = 0.05, where no jet or gap check runs
-    short = dataclasses.replace(traj_m2, states=traj_m2.states[:4],
-                                log_gap=traj_m2.log_gap[:4])
+    short = dataclasses.replace(traj_m2, states=traj_m2.states[:4])
     assert short.states[-1].s < 0.05
     report = verify(short)
     for name in ("quartic", "appendix_recovery", "gap_vs_fredholm"):
