@@ -21,7 +21,10 @@ alike, so a moved refusal shows too.
   extrapolated a_1 and each cell's est_error);
 - ode: ``hardedge ode --s-max 10``'s trajectory.csv at --nu 0 and at the
   default nu, each at --tol 1e-8 and 1e-12 (not its manifest, which holds
-  a timestamp).
+  a timestamp);
+- residuals: every state's ``first_integral_residuals``,
+  ``structural_residuals`` and ``rhs`` on both certified cases' verify
+  grids, at tol 1e-8 and 1e-12.
 """
 
 import contextlib
@@ -36,6 +39,7 @@ from hardedge import hamiltonian_flow as flow
 from hardedge.fredholm import (NonConvergedError, gap_probability_hardedge,
                                gap_probability_mb)
 from hardedge.kernels import HardEdgeParams, MBParams
+from hardedge.verification import integrate_case
 
 FLOW_NU = ((0.0, 0.0), (0.0, -0.5, 0.0))
 FLOW_TOLS = (1e-8, 1e-10, 1e-12)
@@ -122,7 +126,18 @@ def ode(h):
                 h.update((out / "trajectory.csv").read_bytes())
 
 
-FAMILIES = (trajectories, gap_hardedge, gap_mb, verify, sigma, table1, ode)
+def residuals(h):
+    for case in ("m1", "m2-special"):
+        for tol in (1e-8, 1e-12):
+            for st in integrate_case(case, tol=tol).states:
+                h.update(repr((flow.first_integral_residuals(st),
+                               flow.structural_residuals(st))).encode())
+                for arr in flow.rhs(st):
+                    h.update(arr.tobytes())
+
+
+FAMILIES = (trajectories, gap_hardedge, gap_mb, verify, sigma, table1, ode,
+            residuals)
 
 
 def main() -> int:

@@ -10,12 +10,18 @@ extension file ``scipy/integrate/_dop``, loaded from that file without the
 ``scipy.integrate`` package, and monitors every first integral and
 structural identity (folding, Schlesinger consistency, the Tracy-Widom map)
 along the trajectory.  A state is one row of the stepper's output: one real
-vector with (Re, Im) of x, y, xi, eta and log E.  The first integrals gate
-the launch state before any integration, and every output
-state after it; the trajectory keeps them.  On the physical branch x and y
-are purely imaginary and xi, eta real; the right-hand sides run on the
+vector with (Re, Im) of x, y, xi, eta and log E.  On the physical branch x
+and y are purely imaginary and xi, eta real; the right-hand sides run on the
 Python float parts that branch leaves nonzero, which cost less per call than
 complex or numpy scalars, and are module-level (see ``solve_ivp``).
+
+A trajectory's states are the rows of one pass (``_Pass``): the first
+integrals, the structural residuals and the right-hand sides are evaluated
+on numpy arrays over those stacked rows, once per state, and the per-state
+functions read their state's row.  The first integrals gate the launch state
+before any integration, and every output state after it.  A state outside a
+pass, or changed in place since it joined one, is evaluated as a one-row
+pass of its own.
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -32,6 +38,7 @@ import bisect
 import collections
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from importlib import machinery, util
@@ -41,7 +48,7 @@ import numpy as np
 from .fredholm import _N_START, fredholm_det, hardedge_rule
 from .kernels import HardEdgeParams, _kernel_from_rows, build_kernel_bundle
 from . import sigma_forms
-from .sigma_forms import ResolventJet, _norm_residual
+from .sigma_forms import ResolventJet
 
 __all__ = [
     "HamiltonianState",
@@ -147,7 +154,8 @@ class HamiltonianState:
     physical branch x and y are purely imaginary while xi and eta are real.
     The flow stays on it exactly: its right-hand sides return exact zeros
     for Re x, Re y, Im xi and Im eta, so the imag_leakage monitor reads 0
-    by construction.
+    by construction.  A state from ``integrate`` is row _row of its
+    trajectory's pass; ``replace`` makes a state outside any pass.
     """
 
     s: float
@@ -157,6 +165,9 @@ class HamiltonianState:
     y: np.ndarray = field(init=False, repr=False)
     xi: np.ndarray = field(init=False, repr=False)
     eta: np.ndarray = field(init=False, repr=False)
+    _pass: "_Pass | None" = field(default=None, init=False, repr=False,
+                                  compare=False)
+    _row: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x, self.y, self.xi, self.eta = self.u.view(complex)[:-1].reshape(4, -1)
@@ -180,13 +191,10 @@ class Trajectory:
     states: list
     tol: float
     nfev: int
-    # integrate's gate residuals, one dict per state; replace() drops them
-    _residuals: list | None = field(default=None, init=False, repr=False)
 
     def first_integrals(self) -> list:
-        """Every state's ``first_integral_residuals``, the gate's if kept."""
-        return self._residuals or [first_integral_residuals(st)
-                                   for st in self.states]
+        """Every state's ``first_integral_residuals``, read off its pass."""
+        return [first_integral_residuals(st) for st in self.states]
 
     @property
     def s0(self) -> float:
@@ -195,6 +203,56 @@ class Trajectory:
     @property
     def log_gap(self) -> list:
         return [float(st.u[-2]) for st in self.states]
+
+
+class _Pass:
+    """States stacked as the rows of one array, evaluated once per evaluator.
+
+    ``rows(evaluator)`` is the list of the evaluator's per-row results;
+    evaluator(pass, lo) runs on the rows from lo on, those added since its
+    last run, so however many readers ask, each row is evaluated once.  The
+    pass lives with its states (each holds it) and keeps its own copy of
+    their vectors, with each row's key: s, params and the bytes of u.
+    """
+
+    def __init__(self, states):
+        self.params = states[0].params
+        self.s, self.u = np.empty(0), np.empty((0, states[0].u.size))
+        self.keys, self._done = [], {}
+        self.add(states)
+
+    def add(self, states):
+        for st in states:
+            st._pass, st._row = self, len(self.keys)
+            self.keys.append(_key(st))
+        self.s = np.append(self.s, [st.s for st in states])
+        self.u = np.vstack([self.u, *(st.u for st in states)])
+
+    def rows(self, evaluator) -> list:
+        done = self._done.setdefault(evaluator, [])
+        if len(done) < len(self.keys):
+            done += evaluator(self, len(done))
+        return done
+
+
+def _key(state):
+    return state.s, state.params, state.u.tobytes()
+
+
+def _read(state, evaluator):
+    """evaluator's result on state's row of its pass, or its refusal raised.
+
+    A state outside a pass, or whose key no longer matches its row (changed
+    in place), is first made a one-row pass of its own: no state reads a row
+    stacked from other values.
+    """
+    p = state._pass
+    if p is None or p.keys[state._row] != _key(state):
+        p = _Pass([state])
+    res = p.rows(evaluator)[state._row]
+    if isinstance(res, str):
+        raise ValueError(res)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +300,51 @@ def _rhs_real_m2(s, u):
 def rhs(state: HamiltonianState):
     """(dx/ds, dy/ds, dxi/ds, deta/ds) at the state's abscissa.
 
-    The steppers' right-hand side on the state's real view, as complex
-    arrays.  A state off the physical branch (nonzero Re x, Re y, Im xi or
-    Im eta) is refused, not truncated."""
-    if state.s <= 0:
-        raise ValueError("the system is singular at s = 0")
-    for name, part in (("Re x", state.x.real), ("Re y", state.y.real),
-                       ("Im xi", state.xi.imag), ("Im eta", state.eta.imag)):
-        for m, v in enumerate(part.tolist()):
-            if v != 0.0:
-                raise ValueError(f"off the physical branch: {name}{m} = "
-                                 f"{v:g}, not 0")
-    fn = _rhs_real_m1 if state.M == 1 else _rhs_real_m2
-    d = np.array(fn(float(state.s), state.u)).view(complex)
-    return tuple(d[:-1].reshape(4, -1))
+    The steppers' right-hand side on the state's real vector, as complex
+    arrays, read off the state's pass.  A state off the physical branch
+    (nonzero Re x, Re y, Im xi or Im eta) is refused, not truncated."""
+    d = _read(state, _derivatives).view(complex)[:-1].reshape(4, -1)
+    return tuple(d.copy())
+
+
+def _derivatives(p, lo) -> list:
+    """The steppers' right-hand side on each row of the pass from lo on.
+
+    A row's result is its derivative as a real vector, or the refusal of a
+    row at s <= 0 or off the physical branch, naming its first nonzero part.
+    """
+    m1 = p.params.M + 1
+    fn = _rhs_real_m1 if m1 == 2 else _rhs_real_m2
+    z = p.u[lo:].view(complex)
+    # Re x, Re y, Im xi, Im eta in u's order, zero on the physical branch
+    off = np.hstack([z[:, :2 * m1].real, z[:, 2 * m1:-1].imag])
+    out = []
+    for s, u, parts, bad in zip(p.s[lo:].tolist(), p.u[lo:], off.tolist(),
+                                off.any(axis=1).tolist()):
+        if s <= 0:
+            out.append("the system is singular at s = 0")
+        elif bad:
+            j = next(j for j, v in enumerate(parts) if v != 0.0)
+            name = ("Re x", "Re y", "Im xi", "Im eta")[j // m1]
+            out.append(f"off the physical branch: {name}{j % m1} = "
+                       f"{parts[j]:g}, not 0")
+        else:
+            out.append(np.array(fn(s, u)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # launch data
 # ---------------------------------------------------------------------------
 
-def launch_state(params: HardEdgeParams, s0: float):
-    """(state, loghead): the certified launch at s0, or a ``FlowError``.
+def launch_state(params: HardEdgeParams, s0: float) -> HamiltonianState:
+    """The certified launch state at s0, or a ``FlowError``.
 
     Only nu=(0,0) and (0, -1/2, 0) launch; every other index set, or s0 > 1,
-    is refused before any work.  The state and loghead = log E(s0) come from
-    the Nystrom resolvent at ``fredholm``'s first node count, whose
-    determinant ``fredholm_det`` refuses with its ``FloatingPointError``.
+    is refused before any work.  The state, log E(s0) in its slot u[-2]
+    included, comes from the Nystrom resolvent at ``fredholm``'s first node
+    count, whose determinant ``fredholm_det`` refuses with its
+    ``FloatingPointError``.
     """
     nu = params.nu
     if nu not in ((0.0, 0.0), sigma_forms.SPECIAL_NU):
@@ -284,7 +360,7 @@ def launch_state(params: HardEdgeParams, s0: float):
 
 
 def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
-    """(state, log E) at s0 from the n-node Nystrom resolvent on (0, s0).
+    """The state at s0, log E included, from the n-node Nystrom resolvent.
 
     The rule is ``hardedge_rule``, as in ``gap_probability_hardedge``, with
     its Jacobian in the weights w.  One ``evaluate`` of the cached bundle on
@@ -312,7 +388,7 @@ def _resolvent_state(params: HardEdgeParams, s0: float, n: int):
     xi[m] = eta[0] - params.e[0]
     z = np.concatenate([1j * (phi[:, n] + K[n, :n] @ wq),
                         1j * (psi[:, n] + K[:n, n] @ wp), xi, eta, [loge]])
-    return HamiltonianState(s=s0, u=z.view(float), params=params), loge
+    return HamiltonianState(s=s0, u=z.view(float), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +402,11 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     The running integral of eta_0/t is carried as an extra state component so
     the gap probability needs no post-hoc quadrature.  The trajectory is
     integrated in one stepper pass, leg by leg, at tolerances graded below
-    tol near the launch.  The first-integral gate runs twice, with one text:
-    on the launch state before any integration, and on every output state
-    after the pass; a drift above 100*tol refuses the trajectory with the
-    offending integral named.
+    tol near the launch.  The states are the rows of one ``_Pass``.  The
+    first-integral gate runs twice on its arrays, with one text: on the
+    launch state before any integration, and on the output states after the
+    pass; a drift above 100*tol refuses the trajectory with the offending
+    integral named.
     """
     s_targets = [float(t) for t in s_targets]
     if not s_targets:
@@ -345,8 +422,9 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
         raise ValueError("s0 must be positive: the system is singular at s = 0")
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
-    state0, _ = launch_state(params, s0)
-    residuals = _gate_first_integrals([state0], tol)
+    state0 = launch_state(params, s0)
+    rows = _Pass([state0])
+    _gate_first_integrals(rows, 0, tol)
 
     # legs end at every target and at the grade edges the pass crosses
     ends = sorted({*s_targets, *(e for e in _GRADE_EDGES
@@ -357,11 +435,10 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
                     state0.u, ends, rtol, [r * 1e-2 for r in rtol])
     out = [HamiltonianState(s=s, u=u, params=params)
            for s, u in zip(ends, sol.y) if s in s_targets]
-    residuals += _gate_first_integrals(out, tol)
-    traj = Trajectory(params=params, states=[state0, *out], tol=tol,
+    rows.add(out)
+    _gate_first_integrals(rows, 1, tol)
+    return Trajectory(params=params, states=[state0, *out], tol=tol,
                       nfev=sol.nfev)
-    traj._residuals = residuals
-    return traj
 
 
 # the physical solution is dynamically unstable: state errors injected at
@@ -372,17 +449,15 @@ _GRADE_EDGES = (0.1, 2.0)
 _GRADE_FACTORS = (1e-4, 1e-2, 1.0)
 
 
-def _gate_first_integrals(states, tol: float) -> list:
-    """Each state's first-integral residuals; refuse when any exceeds 100*tol."""
-    residuals = [first_integral_residuals(st) for st in states]
+def _gate_first_integrals(p: _Pass, lo: int, tol: float):
+    """Refuse when a first integral of the pass's rows from lo exceeds 100*tol."""
     worst_name, worst = "", 0.0
-    for st, res in zip(states, residuals):
+    for s, res in zip(p.s[lo:].tolist(), p.rows(_first_integrals)[lo:]):
         for name, val in res.items():
             if val > worst:
-                worst_name, worst = f"{name}@s={st.s:g}", val
+                worst_name, worst = f"{name}@s={s:g}", val
     if worst > 100.0 * tol:
         raise FlowError(f"first-integral blow-up: {worst_name} reached {worst:.3e}")
-    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +466,80 @@ def _gate_first_integrals(states, tol: float) -> list:
 
 def first_integral_residuals(state: HamiltonianState) -> dict:
     """Every integral of motion, evaluated verbatim and scale-normalized."""
-    s = state.s
-    e = state.params.e
-    x, y, xi, eta = (a.tolist() for a in (state.x, state.y, state.xi, state.eta))
+    return dict(_read(state, _first_integrals))
+
+
+def structural_residuals(state: HamiltonianState) -> dict:
+    """Folding (M=1), Schlesinger consistency, rank-one A, Tracy-Widom map."""
+    return dict(_read(state, _structural))
+
+
+# The evaluators below run on a pass's rows: each variable is one complex
+# array over the rows, with Python's operation order and rounding.  On the
+# physical branch every product has at most one nonzero partial product, so
+# numpy's complex arithmetic (fused or not) rounds as Python's does; |z| is
+# hypot(Re z, Im z), as Python's abs, and powers are Python's, row by row,
+# where numpy's vectorized power rounds differently.
+
+def _parts(u, m: int):
+    """x, y, xi, eta of the rows u, each an (M+1) x rows complex array."""
+    return u.view(complex)[:, :-1].T.reshape(4, m + 1, -1)
+
+
+def _abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _powers(s, q: float):
+    return np.array([v ** q if v > 0 else math.nan for v in s.tolist()])
+
+
+def _most(values):
+    """Row by row, the largest of the values, as Python's max."""
+    return functools.reduce(np.maximum, values)
+
+
+def _norm_residual_rows(terms):
+    """``_norm_residual`` row by row: |sum| over the largest |term|, summed
+    left to right, 0 where every term is."""
+    total = functools.reduce(operator.add, terms)
+    scale = _most(_abs(t) for t in terms)
+    return np.divide(_abs(total), scale, out=np.zeros(scale.shape),
+                     where=scale != 0)
+
+
+def _max_residual(pairs):
+    """max |a - b| over the (a, b) pairs, relative to the largest |a|, |b|."""
+    scale = _most(np.maximum(_abs(a), _abs(b)) for a, b in pairs)
+    return _most(_abs(a - b) for a, b in pairs) / np.maximum(scale, 1e-300)
+
+
+def _dict_rows(columns: dict) -> list:
+    """The name -> per-row array mapping as one dict per row."""
+    names = list(columns)
+    return [dict(zip(names, vals))
+            for vals in zip(*(columns[k].tolist() for k in names))]
+
+
+def _first_integrals(p, lo) -> list:
+    """first_integral_residuals of each row of the pass from lo on."""
+    s = p.s[lo:]
+    e = p.params.e
+    x, y, xi, eta = _parts(p.u[lo:], p.params.M)
+    res = _norm_residual_rows
     out = {}
-    if state.M == 1:
+    if p.params.M == 1:
         e1, e2 = e
         x0, x1 = x
         y0, y1 = y
         xi0, xi1 = xi
         eta0, eta1 = eta
-        out["first_integral"] = _norm_residual([xi1, -eta0, e1])
-        out["trace_A"] = _norm_residual([x0 * y0, x1 * y1])
-        out["second_integral"] = _norm_residual([eta1, xi0, -e2])
-        out["fourth_integral"] = _norm_residual(
+        out["first_integral"] = res([xi1, -eta0, e1])
+        out["trace_A"] = res([x0 * y0, x1 * y1])
+        out["second_integral"] = res([eta1, xi0, -e2])
+        out["fourth_integral"] = res(
             [s * x0 * y1, eta0 * xi1, -eta0, -xi0, eta1, e2])
-        out["energy"] = _norm_residual(
+        out["energy"] = res(
             [eta0 * x0 * y0, (eta1 - xi0 - s) * x0 * y1, x1 * y0,
              -xi1 * x1 * y1, eta0])
     else:
@@ -415,55 +548,54 @@ def first_integral_residuals(state: HamiltonianState) -> dict:
         y0, y1, y2 = y
         xi0, xi1, xi2 = xi
         eta0, eta1, eta2 = eta
-        out["energy"] = _norm_residual(
+        out["energy"] = res(
             [eta0 * x0 * y0, eta1 * x0 * y1, (-xi0 + eta2 + s) * x0 * y2,
              x1 * y0, x2 * y1, -xi1 * x1 * y2, -xi2 * x2 * y2, eta0])
-        out["first_integral"] = _norm_residual([xi2, -eta0, e1])
-        out["fourth_integral"] = _norm_residual(
+        out["first_integral"] = res([xi2, -eta0, e1])
+        out["fourth_integral"] = res(
             [s * x0 * y2, -eta0 * xi2, -eta1, xi1, -e2, eta0])
-        out["trace_A"] = _norm_residual([x0 * y0, x1 * y1, x2 * y2])
-        out["fifth_integral"] = _norm_residual(
+        out["trace_A"] = res([x0 * y0, x1 * y1, x2 * y2])
+        out["fifth_integral"] = res(
             [-3 * e3, e2 * (e1 + eta0 - 1), -eta0 * (e1 - eta0 + 1) * (e1 + eta0 - 2),
              (2 * e1 - 1) * eta1, (1 - e1) * xi1, -s * x0 * y1,
              s * x0 * y2 * (-2 * eta0 + xi2 + 2), s * x1 * y2, -3 * (eta2 + xi0)])
-        out["sixth_integral"] = _norm_residual(
+        out["sixth_integral"] = res(
             [3 * e3, e2 * (-2 * e1 + eta0 - 4), eta0 * (e1 - eta0 + 1) * (2 * e1 - eta0 + 2),
              (-e1 - 1) * eta1, (2 * e1 - 3 * eta0 + 4) * xi1, 2 * s * x0 * y1,
              s * x0 * y2 * (2 * e1 - eta0 + 2), s * x1 * y2, 3 * xi0])
-        out["seventh_integral"] = _norm_residual(
+        out["seventh_integral"] = res(
             [e2 * (e1 + eta0 - 1), -eta0 * (e1 - eta0 + 1) * (e1 + eta0 - 2),
              (-e1 + 3 * eta0 - 4) * eta1, (1 - e1) * xi1, -s * x0 * y1,
              -s * x0 * y2 * (e1 + eta0 - 2), -2 * s * x1 * y2, 3 * eta2])
-        out["eighth_integral"] = _norm_residual(
+        out["eighth_integral"] = res(
             [e3, xi0, -eta2, -eta0 * xi1, -xi2 * eta1, -x2 * y0, eta0 * x2 * y1,
              -xi2 * x1 * y0, eta0 * xi2 * x1 * y1, -xi1 * x0 * y0,
              (xi0 - eta2 - xi2 * eta1) * x0 * y1, xi1 * eta1 * x0 * y2,
              (xi0 - eta2 - eta0 * xi1) * x1 * y2, eta1 * x2 * y2])
-        out["alt_sx1y2"] = _norm_residual(
+        out["alt_sx1y2"] = res(
             [e3, -s * x1 * y2, 2 * eta2, xi0, -eta1, eta1 * xi2])
-        out["alt_sx0y1"] = _norm_residual(
+        out["alt_sx0y1"] = res(
             [e2, -2 * e3, -s * x0 * y1, -eta2, -2 * xi0, -xi1, eta0 * xi1])
-    out["imag_leakage"] = max(abs(z.imag) / (1.0 + abs(z)) for z in xi + eta)
-    return out
+    out["imag_leakage"] = _most(abs(z.imag) / (1.0 + _abs(z))
+                                for z in (*xi, *eta))
+    return _dict_rows(out)
 
 
-def _max_residual(pairs) -> float:
-    """max |a - b| over the (a, b) pairs, relative to the largest |a|, |b|."""
-    scale = max(max(abs(a), abs(b)) for a, b in pairs)
-    return max(abs(a - b) for a, b in pairs) / max(scale, 1e-300)
-
-
-def structural_residuals(state: HamiltonianState) -> dict:
-    """Folding (M=1), Schlesinger consistency, rank-one A, Tracy-Widom map.
+def _structural(p, lo) -> list:
+    """structural_residuals of each row of the pass from lo on.
 
     A = x y^T, so [B, A] = (B x) y^T - x (B^T y)^T: s A' = [C + s E, A] and
-    C' = [E, A] are checked entry by entry on scalars, s A' in long double.
+    C' = [E, A] are checked entry by entry, s A' in long double.  A row
+    that ``rhs`` refuses keeps the refusal.
     """
+    derivs = p.rows(_derivatives)[lo:]
+    s = p.s[lo:]
+    m = p.params.M
+    x, y, xi, eta = _parts(p.u[lo:], m)
+    dx, dy, dxi, deta = _parts(np.array(
+        [np.full(p.u.shape[1], math.nan) if isinstance(d, str) else d
+         for d in derivs]), m)
     out = {}
-    s = state.s
-    x, y, xi, eta = (a.tolist() for a in (state.x, state.y, state.xi, state.eta))
-    dx, dy, dxi, deta = (a.tolist() for a in rhs(state))
-    m = state.M
     # E's one entry is (-1)^(M+1) at (M, 0).  Row i < M of C is -eta_i at
     # column 0 and -1 at column i+1; row M is (xi_0 - eta_M, xi_1, .., xi_M).
     # C' has C's entries over (xi', eta') and a zero superdiagonal.
@@ -471,16 +603,16 @@ def structural_residuals(state: HamiltonianState) -> dict:
     # B = C + s E through B x and B^T y, in numpy's long double (64-bit
     # significands on x86-64): in doubles their products cancel to ~1.6e-15
     # of rounding at s=10, M=2; here the residual is the state's to ~1e-18
-    X, Y, XI, ETA, DX, DY = (np.array(a, np.clongdouble).tolist()
+    X, Y, XI, ETA, DX, DY = (a.astype(np.clongdouble)
                              for a in (x, y, xi, eta, dx, dy))
     corner = XI[0] - ETA[m] + s * sign
     bx = [-ETA[i] * X[0] - X[i + 1] for i in range(m)]
     bx.append(corner * X[0] + sum(XI[k] * X[k] for k in range(1, m + 1)))
     bty = [sum(-ETA[i] * Y[i] for i in range(m)) + corner * Y[m]]
     bty += [XI[j] * Y[m] - Y[j - 1] for j in range(1, m + 1)]
-    out["schlesinger_A"] = float(_max_residual(
+    out["schlesinger_A"] = _max_residual(
         [(s * (DX[i] * Y[j] + X[i] * DY[j]), bx[i] * Y[j] - X[i] * bty[j])
-         for i in range(m + 1) for j in range(m + 1)]))
+         for i in range(m + 1) for j in range(m + 1)]).astype(float)
     # [E, A] = (E x) y^T - x (E^T y)^T lives in column 0 and row M, as does
     # C'; every other entry of both is zero
     ex, ey = sign * x[0], sign * y[m]
@@ -490,20 +622,22 @@ def structural_residuals(state: HamiltonianState) -> dict:
     out["schlesinger_C"] = _max_residual(pairs)
     # rank-one property of A: all 2x2 minors vanish
     A = [[xa * yb for yb in y] for xa in x]
-    minor_max = max(abs(A[i][k] * A[j][l] - A[i][l] * A[j][k])
-                    for i in range(m + 1) for j in range(i + 1, m + 1)
-                    for k in range(m + 1) for l in range(k + 1, m + 1))
-    out["rank_one"] = minor_max / max(abs(v) for row in A for v in row) ** 2
+    minor_max = _most(_abs(A[i][k] * A[j][l] - A[i][l] * A[j][k])
+                      for i in range(m + 1) for j in range(i + 1, m + 1)
+                      for k in range(m + 1) for l in range(k + 1, m + 1))
+    out["rank_one"] = minor_max / _powers(
+        _most(_abs(v) for row in A for v in row), 2)
 
     if m == 1:
-        e1 = state.params.e[0]
-        t1 = s ** (-e1) * y[0]
+        e1 = p.params.e[0]
+        t1 = _powers(s, -e1) * y[0]
         out["fold_x1"] = _max_residual([(x[1], -t1)])
-        t2 = s ** e1 * x[0]
+        t2 = _powers(s, e1) * x[0]
         out["fold_y1"] = _max_residual([(y[1], t2)])
-        out.update(_tracy_widom_residuals(s, state.params.nu[1], x, y, xi,
-                                          eta, dx, dy, dxi, deta))
-    return out
+        out.update(_tracy_widom_residuals(s, p.params.nu[1], x, y, xi, eta,
+                                          dx, dy, dxi, deta))
+    return [d if isinstance(d, str) else row
+            for d, row in zip(derivs, _dict_rows(out))]
 
 
 def _tracy_widom_residuals(s, a, x, y, xi, eta, dx, dy, dxi, deta) -> dict:
@@ -514,14 +648,15 @@ def _tracy_widom_residuals(s, a, x, y, xi, eta, dx, dy, dxi, deta) -> dict:
     """
     t = 4.0 * s
     x0, y0 = x[0], y[0]
-    q = -1j * s ** (a / 2) * x0
-    p = -1j * s ** (-a / 2) * y0 + 0.5 * a * q
+    q = -1j * _powers(s, a / 2) * x0
+    p = -1j * _powers(s, -a / 2) * y0 + 0.5 * a * q
     u = -4.0 * eta[0]
     v = -4.0 * xi[0] + 0.5 * a * u
     # d/dt = (1/4) d/ds
-    dq = (-1j * (0.5 * a) * s ** (a / 2 - 1) * x0 - 1j * s ** (a / 2) * dx[0]) / 4
-    dp = ((-1j * (-0.5 * a) * s ** (-a / 2 - 1) * y0
-           - 1j * s ** (-a / 2) * dy[0]) / 4 + 0.5 * a * dq)
+    dq = (-1j * (0.5 * a) * _powers(s, a / 2 - 1) * x0
+          - 1j * _powers(s, a / 2) * dx[0]) / 4
+    dp = ((-1j * (-0.5 * a) * _powers(s, -a / 2 - 1) * y0
+           - 1j * _powers(s, -a / 2) * dy[0]) / 4 + 0.5 * a * dq)
     du = -deta[0]
     dv = -dxi[0] + 0.5 * a * du
     rels = {
@@ -532,7 +667,7 @@ def _tracy_widom_residuals(s, a, x, y, xi, eta, dx, dy, dxi, deta) -> dict:
         "tw_dq": [t * dq, -p, -q * u / 4],
         "tw_dp": [t * dp, -(a * a / 4 - t / 4 + v / 2) * q, p * u / 4],
     }
-    return {k: _norm_residual(terms) for k, terms in rels.items()}
+    return {k: _norm_residual_rows(terms) for k, terms in rels.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hardedge.kernels import HardEdgeParams
 from hardedge.fredholm import gap_probability_hardedge
 from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
+from hardedge.verification import integrate_case, verify
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -29,7 +30,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 def test_launch_state_residuals_small_at_tiny_s0(params_m2):
     # the resolvent launch satisfies every integral of motion
-    st, _ = flow.launch_state(params_m2, 1e-8)
+    st = flow.launch_state(params_m2, 1e-8)
     r = flow.first_integral_residuals(st)
     r.pop("imag_leakage")
     assert max(r.values()) <= 1e-6
@@ -53,6 +54,7 @@ def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
     # with one text before any resolvent, first-integral gate or integration,
     # and ode exits 1 (a numerical refusal, not a usage error)
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
+    monkeypatch.setattr(flow, "_first_integrals", _no_work)
     monkeypatch.setattr(flow, "first_integral_residuals", _no_work)
     monkeypatch.setattr(flow, "build_kernel_bundle", _no_work)
     monkeypatch.setattr(flow, "_resolvent_state", _no_work)
@@ -70,14 +72,14 @@ def test_special_launch_holds_its_integrals_away_from_zero():
     # motion holds to roundoff at s0 up to 0.5
     params = HardEdgeParams.from_nu((0.0, -0.5, 0.0))
     for s0 in (0.05, 0.1, 0.5):
-        st, _ = flow.launch_state(params, s0)
+        st = flow.launch_state(params, s0)
         assert st.s == s0
         r = flow.first_integral_residuals(st)
         assert max(r.values()) <= 1e-13, (s0, r)
 
 
-def _launch_vector(state, loghead):
-    return np.concatenate([state.x, state.y, state.xi, state.eta, [loghead]])
+def _launch_vector(state):
+    return np.concatenate([state.x, state.y, state.xi, state.eta, [state.u[-2]]])
 
 
 def _max_relative(a, b):
@@ -89,7 +91,7 @@ def _max_relative(a, b):
 @pytest.mark.parametrize("s0", [1e-8, 1e-5, 0.05, 1.0])
 def test_m1_launch_is_the_closed_form(s0, params_m1):
     # at nu=(0,0) the resolvent gives Q = (1, s), P = (-s, 1) and E = e^-s
-    got = _launch_vector(*flow.launch_state(params_m1, s0))
+    got = _launch_vector(flow.launch_state(params_m1, s0))
     closed = np.array([1j, 1j * s0, -1j * s0, 1j, s0 * s0 / 2, -s0, -s0,
                        -s0 * s0 / 2, -s0])
     assert _max_relative(got, closed) <= 1e-14
@@ -100,8 +102,8 @@ def test_m1_launch_is_the_closed_form(s0, params_m1):
 def test_launch_at_16_nodes_matches_32(case, s0, params_m1, params_m2):
     # the node count is pinned: doubling it moves no launch state
     params = params_m1 if case == "m1" else params_m2
-    got = _launch_vector(*flow.launch_state(params, s0))
-    ref = _launch_vector(*flow._resolvent_state(params, s0, 32))
+    got = _launch_vector(flow.launch_state(params, s0))
+    ref = _launch_vector(flow._resolvent_state(params, s0, 32))
     assert _max_relative(got, ref) <= 1e-11
 
 
@@ -189,11 +191,11 @@ def test_ordinary_import_fallback_steps_the_same_trajectory(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_rhs_eta0_equation_verbatim(params_m1, params_m2):
-    st2, _ = flow.launch_state(params_m2, 1e-5)
+    st2 = flow.launch_state(params_m2, 1e-5)
     _, _, dxi, deta = flow.rhs(st2)
     assert deta[0] == -st2.x[0] * st2.y[2]           # M=2: eta_0' = -x0 y2
     assert dxi[2] - deta[0] == 0.0                   # (xi_2 - eta_0)' = 0
-    st1, _ = flow.launch_state(params_m1, 1e-5)
+    st1 = flow.launch_state(params_m1, 1e-5)
     _, _, _, deta1 = flow.rhs(st1)
     assert deta1[0] == st1.x[0] * st1.y[1]           # M=1: eta_0' = +x0 y1
 
@@ -255,7 +257,7 @@ def test_rhs_bit_identical_to_division_by_s(fn, m1):
 def test_rhs_refuses_a_state_off_the_physical_branch(name, part, params_m2):
     # the real form reads only Im x, Im y, Re xi, Re eta: a state with any
     # other part nonzero is refused with the component named, not truncated
-    st, _ = flow.launch_state(params_m2, 1e-5)
+    st = flow.launch_state(params_m2, 1e-5)
     flow.rhs(st)
     getattr(getattr(st, name), part)[1] = 1e-3
     label = ("Re " if part == "real" else "Im ") + name
@@ -311,7 +313,7 @@ def test_nfev_counts_every_rhs_call(nu, monkeypatch):
 
 
 def test_rhs_rejects_s_zero(params_m1):
-    st, _ = flow.launch_state(params_m1, 1e-5)
+    st = flow.launch_state(params_m1, 1e-5)
     st.s = 0.0
     with pytest.raises(ValueError):
         flow.rhs(st)
@@ -330,6 +332,77 @@ def test_trace_a_conserved(traj_m2):
 def test_m1_first_integral_at_one(traj_m1):
     st = [s for s in traj_m1.states if s.s == 1.0][0]
     assert abs(st.xi[1] - st.eta[0] + st.params.e[0]) <= 1e-10
+
+
+def _first_integrals_reference(st):
+    """first_integral_residuals one state at a time, on Python complex
+    scalars: |sum of the terms, left to right| over the largest |term|."""
+    def res(terms):
+        scale = max(abs(t) for t in terms)
+        return abs(sum(terms)) / scale if scale > 0 else 0.0
+
+    s, e = st.s, st.params.e
+    x, y, xi, eta = (a.tolist() for a in (st.x, st.y, st.xi, st.eta))
+    out = {}
+    if st.M == 1:
+        (e1, e2), (x0, x1), (y0, y1), (xi0, xi1), (eta0, eta1) = e, x, y, xi, eta
+        out["first_integral"] = res([xi1, -eta0, e1])
+        out["trace_A"] = res([x0 * y0, x1 * y1])
+        out["second_integral"] = res([eta1, xi0, -e2])
+        out["fourth_integral"] = res(
+            [s * x0 * y1, eta0 * xi1, -eta0, -xi0, eta1, e2])
+        out["energy"] = res([eta0 * x0 * y0, (eta1 - xi0 - s) * x0 * y1,
+                             x1 * y0, -xi1 * x1 * y1, eta0])
+    else:
+        ((e1, e2, e3), (x0, x1, x2), (y0, y1, y2), (xi0, xi1, xi2),
+         (eta0, eta1, eta2)) = e, x, y, xi, eta
+        out["energy"] = res(
+            [eta0 * x0 * y0, eta1 * x0 * y1, (-xi0 + eta2 + s) * x0 * y2,
+             x1 * y0, x2 * y1, -xi1 * x1 * y2, -xi2 * x2 * y2, eta0])
+        out["first_integral"] = res([xi2, -eta0, e1])
+        out["fourth_integral"] = res(
+            [s * x0 * y2, -eta0 * xi2, -eta1, xi1, -e2, eta0])
+        out["trace_A"] = res([x0 * y0, x1 * y1, x2 * y2])
+        out["fifth_integral"] = res(
+            [-3 * e3, e2 * (e1 + eta0 - 1),
+             -eta0 * (e1 - eta0 + 1) * (e1 + eta0 - 2),
+             (2 * e1 - 1) * eta1, (1 - e1) * xi1, -s * x0 * y1,
+             s * x0 * y2 * (-2 * eta0 + xi2 + 2), s * x1 * y2,
+             -3 * (eta2 + xi0)])
+        out["sixth_integral"] = res(
+            [3 * e3, e2 * (-2 * e1 + eta0 - 4),
+             eta0 * (e1 - eta0 + 1) * (2 * e1 - eta0 + 2),
+             (-e1 - 1) * eta1, (2 * e1 - 3 * eta0 + 4) * xi1,
+             2 * s * x0 * y1, s * x0 * y2 * (2 * e1 - eta0 + 2), s * x1 * y2,
+             3 * xi0])
+        out["seventh_integral"] = res(
+            [e2 * (e1 + eta0 - 1), -eta0 * (e1 - eta0 + 1) * (e1 + eta0 - 2),
+             (-e1 + 3 * eta0 - 4) * eta1, (1 - e1) * xi1, -s * x0 * y1,
+             -s * x0 * y2 * (e1 + eta0 - 2), -2 * s * x1 * y2, 3 * eta2])
+        out["eighth_integral"] = res(
+            [e3, xi0, -eta2, -eta0 * xi1, -xi2 * eta1, -x2 * y0,
+             eta0 * x2 * y1, -xi2 * x1 * y0, eta0 * xi2 * x1 * y1,
+             -xi1 * x0 * y0, (xi0 - eta2 - xi2 * eta1) * x0 * y1,
+             xi1 * eta1 * x0 * y2, (xi0 - eta2 - eta0 * xi1) * x1 * y2,
+             eta1 * x2 * y2])
+        out["alt_sx1y2"] = res(
+            [e3, -s * x1 * y2, 2 * eta2, xi0, -eta1, eta1 * xi2])
+        out["alt_sx0y1"] = res(
+            [e2, -2 * e3, -s * x0 * y1, -eta2, -2 * xi0, -xi1, eta0 * xi1])
+    out["imag_leakage"] = max(abs(z.imag) / (1.0 + abs(z)) for z in xi + eta)
+    return out
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_first_integrals_match_scalar_reference(nu):
+    # the array pass rounds as Python's complex scalars do, state by state:
+    # equal bits, the launch row and both gates' rows included
+    traj = flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, _PIN_GRID,
+                          tol=1e-12)
+    for st in traj.states:
+        assert repr(flow.first_integral_residuals(st)) == repr(
+            _first_integrals_reference(st))
 
 
 def test_tolerance_convergence_order(params_m2):
@@ -386,9 +459,9 @@ def test_gate_refuses_launch_off_its_integrals(params_m2, monkeypatch):
     launch_state = flow.launch_state
 
     def nudged(params, s0):
-        st, loghead = launch_state(params, s0)
+        st = launch_state(params, s0)
         st.eta[0] += 1e-6
-        return st, loghead
+        return st
 
     monkeypatch.setattr(flow, "launch_state", nudged)
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
@@ -490,8 +563,7 @@ def test_concurrent_integrations_match_serial(params_m1, params_m2):
 
     def run(params):
         traj = flow.integrate(params, 1e-5, targets, tol=1e-6)
-        return [_launch_vector(st, lg)
-                for st, lg in zip(traj.states, traj.log_gap)]
+        return [_launch_vector(st) for st in traj.states]
 
     serial = [run(p) for p in cases]
     filters = list(warnings.filters)
@@ -613,7 +685,7 @@ def _structural_reference(st):
 
 def test_structural_residuals_match_matrix_reference(params_m2, traj_m1,
                                                      traj_m2):
-    launch, _ = flow.launch_state(params_m2, 1e-5)
+    launch = flow.launch_state(params_m2, 1e-5)
     for st in [launch] + traj_m1.states + traj_m2.states:
         got, ref = flow.structural_residuals(st), _structural_reference(st)
         assert got.keys() == ref.keys()
@@ -624,6 +696,52 @@ def test_structural_residuals_match_matrix_reference(params_m2, traj_m1,
 def test_tracy_widom_rejected_for_m2(traj_m2):
     r = flow.structural_residuals(traj_m2.states[0])
     assert not any(k.startswith("tw_") for k in r)
+
+
+def _per_state(st):
+    return (flow.first_integral_residuals(st), flow.structural_residuals(st),
+            b"".join(a.tobytes() for a in flow.rhs(st)))
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_pass_rows_match_states_evaluated_alone(nu):
+    # each per-state result read off the trajectory's pass, the launch row
+    # included, is bit for bit that of a copy of the state outside any pass,
+    # evaluated as a one-row pass of its own
+    params = HardEdgeParams.from_nu(nu)
+    traj = flow.integrate(params, 1e-5, _PIN_GRID)
+    assert all(st._pass is traj.states[0]._pass for st in traj.states)
+    for st in traj.states:
+        alone = dataclasses.replace(st, u=st.u.copy())
+        assert alone._pass is None
+        assert repr(_per_state(st)) == repr(_per_state(alone))
+    # a state changed in place leaves its row: it reads its new values
+    st = traj.states[5]
+    st.eta[0] += 1e-6
+    assert repr(_per_state(st)) == repr(
+        _per_state(dataclasses.replace(st, u=st.u.copy())))
+    assert st._pass is not traj.states[0]._pass
+
+
+@pytest.mark.parametrize("case", ["m1", "m2-special"])
+def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
+    # the first integrals run on the launch row (the launch gate) and on
+    # the output rows (the pass's gate), the structural residuals and the
+    # right-hand sides once on every row; verify and the CSV only read rows
+    rows = {name: [] for name in ("_first_integrals", "_structural",
+                                  "_derivatives")}
+    for name, calls in rows.items():
+        def counted(p, lo, evaluator=getattr(flow, name), calls=calls):
+            calls.append(len(p.keys) - lo)
+            return evaluator(p, lo)
+        monkeypatch.setattr(flow, name, counted)
+    traj = integrate_case(case)
+    verify(traj)
+    flow.trajectory_csv(traj)
+    n = len(traj.states)
+    assert rows == {"_first_integrals": [1, n - 1], "_structural": [n],
+                    "_derivatives": [n]}
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +783,8 @@ def test_eta_derivatives_requires_m2(traj_m1):
 # ---------------------------------------------------------------------------
 
 def test_gap_small_interval_limit(params_m2):
-    st, loghead = flow.launch_state(params_m2, 1e-6)
-    assert math.exp(loghead) == pytest.approx(1.0, abs=1e-2)
+    st = flow.launch_state(params_m2, 1e-6)
+    assert math.exp(st.u[-2]) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_gap_log_derivative_is_eta0_over_s(params_m2):
@@ -739,7 +857,7 @@ def test_trajectory_s0_is_the_launch_abscissa(traj_m2):
 
 
 def test_trajectory_begins_with_launch_state(traj_m2):
-    st0, _ = flow.launch_state(traj_m2.params, traj_m2.s0)
+    st0 = flow.launch_state(traj_m2.params, traj_m2.s0)
     first = traj_m2.states[0]
     assert first.s == traj_m2.s0
     assert np.array_equal(first.x, st0.x)

@@ -199,7 +199,7 @@ def test_x0y2_recovery_is_exact(traj_m2):
 def test_gauge_boundary_condition_at_launch(params_m2):
     # trajectory G at the launch point reproduces its boundary series
     s0 = 1e-5
-    st, _ = flow.launch_state(params_m2, s0)
+    st = flow.launch_state(params_m2, s0)
     n0, n1, n2 = params_m2.nu
     g_inv_series = (-math.gamma(n2 - n1) * math.gamma(n2 - n0 + 1)
                     * s0 ** (n1 + n0)
