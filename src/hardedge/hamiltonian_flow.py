@@ -491,6 +491,7 @@ def _abs(z):
 
 
 def _powers(s, q: float):
+    """s**q row by row; nan at s <= 0, a row that ``rhs`` refuses."""
     return np.array([v ** q if v > 0 else math.nan for v in s.tolist()])
 
 
@@ -501,7 +502,7 @@ def _most(values):
 
 def _norm_residual_rows(terms):
     """``_norm_residual`` row by row: |sum| over the largest |term|, summed
-    left to right, 0 where every term is."""
+    left to right, and 0 where every term is 0."""
     total = functools.reduce(operator.add, terms)
     scale = _most(_abs(t) for t in terms)
     return np.divide(_abs(total), scale, out=np.zeros(scale.shape),
