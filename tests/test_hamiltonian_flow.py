@@ -234,22 +234,74 @@ def _physical_branch_state(rng, m1):
     return v
 
 
-@pytest.mark.parametrize("fn, m1", [(flow._rhs_real_m1, 2),
-                                    (flow._rhs_real_m2, 3)], ids=["m1", "m2"])
-def test_rhs_bit_identical_to_division_by_s(fn, m1):
+def _rhs_list_m1(s, u):
+    """The M=1 real form returning a list, its parts read through tolist:
+    a second reference, with the formulas of the buffer form."""
+    _, X0, _, X1, _, Y0, _, Y1, XI0, _, XI1, _, E0, _, E1, _, _, _ = u.tolist()
+    inv = 1.0 / s
+    return [
+        0.0, (-E0 * X0 - X1) * inv,
+        0.0, (-E1 * X0 + s * X0 + XI0 * X0 + XI1 * X1) * inv,
+        0.0, (-XI0 * Y1 - s * Y1 + E0 * Y0 + E1 * Y1) * inv,
+        0.0, (-XI1 * Y1 + Y0) * inv,
+        -X0 * Y0, 0.0, -X0 * Y1, 0.0,
+        -X0 * Y1, 0.0, -X1 * Y1, 0.0,
+        E0 * inv, 0.0,
+    ]
+
+
+def _rhs_list_m2(s, u):
+    """The M=2 real form returning a list; see ``_rhs_list_m1``."""
+    (_, X0, _, X1, _, X2, _, Y0, _, Y1, _, Y2, XI0, _, XI1, _, XI2, _,
+     E0, _, E1, _, E2, _, _, _) = u.tolist()
+    inv = 1.0 / s
+    return [
+        0.0, (-E0 * X0 - X1) * inv,
+        0.0, (-E1 * X0 - X2) * inv,
+        0.0, (-E2 * X0 - s * X0 + XI0 * X0 + XI1 * X1 + XI2 * X2) * inv,
+        0.0, (-XI0 * Y2 + s * Y2 + E0 * Y0 + E1 * Y1 + E2 * Y2) * inv,
+        0.0, (-XI1 * Y2 + Y0) * inv,
+        0.0, (-XI2 * Y2 + Y1) * inv,
+        X0 * Y0, 0.0, X0 * Y1, 0.0, X0 * Y2, 0.0,
+        X0 * Y2, 0.0, X1 * Y2, 0.0, X2 * Y2, 0.0,
+        E0 * inv, 0.0,
+    ]
+
+
+@pytest.mark.parametrize("fn, listed, m1",
+                         [(flow._rhs_real_m1, _rhs_list_m1, 2),
+                          (flow._rhs_real_m2, _rhs_list_m2, 3)],
+                         ids=["m1", "m2"])
+def test_rhs_bit_identical_to_division_by_s(fn, listed, m1):
     # the right-hand sides evaluate the complex equations restricted to the
     # physical branch, the only states the flow visits, multiplying by 1/s on
     # Python floats; numpy divides a complex by a real the same way, so every
-    # entry must agree exactly with the complex formulas
+    # slot must agree with the complex formulas to the byte.  The zero parts
+    # are +0.0: the complex products leave -0.0 where both factors are
+    # negative (0 * Y + X * 0), a sign the stepper's sums wash out, so the
+    # reference's zeros are taken as +0.0 (adding +0.0 moves no other value).
+    # They write every slot of the buffer they are handed (here NaN-filled)
+    # and return it; the list form gives the same bytes, zero signs included
     rng = np.random.default_rng(20140314)
     ss = np.exp(rng.uniform(math.log(1e-5), math.log(60.0), 1000))
     for s in ss:
         v = _physical_branch_state(rng, m1)
-        ref = _rhs_divided_by_s(s, v)
+        ref = (_rhs_divided_by_s(s, v).view(float) + 0.0).tobytes()
         for s_arg in (s, float(s)):
-            got = np.array(fn(s_arg, v.view(float)))
-            assert got.shape == (2 * len(v),)
-            assert np.array_equal(got.view(complex), ref)
+            out = np.full(2 * len(v), np.nan)
+            assert fn(s_arg, v.view(float), out) is out
+            assert out.tobytes() == ref
+            assert np.array(listed(s_arg, v.view(float))).tobytes() == ref
+
+
+@pytest.mark.parametrize("case", ["m1", "m2"])
+def test_rhs_unpacks_the_nonzero_parts(case, params_m1, params_m2):
+    # one unpack of a launch state's vector reads exactly Im x, Im y, Re xi,
+    # Re eta and Re log E, in that order
+    st = flow.launch_state(params_m1 if case == "m1" else params_m2, 1e-5)
+    unpack = flow._unpack_m1 if case == "m1" else flow._unpack_m2
+    want = [*st.x.imag, *st.y.imag, *st.xi.real, *st.eta.real, st.u[-2]]
+    assert np.array(unpack(st.u)).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("name, part", [("x", "real"), ("y", "real"),
@@ -266,9 +318,10 @@ def test_rhs_refuses_a_state_off_the_physical_branch(name, part, params_m2):
         flow.rhs(st)
 
 
-def _reference_real(s, u):
+def _reference_real(s, u, out):
     # the complex reference on the steppers' real view of the state
-    return _rhs_divided_by_s(s, u.view(complex)).view(float)
+    out[:] = _rhs_divided_by_s(s, u.view(complex)).view(float)
+    return out
 
 
 _PIN_GRID = np.geomspace(1e-4, 10.0, 40)
@@ -303,9 +356,9 @@ def test_nfev_counts_every_rhs_call(nu, monkeypatch):
     name = "_rhs_real_m1" if len(nu) == 2 else "_rhs_real_m2"
     library, calls = getattr(flow, name), []
 
-    def counted(s, u):
+    def counted(s, u, out):
         calls.append(s)
-        return library(s, u)
+        return library(s, u, out)
 
     monkeypatch.setattr(flow, name, counted)
     traj = flow.integrate(params, 1e-5, _PIN_GRID)
@@ -485,9 +538,9 @@ def test_gate_refuses_drift_at_one_output_state(params_m2, monkeypatch):
         flow.integrate(params_m2, 1e-5, [0.1, 0.5, 1.0])
 
 
-def _blow_up(t, y):
+def _blow_up(t, y, out):
     # y' = y^2: from y = 1 at t = t0, y = 1 / (1 - (t - t0)) ends at t0 + 1
-    return y * y
+    return np.multiply(y, y, out=out)
 
 
 _DOP853_FAILURE = (r"integrator failed: DOP853 return code -3 at t={}: step "
@@ -728,9 +781,11 @@ def test_pass_rows_match_states_evaluated_alone(nu):
 def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
     # the first integrals run on the launch row (the launch gate) and on
     # the output rows (the pass's gate), the structural residuals and the
-    # right-hand sides once on every row; verify and the CSV only read rows
+    # right-hand sides once on every row; at M=2 the eta_0 jets too, which
+    # verify's jet checks and appendix_recover both read.  verify and the
+    # CSV only read rows
     rows = {name: [] for name in ("_first_integrals", "_structural",
-                                  "_derivatives")}
+                                  "_derivatives", "_jets")}
     for name, calls in rows.items():
         def counted(p, lo, evaluator=getattr(flow, name), calls=calls):
             calls.append(len(p.keys) - lo)
@@ -741,7 +796,7 @@ def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
     flow.trajectory_csv(traj)
     n = len(traj.states)
     assert rows == {"_first_integrals": [1, n - 1], "_structural": [n],
-                    "_derivatives": [n]}
+                    "_derivatives": [n], "_jets": [n] if case != "m1" else []}
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +829,25 @@ def test_eta_fourth_derivative_against_finite_differences(params_m2):
 
 
 def test_eta_derivatives_requires_m2(traj_m1):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the resolvent jet is defined for "
+                                         r"M=2$"):
         flow.eta_derivatives(traj_m1.states[0])
+
+
+def test_eta_derivatives_refusals_keep_their_texts(params_m2):
+    # a row the jet refuses raises its own text, as a ValueError, each time
+    # it is read: eta_0' = -x0 y2 vanishes with x0, and a state off the
+    # physical branch keeps the right-hand side's refusal
+    st = flow.launch_state(params_m2, 1e-5)
+    st.x[0] = 0.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^eta_0' vanished; the jet is "
+                                             r"undefined$"):
+            flow.eta_derivatives(st)
+    st.xi[1] += 1e-3j
+    with pytest.raises(ValueError, match=r"^off the physical branch: "
+                                         r"Im xi1 = 0.001, not 0$"):
+        flow.eta_derivatives(st)
 
 
 # ---------------------------------------------------------------------------

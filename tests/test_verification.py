@@ -56,7 +56,7 @@ def test_jet_and_gap_checks_cover_states_from_cut(traj_m1, traj_m2, monkeypatch)
         verify(traj)
         kept = [st.s for st in traj.states if st.s >= 0.05]
         assert kept and len(kept) < len(traj.states)
-        # appendix_recover takes the jet a second time at each state
+        # appendix_recover asks for the jet a second time at each state
         assert set(seen["jet"]) == (set(kept) if traj.params.M == 2 else set())
         assert seen["gap"] == [(kind, s if kind == "s" else 2.0 * math.sqrt(s))
                                for s in kept]
