@@ -174,6 +174,7 @@ def compare(new: dict, old: dict, stream=sys.stdout) -> dict:
                 if unit in TIME_UNITS:
                     r /= drift
                 if (key == "per_layer" and not name.startswith("trace.")
+                        and (value or prev)
                         and (times_comparable or unit not in TIME_UNITS)
                         and _beyond_scatter(r, unit)):
                     move = math.inf if r in (0.0, math.inf) else abs(math.log(r))

@@ -103,8 +103,11 @@ def fredholm_det(K, rule: QuadratureRule) -> float:
     FloatingPointError.
     """
     sw = np.sqrt(rule.weights)
-    return _checked_logdet(
-        *np.linalg.slogdet(np.eye(rule.n) - sw[:, None] * K * sw[None, :]))
+    # a one-matrix stack: a 2-D slogdet's casts of its scalar results grew
+    # traced memory by kilobytes over repeated flow launches (numpy 2.4)
+    (sign,), (logdet,) = np.linalg.slogdet(
+        (np.eye(rule.n) - sw[:, None] * K * sw[None, :])[None])
+    return _checked_logdet(sign, logdet)
 
 
 @dataclass(frozen=True)

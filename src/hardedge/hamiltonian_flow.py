@@ -18,13 +18,14 @@ read those parts with one struct unpack and write the derivative into a
 float64 buffer that each solve owns, so the stepper's wrapper converts no
 Python list per stage.
 
-A trajectory's states are the rows of one pass (``_Pass``): the first
-integrals, the structural residuals and the right-hand sides are evaluated
-on numpy arrays over those stacked rows, once per state, and the per-state
-functions read their state's row; so is the M=2 eta_0 jet, row by row.  The
-first integrals gate the launch state before any integration, and every
-output state after it.  A state outside a pass, or changed in place since
-it joined one, is evaluated as a one-row pass of its own.
+A trajectory's states are read-only rows of one array that its pass
+(``_Pass``) owns, built once from the launch row and the output rows: the
+first integrals, the structural residuals and the right-hand sides are
+evaluated on numpy arrays over all its rows, once per trajectory, and the
+per-state functions read their state's row; so is the M=2 eta_0 jet, row by
+row.  The first integrals gate the launch state, as a one-row pass, before
+any integration, and every row of the trajectory's pass after it.  A state
+outside any pass is evaluated as a one-row pass of its own at each read.
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -170,7 +171,8 @@ class HamiltonianState:
     The flow stays on it exactly: its right-hand sides return exact zeros
     for Re x, Re y, Im xi and Im eta, so the imag_leakage monitor reads 0
     by construction.  A state from ``integrate`` is row _row of its
-    trajectory's pass; ``replace`` makes a state outside any pass.
+    trajectory's pass, and its u a read-only view of the pass's array;
+    ``launch_state`` and ``replace`` make writable states outside any pass.
     """
 
     s: float
@@ -221,49 +223,33 @@ class Trajectory:
 
 
 class _Pass:
-    """States stacked as the rows of one array, evaluated once per evaluator.
+    """Abscissas s and real vectors u (one row each) evaluated once per evaluator.
 
-    ``rows(evaluator)`` is the list of the evaluator's per-row results;
-    evaluator(pass, lo) runs on the rows from lo on, those added since its
-    last run, so however many readers ask, each row is evaluated once.  The
-    pass lives with its states (each holds it) and keeps its own copy of
-    their vectors, with each row's key: s, params and the bytes of u.
+    ``rows(evaluator)`` is the list of evaluator(pass)'s per-row results,
+    computed at the first ask.  Each state of a trajectory holds its pass;
+    the pass holds none of them, so no reference cycle keeps a trajectory
+    alive past its last reader.
     """
 
-    def __init__(self, states):
-        self.params = states[0].params
-        self.s, self.u = np.empty(0), np.empty((0, states[0].u.size))
-        self.keys, self._done = [], {}
-        self.add(states)
-
-    def add(self, states):
-        for st in states:
-            st._pass, st._row = self, len(self.keys)
-            self.keys.append(_key(st))
-        self.s = np.append(self.s, [st.s for st in states])
-        self.u = np.vstack([self.u, *(st.u for st in states)])
+    def __init__(self, params, s, u):
+        self.params, self.s, self.u = params, np.asarray(s, dtype=float), u
+        self._done = {}
 
     def rows(self, evaluator) -> list:
-        done = self._done.setdefault(evaluator, [])
-        if len(done) < len(self.keys):
-            done += evaluator(self, len(done))
-        return done
-
-
-def _key(state):
-    return state.s, state.params, state.u.tobytes()
+        if evaluator not in self._done:
+            self._done[evaluator] = evaluator(self)
+        return self._done[evaluator]
 
 
 def _read(state, evaluator):
     """evaluator's result on state's row of its pass, or its refusal raised.
 
-    A state outside a pass, or whose key no longer matches its row (changed
-    in place), is first made a one-row pass of its own: no state reads a row
-    stacked from other values.
+    A state outside any pass is evaluated as a one-row pass of its own at
+    each read, so it reads its current values.
     """
     p = state._pass
-    if p is None or p.keys[state._row] != _key(state):
-        p = _Pass([state])
+    if p is None:
+        p = _Pass(state.params, [state.s], state.u[None])
     res = p.rows(evaluator)[state._row]
     if isinstance(res, str):
         raise ValueError(res)
@@ -329,6 +315,9 @@ def _rhs_real_m2(s, u, out):
     return out
 
 
+_RHS = {1: _rhs_real_m1, 2: _rhs_real_m2}
+
+
 def rhs(state: HamiltonianState):
     """(dx/ds, dy/ds, dxi/ds, deta/ds) at the state's abscissa.
 
@@ -339,21 +328,21 @@ def rhs(state: HamiltonianState):
     return tuple(d.copy())
 
 
-def _derivatives(p, lo) -> list:
-    """The steppers' right-hand side on each row of the pass from lo on.
+def _derivatives(p) -> list:
+    """The steppers' right-hand side on each row of the pass.
 
     A row's result is its derivative as a real vector, the row of one array
     that the right-hand side writes into, or the refusal of a
     row at s <= 0 or off the physical branch, naming its first nonzero part.
     """
     m1 = p.params.M + 1
-    fn = _rhs_real_m1 if m1 == 2 else _rhs_real_m2
-    z = p.u[lo:].view(complex)
+    fn = _RHS[p.params.M]
+    z = p.u.view(complex)
     # Re x, Re y, Im xi, Im eta in u's order, zero on the physical branch
     off = np.hstack([z[:, :2 * m1].real, z[:, 2 * m1:-1].imag])
-    d = np.empty_like(p.u[lo:])
+    d = np.empty_like(p.u)
     out = []
-    for s, u, row, parts, bad in zip(p.s[lo:].tolist(), p.u[lo:], d,
+    for s, u, row, parts, bad in zip(p.s.tolist(), p.u, d,
                                      off.tolist(), off.any(axis=1).tolist()):
         if s <= 0:
             out.append("the system is singular at s = 0")
@@ -436,11 +425,12 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     The running integral of eta_0/t is carried as an extra state component so
     the gap probability needs no post-hoc quadrature.  The trajectory is
     integrated in one stepper pass, leg by leg, at tolerances graded below
-    tol near the launch.  The states are the rows of one ``_Pass``.  The
-    first-integral gate runs twice on its arrays, with one text: on the
-    launch state before any integration, and on the output states after the
-    pass; a drift above 100*tol refuses the trajectory with the offending
-    integral named.
+    tol near the launch.  The states are read-only views of the rows of one
+    ``_Pass``: the launch row, then the output rows.  The first-integral gate
+    runs twice, with one text: on the launch state, a one-row pass, before
+    any integration, and on every row of the trajectory's pass after it; a
+    drift above 100*tol refuses the trajectory with the offending integral
+    named.
     """
     s_targets = [float(t) for t in s_targets]
     if not s_targets:
@@ -457,22 +447,25 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
     state0 = launch_state(params, s0)
-    rows = _Pass([state0])
-    _gate_first_integrals(rows, 0, tol)
+    _gate_first_integrals(_Pass(params, [state0.s], state0.u[None]), tol)
 
     # legs end at every target and at the grade edges the pass crosses
     ends = sorted({*s_targets, *(e for e in _GRADE_EDGES
                                  if s0 < e < s_targets[-1])})
     rtol = [max(tol * _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, s)],
                 _TOL_MIN * 0.1) for s in ends]
-    sol = solve_ivp(_rhs_real_m1 if params.M == 1 else _rhs_real_m2, s0,
-                    state0.u, ends, rtol, [r * 1e-2 for r in rtol])
-    out = [HamiltonianState(s=s, u=u, params=params)
-           for s, u in zip(ends, sol.y) if s in s_targets]
-    rows.add(out)
-    _gate_first_integrals(rows, 1, tol)
-    return Trajectory(params=params, states=[state0, *out], tol=tol,
-                      nfev=sol.nfev)
+    sol = solve_ivp(_RHS[params.M], s0, state0.u, ends, rtol,
+                    [r * 1e-2 for r in rtol])
+    u = np.vstack([state0.u, sol.y[[s in s_targets for s in ends]]])
+    u.setflags(write=False)
+    abscissas = [state0.s, *s_targets]
+    p = _Pass(params, abscissas, u)
+    _gate_first_integrals(p, tol)
+    states = [HamiltonianState(s=s, u=row, params=params)
+              for s, row in zip(abscissas, u)]
+    for i, st in enumerate(states):
+        st._pass, st._row = p, i
+    return Trajectory(params=params, states=states, tol=tol, nfev=sol.nfev)
 
 
 # the physical solution is dynamically unstable: state errors injected at
@@ -483,10 +476,10 @@ _GRADE_EDGES = (0.1, 2.0)
 _GRADE_FACTORS = (1e-4, 1e-2, 1.0)
 
 
-def _gate_first_integrals(p: _Pass, lo: int, tol: float):
-    """Refuse when a first integral of the pass's rows from lo exceeds 100*tol."""
+def _gate_first_integrals(p: _Pass, tol: float):
+    """Refuse when a first integral of a row of the pass exceeds 100*tol."""
     worst_name, worst = "", 0.0
-    for s, res in zip(p.s[lo:].tolist(), p.rows(_first_integrals)[lo:]):
+    for s, res in zip(p.s.tolist(), p.rows(_first_integrals)):
         for name, val in res.items():
             if val > worst:
                 worst_name, worst = f"{name}@s={s:g}", val
@@ -556,11 +549,11 @@ def _dict_rows(columns: dict) -> list:
             for vals in zip(*(columns[k].tolist() for k in names))]
 
 
-def _first_integrals(p, lo) -> list:
-    """first_integral_residuals of each row of the pass from lo on."""
-    s = p.s[lo:]
+def _first_integrals(p) -> list:
+    """first_integral_residuals of each row of the pass."""
+    s = p.s
     e = p.params.e
-    x, y, xi, eta = _parts(p.u[lo:], p.params.M)
+    x, y, xi, eta = _parts(p.u, p.params.M)
     res = _norm_residual_rows
     out = {}
     if p.params.M == 1:
@@ -616,17 +609,17 @@ def _first_integrals(p, lo) -> list:
     return _dict_rows(out)
 
 
-def _structural(p, lo) -> list:
-    """structural_residuals of each row of the pass from lo on.
+def _structural(p) -> list:
+    """structural_residuals of each row of the pass.
 
     A = x y^T, so [B, A] = (B x) y^T - x (B^T y)^T: s A' = [C + s E, A] and
     C' = [E, A] are checked entry by entry, s A' in long double.  A row
     that ``rhs`` refuses keeps the refusal.
     """
-    derivs = p.rows(_derivatives)[lo:]
-    s = p.s[lo:]
+    derivs = p.rows(_derivatives)
+    s = p.s
     m = p.params.M
-    x, y, xi, eta = _parts(p.u[lo:], m)
+    x, y, xi, eta = _parts(p.u, m)
     dx, dy, dxi, deta = _parts(np.array(
         [np.full(p.u.shape[1], math.nan) if isinstance(d, str) else d
          for d in derivs]), m)
@@ -723,13 +716,13 @@ def eta_derivatives(state: HamiltonianState) -> ResolventJet:
     return _read(state, _jets)
 
 
-def _jets(p, lo) -> list:
-    """eta_derivatives of each row of the pass from lo on, on numpy complex
-    scalars, row by row: a ``ResolventJet``, or the refusal of the row's
-    right-hand side, of a vanishing eta_0' or of ``radical_F``."""
+def _jets(p) -> list:
+    """eta_derivatives of each row of the pass, on numpy complex scalars, row
+    by row: a ``ResolventJet``, or the refusal of the row's right-hand side,
+    of a vanishing eta_0' or of ``radical_F``."""
     e1, e2, _ = p.params.e
     out = []
-    for s, u, d in zip(p.s[lo:].tolist(), p.u[lo:], p.rows(_derivatives)[lo:]):
+    for s, u, d in zip(p.s.tolist(), p.u, p.rows(_derivatives)):
         if isinstance(d, str):
             out.append(d)
             continue

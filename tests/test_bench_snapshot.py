@@ -126,3 +126,23 @@ def test_compare_divides_times_by_the_workload_drift():
     out = io.StringIO()
     assert _load().compare(fast, old, out) == {"flow": "a_s"}
     assert "moved most: a_s x0.42 (x0.525 after drift)" in out.getvalue()
+
+
+def test_compare_skips_layers_at_zero_on_both_sides():
+    # BENCH_32 against BENCH_31: mc never calls horner, so its time reads 0
+    # on both sides; a traced phase at drift x0.71 must not make that x1
+    # read as x1.41 and name it
+    units = {"a_s": "s/pass", "b_s": "s/pass", "c_s": "s/pass",
+             "horner_s": "s/pass"}
+
+    def bench(commit, layers):
+        return {"commit": commit, "seed": 1, "run_seconds": 15, "nproc": 2,
+                "units": units, "scaled_times": "reference speed",
+                "workloads": {"mc": {"end_to_end": {"op_p50_ms": 2.0},
+                                     "per_layer": layers}}}
+
+    old = bench("a", {"a_s": 1.0, "b_s": 1.0, "c_s": 1.0, "horner_s": 0.0})
+    new = bench("b", {"a_s": 0.71, "b_s": 0.708, "c_s": 0.7, "horner_s": 0.0})
+    out = io.StringIO()
+    assert _load().compare(new, old, out) == {"mc": None}
+    assert "no layer moved beyond single-run scatter" in out.getvalue()

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -341,8 +342,7 @@ def test_trajectory_matches_complex_reference_rhs(nu, monkeypatch):
     # byte (signs of the zero parts included)
     params = HardEdgeParams.from_nu(nu)
     library = _trajectory_bytes(flow.integrate(params, 1e-5, _PIN_GRID))
-    name = "_rhs_real_m1" if len(nu) == 2 else "_rhs_real_m2"
-    monkeypatch.setattr(flow, name, _reference_real)
+    monkeypatch.setitem(flow._RHS, params.M, _reference_real)
     reference = _trajectory_bytes(flow.integrate(params, 1e-5, _PIN_GRID))
     assert library == reference
 
@@ -353,14 +353,13 @@ def test_nfev_counts_every_rhs_call(nu, monkeypatch):
     # Trajectory.nfev is DOP853's own count (NFCN); on the flow's right-hand
     # sides it must equal the calls the stepper actually makes
     params = HardEdgeParams.from_nu(nu)
-    name = "_rhs_real_m1" if len(nu) == 2 else "_rhs_real_m2"
-    library, calls = getattr(flow, name), []
+    library, calls = flow._RHS[params.M], []
 
     def counted(s, u, out):
         calls.append(s)
         return library(s, u, out)
 
-    monkeypatch.setattr(flow, name, counted)
+    monkeypatch.setitem(flow._RHS, params.M, counted)
     traj = flow.integrate(params, 1e-5, _PIN_GRID)
     assert traj.nfev == len(calls) > 0
 
@@ -552,7 +551,7 @@ def test_integrator_failure_is_a_flow_error(params_m2, monkeypatch, tmp_path,
     # a failed DOP853 leg raises FlowError, and ode exits 1 with one error
     # line: the M=2 launch state's y2 = 315i blows up at s ~ 3.2e-3
     message = _DOP853_FAILURE.format(r"0\.00318\d*")
-    monkeypatch.setattr(flow, "_rhs_real_m2", _blow_up)
+    monkeypatch.setitem(flow._RHS, 2, _blow_up)
     with pytest.raises(flow.FlowError, match=f"^{message}$"):
         flow.integrate(params_m2, 1e-5, [1e-4, 1.0])
     assert main(["ode", "--out", str(tmp_path)]) == 1
@@ -570,7 +569,7 @@ def test_stepper_failure_names_dop853_return_code(params_m1, monkeypatch):
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
             flow.solve_ivp(_blow_up, 0.0, np.array([1.0]), t_eval=[0.5, 2.0],
                            rtol=[1e-8, 1e-8], atol=[1e-10, 1e-10])
-        monkeypatch.setattr(flow, "_rhs_real_m1", _blow_up)
+        monkeypatch.setitem(flow._RHS, 1, _blow_up)
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
             flow.integrate(params_m1, 1e-5, [1e-4, 2.0])
     assert not caught, [str(w.message) for w in caught]
@@ -764,38 +763,60 @@ def test_pass_rows_match_states_evaluated_alone(nu):
     # evaluated as a one-row pass of its own
     params = HardEdgeParams.from_nu(nu)
     traj = flow.integrate(params, 1e-5, _PIN_GRID)
-    assert all(st._pass is traj.states[0]._pass for st in traj.states)
+    p = traj.states[0]._pass
+    assert all(st._pass is p and st.u.base is p.u for st in traj.states)
     for st in traj.states:
         alone = dataclasses.replace(st, u=st.u.copy())
         assert alone._pass is None
         assert repr(_per_state(st)) == repr(_per_state(alone))
-    # a state changed in place leaves its row: it reads its new values
+    # a trajectory's states are read-only; a nudged copy reads its new values
     st = traj.states[5]
-    st.eta[0] += 1e-6
-    assert repr(_per_state(st)) == repr(
-        _per_state(dataclasses.replace(st, u=st.u.copy())))
-    assert st._pass is not traj.states[0]._pass
+    with pytest.raises(ValueError, match="read-only"):
+        st.eta[0] += 1e-6
+    nudged = dataclasses.replace(st, u=st.u.copy())
+    before = _per_state(nudged)
+    nudged.eta[0] += 1e-6
+    after = _per_state(nudged)
+    assert repr(after) != repr(before)
+    assert repr(after) == repr(
+        _per_state(dataclasses.replace(nudged, u=nudged.u.copy())))
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_trajectory_freed_by_reference_counting(nu):
+    # the pass holds none of its states: with the cycle collector off, the
+    # last reference to a trajectory takes its pass with it
+    traj = flow.integrate(HardEdgeParams.from_nu(nu), 1e-5, [1e-4, 0.5])
+    flow.first_integral_residuals(traj.states[1])
+    gc.disable()
+    try:
+        ref = weakref.ref(traj.states[0]._pass)
+        del traj
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("case", ["m1", "m2-special"])
 def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
-    # the first integrals run on the launch row (the launch gate) and on
-    # the output rows (the pass's gate), the structural residuals and the
-    # right-hand sides once on every row; at M=2 the eta_0 jets too, which
-    # verify's jet checks and appendix_recover both read.  verify and the
-    # CSV only read rows
+    # the first integrals run on the launch row alone (the launch gate) and
+    # on every row of the trajectory's pass (its gate), the structural
+    # residuals and the right-hand sides once on every row; at M=2 the eta_0
+    # jets too, which verify's jet checks and appendix_recover both read.
+    # verify and the CSV only read rows
     rows = {name: [] for name in ("_first_integrals", "_structural",
                                   "_derivatives", "_jets")}
     for name, calls in rows.items():
-        def counted(p, lo, evaluator=getattr(flow, name), calls=calls):
-            calls.append(len(p.keys) - lo)
-            return evaluator(p, lo)
+        def counted(p, evaluator=getattr(flow, name), calls=calls):
+            calls.append(len(p.s))
+            return evaluator(p)
         monkeypatch.setattr(flow, name, counted)
     traj = integrate_case(case)
     verify(traj)
     flow.trajectory_csv(traj)
     n = len(traj.states)
-    assert rows == {"_first_integrals": [1, n - 1], "_structural": [n],
+    assert rows == {"_first_integrals": [1, n], "_structural": [n],
                     "_derivatives": [n], "_jets": [n] if case != "m1" else []}
 
 
@@ -893,7 +914,8 @@ def test_trajectory_csv_round_trip(traj_m2):
                          ids=["m1", "m2"])
 def test_state_is_one_row_of_the_stepper(nu):
     # x, y, xi, eta are complex views of the stepper's vector u: a write to
-    # eta shows in u and in rhs; log_gap and each CSV row read u as it is
+    # a copy's eta shows in its u and in rhs; log_gap and each CSV row read
+    # u as it is
     params = HardEdgeParams.from_nu(nu)
     traj = flow.integrate(params, 1e-5, [1e-4, 0.5, 2.0])
     m1 = params.M + 1
@@ -908,7 +930,7 @@ def test_state_is_one_row_of_the_stepper(nu):
     for row, st, res in zip(rows, traj.states, residuals):
         want = [st.s, *st.u[:-2], st.u[-2], *(res[r] for r in names)]
         assert row == ",".join(f"{v:.17g}" for v in want)
-    st = traj.states[2]
+    st = dataclasses.replace(traj.states[2], u=traj.states[2].u.copy())
     before = np.array(flow.rhs(st)[1])
     eta_slot = 2 * 3 * m1                  # Re eta_0 in u
     u0 = st.u[eta_slot]
