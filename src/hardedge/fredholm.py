@@ -24,7 +24,8 @@ import numpy as np
 
 # borodin_kernel_matrix stays bound here for perfbench to wrap
 from .kernels import (KernelBundle, MBParams, build_kernel_bundle,  # noqa: F401
-                      kernel_matrix, borodin_factor_tables, borodin_kernel_matrix)
+                      kernel_matrix, borodin_factor_tables, borodin_kernel_matrix,
+                      _ARG_MAX)
 
 __all__ = ["QuadratureRule", "make_rule", "hardedge_rule", "fredholm_det",
            "GapPoint", "gap_probability_mb", "mb_logdet_column",
@@ -33,8 +34,9 @@ __all__ = ["QuadratureRule", "make_rule", "hardedge_rule", "fredholm_det",
 # node doubling runs from _N_START up to the cap _N_MAX
 _N_START = 16
 _N_MAX = 256
-# log-determinants past this interval length underflow double precision
-_R_MAX = 15.0
+# log-determinants past this interval length underflow double precision; the
+# Muttalib-Borodin factor series are cut at the same cap on their argument
+_R_MAX = _ARG_MAX
 
 
 class NonConvergedError(RuntimeError):
@@ -159,8 +161,10 @@ def mb_logdet_column(mb: MBParams, rs, n: int) -> list:
 
     K^(c,2) = diag(2 x^c) A B^T with A, B the (n, 16) factor tables, so on a
     rule with weights w, det(I_n - W K) = det(I_16 - G), G = B^T diag(2 w x^c) A.
-    One Horner sweep per factor over the whole column (series cut to the
-    largest r) and one slogdet over the (len(rs), 16, 16) stack give every entry.
+    One power table of the column's nodes, one product of it with each
+    factor's u table (series cut at the r <= 15 cap) and one slogdet over
+    the (len(rs), 16, 16) stack give every entry; a single-r call gives its
+    column entry bit for bit.
     """
     if not min(rs) > 0:
         raise ValueError("r must be positive")

@@ -45,7 +45,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from importlib import machinery, util
 
 import numpy as np
@@ -171,8 +171,10 @@ class HamiltonianState:
     The flow stays on it exactly: its right-hand sides return exact zeros
     for Re x, Re y, Im xi and Im eta, so the imag_leakage monitor reads 0
     by construction.  A state from ``integrate`` is row _row of its
-    trajectory's pass, and its u a read-only view of the pass's array;
-    ``launch_state`` and ``replace`` make writable states outside any pass.
+    trajectory's pass, and its u a read-only view of the pass's array; its
+    fields cannot be reassigned either, since the pass caches every result on
+    the row.  ``launch_state`` and ``replace`` make writable states outside
+    any pass.
     """
 
     s: float
@@ -189,9 +191,34 @@ class HamiltonianState:
     def __post_init__(self):
         self.x, self.y, self.xi, self.eta = self.u.view(complex)[:-1].reshape(4, -1)
 
+    def __setattr__(self, name, value):
+        if self._pass is not None and name in _ROW_FIELDS:
+            raise FrozenInstanceError(
+                f"cannot assign to field {name!r}: this state is row "
+                f"{self._row} of its trajectory's pass, which caches the "
+                "row's results; dataclasses.replace makes a free copy")
+        object.__setattr__(self, name, value)
+
+    @classmethod
+    def _rows_of(cls, p: "_Pass", abscissas: list) -> list:
+        """The states of pass p's rows at the given abscissas, built without
+        ``__init__`` and so without running the guard above."""
+        views = p.u.view(complex)[:, :-1].reshape(len(p.u), 4, -1)
+        states = []
+        for i, (s, row, (x, y, xi, eta)) in enumerate(zip(abscissas, p.u, views)):
+            st = object.__new__(cls)
+            st.__dict__.update(s=s, u=row, params=p.params, x=x, y=y, xi=xi,
+                               eta=eta, _pass=p, _row=i)
+            states.append(st)
+        return states
+
     @property
     def M(self) -> int:
         return self.params.M
+
+
+# the fields a pass-bound state may not reassign
+_ROW_FIELDS = frozenset({"s", "u", "params", "x", "y", "xi", "eta"})
 
 
 @dataclass
@@ -461,11 +488,8 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     abscissas = [state0.s, *s_targets]
     p = _Pass(params, abscissas, u)
     _gate_first_integrals(p, tol)
-    states = [HamiltonianState(s=s, u=row, params=params)
-              for s, row in zip(abscissas, u)]
-    for i, st in enumerate(states):
-        st._pass, st._row = p, i
-    return Trajectory(params=params, states=states, tol=tol, nfev=sol.nfev)
+    return Trajectory(params=params, states=HamiltonianState._rows_of(p, abscissas),
+                      tol=tol, nfev=sol.nfev)
 
 
 # the physical solution is dynamically unstable: state errors injected at

@@ -14,12 +14,13 @@ Two kernel families live here:
   Muttalib-Borodin ensemble, a u-integral of two Wright Bessel factors on
   one 16-node Gauss-Legendre rule on (0, 1) built at import.  With theta
   fixed at 2 and c an integer (``MBParams`` refuses other c) the integrand is
-  a polynomial in u, and 16 nodes sit at the double-precision floor of the
-  series on [0, 15]^2 (measured at c in {0, 1}).  ``borodin_factor_tables``
-  tabulates both factors for a stack of node sets, one Horner sweep each,
-  over each series cut to the terms that call's largest argument needs (at
-  most ``N_TERMS``); ``fredholm.mb_logdet_column`` takes its determinant from
-  them, so the n x n matrix is a test reference.
+  entire in u, not a polynomial, so no finite rule is exact: 16 nodes reach
+  the double-precision floor of the series on [0, 15]^2 by measurement (at
+  c in {0, 1}; see ``_U``).  ``borodin_factor_tables`` tabulates both factors
+  for a stack of node sets as node powers times per-c u tables, with each
+  series cut once, at the argument cap |x u| <= 15, and refuses arguments
+  past it; ``fredholm.mb_logdet_column`` takes its determinant from them, so
+  the n x n matrix is a test reference.
 
 The two families describe the same determinantal process: with
 ``c = 2 nu_1 + 1`` and ``nu_2 = nu_1 + 1/2``,
@@ -73,6 +74,9 @@ _GENERIC_TOL = 1e-6
 _U, _WU = np.polynomial.legendre.leggauss(16)
 _U = 0.5 * (_U + 1.0)
 _WU = 0.5 * _WU
+# the Muttalib-Borodin factor series are cut once, at this cap on |x u|;
+# fredholm refuses intervals past it
+_ARG_MAX = 15.0
 
 
 @dataclass(frozen=True)
@@ -249,32 +253,60 @@ class MBParams:
 
 @functools.lru_cache(maxsize=32)
 def _wright_coefficients(c: float) -> tuple:
-    """Read-only ``N_TERMS`` coefficients of W((c+1)/2, 1/2; .) and
-    W(c+1, 2; .), once per c; B's trailing terms underflow to 0.0, and
-    ``truncate_series`` drops them."""
-    ca = wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
-    cb = wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS)
-    ca.flags.writeable = False
-    cb.flags.writeable = False
-    return ca, cb
+    """Read-only u tables of both factors, once per c, highest power first:
+    UA[j, k] = a_j u_k^j w_k u_k^c and UB[m, k] = b_m u_k^(2m), with a_j and
+    b_m the coefficients of W((c+1)/2, 1/2; .) and W(c+1, 2; .) cut by
+    ``truncate_series`` at the argument cap, |x u| <= _ARG_MAX for A and
+    (y u)^2 <= _ARG_MAX^2 for B (B's trailing terms underflow to 0.0)."""
+    ca = truncate_series(wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS),
+                         _ARG_MAX)
+    cb = truncate_series(wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS),
+                         _ARG_MAX ** 2)
+    j = np.arange(len(ca))[::-1, None]
+    m = np.arange(len(cb))[::-1, None]
+    ua = ca[::-1, None] * _U ** j * (_WU * _U ** c)
+    ub = cb[::-1, None] * _U ** (2 * m)
+    ua.flags.writeable = False
+    ub.flags.writeable = False
+    return ua, ub
+
+
+def _descending_powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^(n-1), ..., x, 1 along a new leading axis, by repeated multiplication."""
+    powers = np.empty((n,) + x.shape)
+    powers[-1] = 1.0
+    for i in range(n - 2, -1, -1):
+        np.multiply(powers[i + 1], x, out=powers[i])
+    return powers
 
 
 def borodin_factor_tables(mb: MBParams, xs, ys) -> tuple:
-    """A(x u) w u^c and B((y u)^2) on the u-rule, one Horner sweep each;
-    leading axes of xs and ys batch.
+    """A(x u) w u^c and B((y u)^2) on the u-rule; leading axes of xs and ys
+    batch, and |x| or |y| past the cap ``_ARG_MAX`` is refused.
 
-    Each series is cut by ``truncate_series`` to this call's largest
-    argument, max x u for A and max (y u)^2 for B: at r <= 14, 38 of A's 100
-    terms and 19 of B's.  The values stay within the Horner bound of the
-    full series; bit-identity with it is measured (the table-1 columns), not
-    guaranteed.
+    Each table is a product of node powers with its per-c u table,
+    A = X @ UA and B = X[even powers] @ UB, one matrix product per node row
+    (so a row keeps its bits in any batch); when ys is xs one power table
+    serves both.  The powers run from the highest down, so each entry sums
+    its series in Horner's order: a term far under the sum's rounding is
+    absorbed before the leading terms arrive, and the series cut at the cap
+    gives the bits of all ``N_TERMS`` terms (measured on the table-1 columns,
+    not guaranteed).  The error bound is Horner's, gamma_2N sum_j |c_j| |t|^j
+    at argument t, up to a few roundings per term (Higham, section 5.1,
+    bounds the power form alike).
     """
-    ca, cb = _wright_coefficients(mb.c)
-    xa = np.multiply.outer(xs, _U)
-    yb = np.multiply.outer(ys, _U) ** 2.0
-    A = horner(truncate_series(ca, np.abs(xa).max(initial=0.0)), xa)
-    B = horner(truncate_series(cb, yb.max(initial=0.0)), yb)
-    return A * (_WU * _U ** mb.c), B
+    ua, ub = _wright_coefficients(mb.c)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if max(np.abs(xs).max(initial=0.0), np.abs(ys).max(initial=0.0)) > _ARG_MAX:
+        raise ValueError(f"|x|, |y| > {_ARG_MAX} is refused: the factor series "
+                         "are cut at that argument cap")
+    ja, jb = len(ua), 2 * len(ub) - 1
+    X = _descending_powers(xs, max(ja, jb))
+    Y = X if ys is xs else _descending_powers(ys, jb)
+    # each leading-axis slice is a transposed (powers, nodes) matrix for BLAS
+    return (np.moveaxis(X[len(X) - ja:], 0, -1) @ ua,
+            np.moveaxis(Y[len(Y) - jb::2], 0, -1) @ ub)
 
 
 def borodin_kernel_matrix(mb: MBParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -3,17 +3,19 @@
 Every series here is a plain power series in double precision: the
 regularized hyper-Bessel function 0F_M (M=1 is the Bessel case, J_v(2 sqrt x)
 = x^(v/2) 0F1~(; v+1; -x)) and the Wright Bessel function, each as its first
-``N_TERMS`` Taylor coefficients (the ``*_coefficients`` functions) for
-``horner`` to evaluate, the path the kernels take: one call per argument
-table, in place, with the multiply and add of ``result * x + c`` in their
-order (the same bits, no temporaries per term).  For the Muttalib-Borodin
-tables ``N_TERMS`` is a cap: ``truncate_series`` cuts each row to the terms
-its argument range needs.  Real Gamma / reciprocal Gamma and elementary
-symmetric polynomials complete the module.  Horner's rule in floating point
-is exact for slightly perturbed coefficients, so the error of p(x) is at most
-gamma_2N * sum_j |c_j| |x|^j (Higham, *Accuracy and Stability of Numerical
-Algorithms*, section 5.1); that bound, not bit-identity with the full row,
-is what a truncated row is held to.
+``N_TERMS`` Taylor coefficients (the ``*_coefficients`` functions).
+``horner`` evaluates them for the M=1/M=2 kernel bundles: one call per
+argument table, in place, with the multiply and add of ``result * x + c`` in
+their order (the same bits, no temporaries per term).  For the
+Muttalib-Borodin tables ``N_TERMS`` is a cap: ``truncate_series`` cuts each
+Wright row to the terms its argument range needs, and the kernels sum the
+cut row as node powers times coefficient tables, highest power first.  Real
+Gamma / reciprocal Gamma and elementary symmetric polynomials complete the
+module.  Horner's rule in floating point is exact for slightly perturbed
+coefficients, so the error of p(x) is at most gamma_2N * sum_j |c_j| |x|^j
+(Higham, *Accuracy and Stability of Numerical Algorithms*, section 5.1);
+that bound, not bit-identity with the full row, is what a truncated row is
+held to.
 
 All functions are pure and safe to call concurrently.
 """

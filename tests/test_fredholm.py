@@ -22,7 +22,7 @@ from hardedge.fredholm import (
     NonConvergedError,
 )
 from hardedge.reference_data import TABLE1
-from hardedge.special_functions import wright_bessel_coefficients
+from hardedge.special_functions import N_TERMS, wright_bessel_coefficients
 
 
 def test_wright_coefficients_built_once_per_c(monkeypatch, tmp_path):
@@ -193,7 +193,17 @@ def test_mb_logdet_column_equals_per_cell_determinants(c, n):
         assert abs(logdet - ref) <= SYLVESTER_VS_NYSTROM, (c, r, n)
 
 
-def test_truncated_series_keep_every_bit_of_the_full_series(monkeypatch):
+# log E(0;(0,r)) at c=0 from a 40-digit mpmath Nystrom determinant, and the
+# bound on the 96-node double value's distance to it: the Horner tables read
+# 1.69e-9 and 7.63e-8, the product tables 1.72e-9 and 7.75e-8
+@pytest.mark.parametrize("r, log_e, bound", [(10, -18.017880484845, 2e-9),
+                                             (14, -27.3654491469389, 9e-8)])
+def test_table1_floor_against_extended_precision(r, log_e, bound):
+    (got,) = mb_logdet_column(MBParams(c=0.0), [r], 96)
+    assert abs(got - log_e) <= bound
+
+
+def test_truncated_series_keep_every_bit_of_the_full_series(monkeypatch, request):
     # table-1 columns and MB gap probabilities from the truncated Wright
     # series against the same calls on all N_TERMS terms
     mb_cases = [MBParams(c=float(c)) for c in (0, 1, 2)]
@@ -203,6 +213,10 @@ def test_truncated_series_keep_every_bit_of_the_full_series(monkeypatch):
     gaps = {(c, r): gap_probability_mb(mb_cases[c], r).logE
             for c in (0, 1, 2) for r in (1.0, 4.0, 9.0)}
     monkeypatch.setattr(kernels, "truncate_series", lambda coeffs, x_max: coeffs)
+    # the series are cut once per c, in the u tables' cache: rebuild them whole
+    kernels._wright_coefficients.cache_clear()
+    request.addfinalizer(kernels._wright_coefficients.cache_clear)
+    assert len(kernels._wright_coefficients(0.0)[0]) == N_TERMS
     for (c, n), column in columns.items():
         assert column == mb_logdet_column(mb_cases[c], rs, n), (c, n)
     for (c, r), log_e in gaps.items():

@@ -782,6 +782,23 @@ def test_pass_rows_match_states_evaluated_alone(nu):
         _per_state(dataclasses.replace(nudged, u=nudged.u.copy())))
 
 
+def test_pass_bound_states_refuse_reassignment():
+    # a trajectory's state reads its pass row's cached results, so a new s,
+    # params or u would be read with the old values: each is refused by name
+    params = HardEdgeParams.from_nu((0.0, 0.0))
+    traj = flow.integrate(params, 1e-5, [1e-4, 0.5])
+    st = traj.states[1]
+    for name, value in (("s", 0.0), ("params", params), ("u", st.u.copy())):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+            setattr(st, name, value)
+    assert st.s == 1e-4 and st.u.base is st._pass.u
+    # free states stay assignable and read their new values
+    for free in (flow.launch_state(params, 1e-4), dataclasses.replace(st)):
+        free.s = 0.0
+        with pytest.raises(ValueError, match="singular at s = 0"):
+            flow.rhs(free)
+
+
 @pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
                          ids=["m1", "m2"])
 def test_trajectory_freed_by_reference_counting(nu):

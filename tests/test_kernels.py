@@ -14,7 +14,7 @@ from hardedge.kernels import (
     borodin_kernel_matrix,
     mb_params_for_hardedge,
 )
-from hardedge.special_functions import N_TERMS, horner, wright_bessel_coefficients
+from hardedge.special_functions import N_TERMS, wright_bessel_coefficients
 
 SQRT_PI = math.sqrt(math.pi)
 VALIDATED_M2 = [(-0.5, 0.0), (0.0, 0.5)]
@@ -137,8 +137,8 @@ def test_borodin_inner_rule_self_convergence():
     # the fixed inner rule against the u-integral
     # theta x^c int_0^1 W((c+1)/theta, 1/theta; x u) W(c+1, theta; (y u)^theta) u^c du
     # by mpmath quadrature at 30 digits, for theta = 2, with 150-term series;
-    # the integrand is a polynomial in u, so mpmath's Gauss-Legendre (adaptive
-    # in degree) resolves it in about a third of the tanh-sinh time
+    # the integrand is entire in u, so mpmath's Gauss-Legendre (adaptive in
+    # degree) resolves it in about a third of the tanh-sinh time
     def wright(a, b):
         return [(-1) ** j * mpmath.rgamma(a + j * b) / mpmath.factorial(j)
                 for j in range(150)][::-1]
@@ -211,18 +211,34 @@ def test_borodin_matrix_matches_scalar():
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
 def test_borodin_batched_tables_keep_every_bit(c):
-    # reference: one cell, the full 100-term series for both factors
+    # reference: one cell, both factors as node powers (highest first, by
+    # repeated multiplication) times u tables over the full 100-term series
     mb = MBParams(c=c)
     u, wu = np.polynomial.legendre.leggauss(16)
     u, wu = 0.5 * (u + 1.0), 0.5 * wu
-    ca = wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)
-    cb = wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS)
+    j = np.arange(N_TERMS)[::-1, None]
+    ca = wright_bessel_coefficients((c + 1.0) / 2.0, 0.5, N_TERMS)[::-1, None]
+    cb = wright_bessel_coefficients(c + 1.0, 2.0, N_TERMS)[::-1, None]
+    ua, ub = ca * u ** j * (wu * u ** c), cb * u ** (2 * j)
     nodes = np.array([np.linspace(0.0, r, 12) for r in (1.0, 7.5, 15.0)])
     A, B = borodin_factor_tables(mb, nodes, nodes)
     for row, a, b in zip(nodes, A, B):
-        ref = 2.0 * (row ** c)[:, None] * (
-            (horner(ca, np.multiply.outer(row, u)) * (wu * u ** c))
-            @ horner(cb, np.multiply.outer(row, u) ** 2.0).T)
+        powers = [np.ones_like(row)]
+        for _ in range(2 * N_TERMS - 2):
+            powers.append(powers[-1] * row)
+        X = np.array(powers[::-1]).T
+        ref = 2.0 * (row ** c)[:, None] * ((X[:, N_TERMS - 1:] @ ua)
+                                           @ (X[:, ::2] @ ub).T)
         assert np.array_equal(borodin_kernel_matrix(mb, row, row), ref)
         a_row, b_row = borodin_factor_tables(mb, row, row)
         assert np.array_equal(a, a_row) and np.array_equal(b, b_row)
+
+
+def test_borodin_tables_refuse_arguments_past_the_cap():
+    mb = MBParams(c=0.0)
+    borodin_factor_tables(mb, [15.0], [-15.0])
+    for xs, ys in (([15.5], [1.0]), ([1.0], [0.0, -16.0])):
+        with pytest.raises(ValueError, match="> 15.0 is refused"):
+            borodin_factor_tables(mb, xs, ys)
+    with pytest.raises(ValueError, match="argument cap"):
+        borodin_kernel_matrix(mb, [1.0, 20.0], [1.0])
