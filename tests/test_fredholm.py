@@ -193,9 +193,9 @@ def test_mb_logdet_column_equals_per_cell_determinants(c, n):
         assert abs(logdet - ref) <= SYLVESTER_VS_NYSTROM, (c, r, n)
 
 
-# log E(0;(0,r)) at c=0 from a 40-digit mpmath Nystrom determinant, and the
-# bound on the 96-node double value's distance to it: the Horner tables read
-# 1.69e-9 and 7.63e-8, the product tables 1.72e-9 and 7.75e-8
+# log E(0;(0,r)) at c=0 from a 40-digit mpmath Nystrom determinant (ROADMAP
+# item 6); each bound sits ~18% above the 96-node double value's measured
+# distance (1.7e-9 and 7.6e-8), so an evaluator that loses digits fails
 @pytest.mark.parametrize("r, log_e, bound", [(10, -18.017880484845, 2e-9),
                                              (14, -27.3654491469389, 9e-8)])
 def test_table1_floor_against_extended_precision(r, log_e, bound):
