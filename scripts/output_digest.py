@@ -24,7 +24,10 @@ alike, so a moved refusal shows too.
   a timestamp);
 - residuals: every state's ``first_integral_residuals``,
   ``structural_residuals`` and ``rhs`` on both certified cases' verify
-  grids, at tol 1e-8 and 1e-12.
+  grids, at tol 1e-8 and 1e-12;
+- jets: ``eta_derivatives`` and ``verification.jet_residuals`` on the
+  Nystrom launch states at nu=(0,-1/2,0), s0 = 0.05 to 1, which no stepper
+  touches (residuals hashed as floats, whatever their scalar type).
 """
 
 import contextlib
@@ -39,7 +42,7 @@ from hardedge import hamiltonian_flow as flow
 from hardedge.fredholm import (NonConvergedError, gap_probability_hardedge,
                                gap_probability_mb)
 from hardedge.kernels import HardEdgeParams, MBParams
-from hardedge.verification import integrate_case
+from hardedge.verification import integrate_case, jet_residuals
 
 FLOW_NU = ((0.0, 0.0), (0.0, -0.5, 0.0))
 FLOW_TOLS = (1e-8, 1e-10, 1e-12)
@@ -50,6 +53,7 @@ GAP_NU = ((0.0, 0.0), (0.0, 0.5), (0.0, -0.5), (0.0, 1.5), (0.0, -0.5, 0.0),
 GAP_S = (0.01, 0.5, 2.0, 7.14, 12.0, 16.0)
 MB_CASES = [(c, r, 1e-9) for c in (0.0, 1.0, 2.0) for r in (0.5, 2.0, 4.0, 9.0)]
 MB_CASES += [(0.0, 14.0, 5e-7), (1.0, 15.5, 1e-9)]
+JET_S0 = (0.05, 0.1, 0.25, 0.5, 1.0)
 REFUSALS = (NonConvergedError, flow.FlowError, FloatingPointError, ValueError)
 
 
@@ -136,8 +140,19 @@ def residuals(h):
                     h.update(arr.tobytes())
 
 
+def jets(h):
+    params = HardEdgeParams(FLOW_NU[1])
+    for s0 in JET_S0:
+        st = flow.launch_state(params, s0)
+        h.update(repr(_outcome(flow.eta_derivatives, st)).encode())
+        res = _outcome(jet_residuals, st)
+        if not isinstance(res, str):
+            res = {k: float(v) for k, v in res.items()}
+        h.update(repr(res).encode())
+
+
 FAMILIES = (trajectories, gap_hardedge, gap_mb, verify, sigma, table1, ode,
-            residuals)
+            residuals, jets)
 
 
 def main() -> int:

@@ -7,25 +7,27 @@ system of 4(M+1) coupled first-order ODEs in the variables
 integrates it with Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs
 I, sec. II.10), the compiled 8(5,3) embedded Runge-Kutta code in scipy's
 extension file ``scipy/integrate/_dop``, loaded from that file without the
-``scipy.integrate`` package, and monitors every first integral and
-structural identity (folding, Schlesinger consistency, the Tracy-Widom map)
-along the trajectory.  A state is one row of the stepper's output: one real
-vector with (Re, Im) of x, y, xi, eta and log E.  On the physical branch x
-and y are purely imaginary and xi, eta real; the right-hand sides run on the
-Python float parts that branch leaves nonzero, which cost less per call than
-complex or numpy scalars, and are module-level (see ``solve_ivp``).  They
-read those parts with one struct unpack and write the derivative into a
-float64 buffer that each solve owns, so the stepper's wrapper converts no
-Python list per stage.
+``scipy.integrate`` package, one leg to each output abscissa, a leg starting
+from the largest step of a long leg before it (see ``solve_ivp``), and
+monitors every first integral and structural identity (folding, Schlesinger
+consistency, the Tracy-Widom map) along the trajectory.  A state is one row
+of the stepper's output: one real vector with (Re, Im) of x, y, xi, eta and
+log E.  On the physical branch x and y are purely imaginary and xi, eta
+real; the right-hand sides run on the Python float parts that branch leaves
+nonzero, which cost less per call than complex or numpy scalars, and are
+module-level (see ``solve_ivp``).  They read those parts with one struct
+unpack and write the derivative into a float64 buffer that each solve owns,
+so the stepper's wrapper converts no Python list per stage.
 
 A trajectory's states are read-only rows of one array that its pass
 (``_Pass``) owns, built once from the launch row and the output rows: the
 first integrals, the structural residuals and the right-hand sides are
 evaluated on numpy arrays over all its rows, once per trajectory, and the
 per-state functions read their state's row; so is the M=2 eta_0 jet, row by
-row.  The first integrals gate the launch state, as a one-row pass, before
-any integration, and every row of the trajectory's pass after it.  A state
-outside any pass is evaluated as a one-row pass of its own at each read.
+row, on the same Python float parts as the right-hand sides.  The first
+integrals gate the launch state, as a one-row pass, before any integration,
+and every row of the trajectory's pass after it.  A state outside any pass
+is evaluated as a one-row pass of its own at each read.
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -76,8 +78,8 @@ _Solution = collections.namedtuple("_Solution", "y nfev")
 
 
 # DOP853 stops a leg after this many steps (return code -2); the cap stays
-# far above real legs: the longest measured takes ~260 steps (3074
-# evaluations: M=1 at tol 1e-12, s = 2 to 60)
+# far above real legs: the longest measured takes 255 steps (3061
+# evaluations: M=1 at tol 1e-12, s = 2 to 60, from a carried first step)
 _MAX_STEPS = 100_000
 
 
@@ -96,32 +98,52 @@ def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
     The stepper is Hairer's DOP853, scipy's compiled ``dopri853`` loaded by
     ``_dop853``, at the step-size limits of scipy's ``solve_ivp`` (growth at
     most 10x, shrink at least 0.2x per step).  It steps to each t_eval[i] in
-    turn, one leg at tolerances rtol[i], atol[i], so every output ends a step
-    and the next leg starts from a fresh first-step guess.  The legs share
-    one work array: DOP853 leaves its settings, work[0:21], as they are.
-    nfev is DOP853's own count of right-hand-side evaluations, summed over
-    the legs.  A failed leg raises ``FlowError`` with DOP853's return code.
+    turn, one leg at tolerances rtol[i], atol[i], so every output ends a
+    step.  A leg starts from the largest step that the leg before it
+    accepted (work[6], DOP853's WORK(7)), when that leg took three steps or
+    more; the first leg, and one after a leg of one or two steps, starts
+    from Hairer's first-step guess HINIT (work[6] = 0; Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. II.4).  A fresh guess per leg cost 19,469
+    evaluations per perfbench flow pass, the carried step 16,744.  The legs
+    of one or two steps are left out because their steps are only the seed
+    and the remainder cut at the leg's end: carrying them froze the step on
+    dense grids, where M=1 on 1000 and 8000 geometric points to s=10 took
+    25,003 and 142,427 evaluations against 15,792 and 112,028 from fresh
+    guesses.  The legs share one work array: DOP853 leaves its settings,
+    work[0:21], as they are.
 
-    iout=1 asks for per-step output from a function that changes nothing:
-    at iout=0 the compiled code reads its solout flag unset and, where that
-    memory holds 2 or more, calls fun once more per step, uncounted.  The
-    wrapper passes the extra arguments to solout too.  fun must be
+    nfev counts the right-hand-side evaluations of every leg: DOP853's own
+    count (NFCN, iwork[16]) less one per leg started from a carried step,
+    since DOP853 counts HINIT's evaluation whether or not it calls HINIT.  A
+    failed leg raises ``FlowError`` with DOP853's return code.
+
+    iout=1 asks for output after every accepted step, which ``_step_output``
+    reads: at iout=0 the compiled code reads its solout flag unset and,
+    where that memory holds 2 or more, calls fun once more per step,
+    uncounted, as it does when solout returns 2.  The wrapper passes the
+    extra arguments to solout too, so out is a view of a buffer two slots
+    longer whose first two slots hold solout's record of the leg: the last
+    abscissa it saw and the largest step so far.  fun and solout must be
     module-level: the compiled routine keeps every callable it is handed for
     the life of the process (5 of 5 closures stayed alive after
     ``gc.collect()``), so a closure per call would grow memory every pass.
     """
-    work = np.zeros(11 * len(y0) + 21)
+    n = len(y0)
+    work = np.zeros(11 * n + 21)
     work[1:4] = (0.9, 0.2, 10.0)        # safety factor, shrink, growth
     iwork = np.zeros(21, np.int32)
     # the compiled code may write into y, so the caller's y0 is copied
     t, y = t0, np.array(y0, dtype=float)
-    ys, nfev = np.empty((len(t_eval), len(y0))), 0
-    extra = (np.zeros(len(y0)),)        # fun's out, this call's own
+    ys, nfev = np.empty((len(t_eval), n)), 0
+    record = np.zeros(n + 2)            # this call's own: solout's, then out
+    record[0] = t0
+    extra = (record[2:],)
     for i, (t_next, leg_rtol, leg_atol) in enumerate(zip(t_eval, rtol, atol)):
         t, y, code = _dop853()(fun, t, y, t_next, leg_rtol, leg_atol,
-                               _no_step_output, 1, work, iwork, _MAX_STEPS,
+                               _step_output, 1, work, iwork, _MAX_STEPS,
                                -1, extra)
-        nfev += int(iwork[16])              # Hairer's IWORK(17), NFCN
+        # Hairer's IWORK(17), NFCN, which counts HINIT even when skipped
+        nfev += int(iwork[16]) - bool(work[6])
         if code < 0:
             reason = {-1: "input is not consistent", -2: "larger nsteps is needed",
                       -3: "step size becomes too small",
@@ -129,10 +151,24 @@ def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
             raise FlowError(f"integrator failed: DOP853 return code {code} at "
                             f"t={t:.17g}: {reason.get(code, 'unknown code')}")
         ys[i] = y
+        # the next leg's first step; IWORK(19) is the leg's accepted steps
+        work[6] = record[1] if iwork[18] >= 3 else 0.0
+        record[1] = 0.0
     return _Solution(ys, nfev)
 
 
-def _no_step_output(x, y, out):
+# solout's record, the first two slots of the buffer out views
+_unpack_record = struct.Struct("=2d").unpack_from
+_pack_record = struct.Struct("=2d").pack_into
+
+
+def _step_output(x, y, out):
+    """Called at a leg's start and after each accepted step, at abscissa x:
+    records x and the largest step of the leg so far, and lets DOP853 go on."""
+    record = out.base
+    last, largest = _unpack_record(record)
+    step = x - last
+    _pack_record(record, 0, x, step if step > largest else largest)
     return 1
 
 
@@ -483,7 +519,8 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
                 _TOL_MIN * 0.1) for s in ends]
     sol = solve_ivp(_RHS[params.M], s0, state0.u, ends, rtol,
                     [r * 1e-2 for r in rtol])
-    u = np.vstack([state0.u, sol.y[[s in s_targets for s in ends]]])
+    targets = set(s_targets)
+    u = np.vstack([state0.u, sol.y[[s in targets for s in ends]]])
     u.setflags(write=False)
     abscissas = [state0.s, *s_targets]
     p = _Pass(params, abscissas, u)
@@ -741,45 +778,46 @@ def eta_derivatives(state: HamiltonianState) -> ResolventJet:
 
 
 def _jets(p) -> list:
-    """eta_derivatives of each row of the pass, on numpy complex scalars, row
-    by row: a ``ResolventJet``, or the refusal of the row's right-hand side,
-    of a vanishing eta_0' or of ``radical_F``."""
+    """eta_derivatives of each row of the pass, row by row: a
+    ``ResolventJet``, or the refusal of the row's right-hand side, of a
+    vanishing eta_0' or of ``radical_F``.
+
+    The complex formulas in their operation order, on the Python float parts
+    that the physical branch leaves nonzero, as the right-hand sides run
+    (x = iX, y = iY, so x0 y2 = -X0 Y2, and dx = i DX): each product has one
+    nonzero partial product, and "* (1.0 / v)" keeps the rounding of numpy's
+    complex division by v, so every value is the complex jet's bit for bit.
+    """
     e1, e2, _ = p.params.e
     out = []
     for s, u, d in zip(p.s.tolist(), p.u, p.rows(_derivatives)):
         if isinstance(d, str):
             out.append(d)
             continue
-        x, y, xi, eta = u.view(complex)[:-1].reshape(4, -1)
-        x0, y2, xi2, eta0 = x[0], y[2], xi[2], eta[0]
-        dx, dy, dxi, deta = d.view(complex)[:-1].reshape(4, -1)
-        d1c = deta[0]
-        if d1c == 0:
+        X0, _, _, _, _, Y2, _, _, XI2, E0, _, _, _ = _unpack_m2(u)
+        DX0, DX1, _, _, DY1, DY2, _, _, DXI2, D1, _, _, _ = _unpack_m2(d)
+        if D1 == 0:
             out.append("eta_0' vanished; the jet is undefined")
             continue
-        dx0, dx1 = dx[0], dx[1]
-        dy1, dy2 = dy[1], dy[2]
-        dxi2 = dxi[2]
-        ddx0 = (-d1c * x0 - eta0 * dx0 - dx1 - dx0) / s
-        ddy2 = (-dxi2 * y2 - xi2 * dy2 + dy1 - dy2) / s
-        U = s * x0 * dy2
-        V = s * dx0 * y2
-        W = s ** 2 * x0 * ddy2
-        Z = s ** 2 * ddx0 * y2
-        d2c = -(U + V) / s
-        d3c = (2 * U * V / d1c - (W + Z)) / s ** 2
-        d4c = (3 * (U * Z + V * W) / d1c + 3 * (W + Z) - e1 * (W - Z)
-               + (1 + e2 - eta0 + 6 * s * d1c) * (U + V) - e1 * (U - V)
-               - 2 * s * d1c ** 2) / s ** 3
-        jet = (float(eta0.real), float(d1c.real), float(d2c.real),
-               float(d3c.real), float(d4c.real))
+        inv = 1.0 / s
+        DDX0 = (-D1 * X0 - E0 * DX0 - DX1 - DX0) * inv
+        DDY2 = (-DXI2 * Y2 - XI2 * DY2 + DY1 - DY2) * inv
+        U = -(s * X0 * DY2)
+        V = -(s * DX0 * Y2)
+        W = -(s ** 2 * X0 * DDY2)
+        Z = -(s ** 2 * DDX0 * Y2)
+        d2c = -(U + V) * inv
+        d3c = (2 * U * V * (1.0 / D1) - (W + Z)) * (1.0 / s ** 2)
+        d4c = (3 * (U * Z + V * W) * (1.0 / D1) + 3 * (W + Z) - e1 * (W - Z)
+               + (1 + e2 - E0 + 6 * s * D1) * (U + V) - e1 * (U - V)
+               - 2 * s * (D1 * D1)) * (1.0 / s ** 3)
+        jet = (E0, D1, d2c, d3c, d4c)
         try:
             F = sigma_forms.radical_F(s, jet, e1, e2)
         except ValueError as exc:
             out.append(str(exc))
             continue
-        out.append(ResolventJet(s=s, d=jet, F=F, U=float(U.real),
-                                V=float(V.real), params=p.params))
+        out.append(ResolventJet(s=s, d=jet, F=F, U=U, V=V, params=p.params))
     return out
 
 

@@ -478,13 +478,14 @@ def appendix_recover(state) -> dict:
         raise ValueError("recovery formulas exist for M=2 only")
     jet = eta_derivatives(state)
     rep = rep_formulas(jet)
-    x, y = state.x, state.y
+    # the jet refuses a state off the physical branch, so x = iX, y = iY and
+    # xi, eta are real: x_i y_j = -X_i Y_j, on Python floats
+    X0, X1, X2, Y0, Y1, Y2 = state.u[1:12:2].tolist()
+    XI0, XI1, _, _, ETA1, ETA2 = state.u[12:24:2].tolist()
     actual = {
-        "xi0": state.xi[0].real, "xi1": state.xi[1].real,
-        "eta1": state.eta[1].real, "eta2": state.eta[2].real,
-        "x0y1": (x[0] * y[1]).real, "x1y2": (x[1] * y[2]).real,
-        "x0y2": (x[0] * y[2]).real, "x0y0": (x[0] * y[0]).real,
-        "x1y1": (x[1] * y[1]).real, "x2y2": (x[2] * y[2]).real,
+        "xi0": XI0, "xi1": XI1, "eta1": ETA1, "eta2": ETA2,
+        "x0y1": -X0 * Y1, "x1y2": -X1 * Y2, "x0y2": -X0 * Y2,
+        "x0y0": -X0 * Y0, "x1y1": -X1 * Y1, "x2y2": -X2 * Y2,
     }
     out = {k: abs(rep[k] - actual[k]) / max(1.0, abs(actual[k])) for k in actual}
     out["gode"] = gode_residual(jet)

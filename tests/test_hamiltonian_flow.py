@@ -578,8 +578,9 @@ def test_stepper_failure_names_dop853_return_code(params_m1, monkeypatch):
 def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
     # one stepper pass per trajectory, with one DOP853 leg per target and
     # per grade edge crossed, each at its graded tolerance; Trajectory.nfev
-    # sums the legs' own counts.  The legs share one work array, whose
-    # settings work[0:21] DOP853 leaves as they are
+    # sums the legs' own counts, less the first-step guess DOP853 counts but
+    # skips on a leg started from a carried step.  The legs share one work
+    # array, whose settings work[0:21] DOP853 leaves as they are
     passes, legs = [], []
     solve_ivp, dop853 = flow.solve_ivp, flow._dop853()
 
@@ -592,7 +593,7 @@ def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
         out = dop853(fun, t, y, t_next, rtol, atol, solout, iout, work,
                      iwork, *rest)
         assert np.array_equal(work[:21], settings)
-        legs.append((t_next, rtol, int(iwork[16])))
+        legs.append((t_next, rtol, int(iwork[16]) - (settings[6] != 0.0)))
         return out
 
     monkeypatch.setattr(flow, "solve_ivp", counted)
@@ -604,6 +605,62 @@ def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
         [1e-4, 1e-4, 1e-2, 1e-2, 1.0])
     assert min(n for _, _, n in legs) > 0
     assert traj.nfev == sum(n for _, _, n in legs)
+
+
+def test_legs_start_from_the_largest_step_of_the_leg_before(params_m2,
+                                                           monkeypatch):
+    # a leg starts from the largest step the leg before it accepted, read off
+    # the abscissas DOP853 hands solout, when that leg took three steps or
+    # more, and from Hairer's guess (work[6] = 0) otherwise; the grid holds
+    # long legs and a dense run of one-step legs, so both rules occur
+    legs, dop853 = [], flow._dop853()
+
+    def leg(fun, t, y, t_next, rtol, atol, solout, iout, work, iwork, *rest):
+        seen = []
+
+        def watched(x, y, out):
+            seen.append(x)
+            return solout(x, y, out)
+
+        seed = float(work[6])
+        out = dop853(fun, t, y, t_next, rtol, atol, watched, iout, work,
+                     iwork, *rest)
+        legs.append((seed, int(iwork[18]), max(np.diff(seen))))
+        return out
+
+    monkeypatch.setattr(flow, "_dop853", lambda: leg)
+    grid = [1e-3, 0.05, 0.5, *np.linspace(0.6, 0.61, 12), 3.0, 6.0]
+    flow.integrate(params_m2, 1e-5, grid, tol=1e-8)
+    assert legs[0][0] == 0.0
+    expected = [largest if accepted >= 3 else 0.0
+                for _, accepted, largest in legs[:-1]]
+    assert [seed for seed, _, _ in legs[1:]] == expected
+    assert 0.0 in expected[1:] and any(expected)
+
+
+def test_carried_steps_take_fewer_evaluations():
+    # with a fresh first-step guess per leg the verify cases to s = 10 took
+    # 1562 and 2495 evaluations; with carried steps they take fewer, and
+    # every verify category still passes.  A dense grid of one-step legs
+    # costs no more than with fresh guesses (15,792)
+    for case, fresh in (("m1", 1562), ("m2-special", 2495)):
+        traj = integrate_case(case, s_max=10.0, tol=1e-10)
+        assert traj.nfev < fresh, case
+        failed = [k for k, check in verify(traj).items() if not check.ok]
+        assert not failed, (case, failed)
+    dense = flow.integrate(HardEdgeParams.from_nu((0.0, 0.0)), 1e-5,
+                           np.geomspace(1e-4, 10.0, 1000))
+    assert dense.nfev <= 15_792
+
+
+def test_integrate_returns_each_target_once_on_a_long_grid(params_m1):
+    # the grade edges 0.1 and 2.0 are legs' ends whether asked for or not;
+    # asked for, each target still comes back once, in order, at its own s
+    targets = sorted({*np.geomspace(1e-4, 10.0, 3000).tolist(), 0.1, 2.0})
+    traj = flow.integrate(params_m1, 1e-5, targets, tol=1e-6)
+    assert [st.s for st in traj.states[1:]] == targets
+    assert [float(st.u[-2]) for st in traj.states[1:]] == traj.log_gap[1:]
+    assert traj.log_gap[1:] == pytest.approx([-s for s in targets], abs=1e-9)
 
 
 def test_concurrent_integrations_match_serial(params_m1, params_m2):
@@ -864,6 +921,46 @@ def test_eta_fourth_derivative_against_finite_differences(params_m2):
     fd = (4.0 * fd5(1) - fd5(2)) / 3.0
     jet = flow.eta_derivatives([st for st in traj.states if st.s == s_c][0])
     assert abs(fd - jet.d[4]) / abs(jet.d[4]) <= 1e-5
+
+
+def _complex_jet(s, u, d, params):
+    """The eta_0 jet on numpy complex scalars, from a row u and its
+    derivative d: the reference for ``_jets``' float form."""
+    e1, e2, _ = params.e
+    x, y, xi, eta = u.view(complex)[:-1].reshape(4, -1)
+    dx, dy, dxi, deta = d.view(complex)[:-1].reshape(4, -1)
+    x0, y2, xi2, eta0, d1c = x[0], y[2], xi[2], eta[0], deta[0]
+    ddx0 = (-d1c * x0 - eta0 * dx[0] - dx[1] - dx[0]) / s
+    ddy2 = (-dxi[2] * y2 - xi2 * dy[2] + dy[1] - dy[2]) / s
+    U = s * x0 * dy[2]
+    V = s * dx[0] * y2
+    W = s ** 2 * x0 * ddy2
+    Z = s ** 2 * ddx0 * y2
+    d2c = -(U + V) / s
+    d3c = (2 * U * V / d1c - (W + Z)) / s ** 2
+    d4c = (3 * (U * Z + V * W) / d1c + 3 * (W + Z) - e1 * (W - Z)
+           + (1 + e2 - eta0 + 6 * s * d1c) * (U + V) - e1 * (U - V)
+           - 2 * s * d1c ** 2) / s ** 3
+    return (tuple(float(v.real) for v in (eta0, d1c, d2c, d3c, d4c)),
+            float(U.real), float(V.real))
+
+
+def test_jets_match_the_complex_scalar_reference(params_m2):
+    # the float jet is the complex-scalar one bit for bit, on every row of
+    # passes at four tolerances and on launch states; F is radical_F's
+    passes = [flow.integrate(params_m2, 1e-5, _PIN_GRID, tol=tol).states[0]._pass
+              for tol in (1e-6, 1e-8, 1e-10, 1e-12)]
+    passes += [flow._Pass(params_m2, [s0], flow.launch_state(params_m2, s0).u[None])
+               for s0 in (1e-5, 0.05, 0.3, 1.0)]
+    rows = 0
+    for p in passes:
+        for s, u, d, jet in zip(p.s.tolist(), p.u, p.rows(flow._derivatives),
+                                flow._jets(p)):
+            d_ref, U, V = _complex_jet(s, u, d, params_m2)
+            assert (jet.d, jet.U, jet.V) == (d_ref, U, V), s
+            assert all(type(v) is float for v in (*jet.d, jet.U, jet.V, jet.F))
+            rows += 1
+    assert rows == 4 * 41 + 4
 
 
 def test_eta_derivatives_requires_m2(traj_m1):

@@ -11,7 +11,7 @@ import hardedge
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 FAMILIES = ["trajectories", "gap_hardedge", "gap_mb", "verify", "sigma", "table1",
-            "ode", "residuals"]
+            "ode", "residuals", "jets"]
 
 
 def test_output_digest_prints_one_line_per_family():

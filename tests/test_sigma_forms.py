@@ -212,3 +212,21 @@ def test_gauge_boundary_condition_at_launch(params_m2):
 def test_appendix_recovery_requires_m2(traj_m1):
     with pytest.raises(ValueError):
         sf.appendix_recover(traj_m1.states[0])
+
+
+def test_appendix_recovery_reads_the_complex_trajectory_values(traj_m2):
+    # the trajectory values, read as Python floats, are the real parts of
+    # the complex ones, so every residual keeps its bits
+    for st in traj_m2.states:
+        rep = sf.rep_formulas(flow.eta_derivatives(st))
+        x, y, xi, eta = st.x, st.y, st.xi, st.eta
+        actual = {"xi0": xi[0].real, "xi1": xi[1].real, "eta1": eta[1].real,
+                  "eta2": eta[2].real}
+        actual.update({f"x{i}y{j}": (x[i] * y[j]).real
+                       for i, j in ((0, 1), (1, 2), (0, 2), (0, 0), (1, 1),
+                                    (2, 2))})
+        got = sf.appendix_recover(st)
+        assert list(got) == [*actual, "gode"]
+        for k, v in actual.items():
+            assert got[k] == abs(rep[k] - v) / max(1.0, abs(v)), (st.s, k)
+            assert type(got[k]) is float
