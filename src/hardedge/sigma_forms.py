@@ -472,16 +472,15 @@ def appendix_recover(state) -> dict:
     and normalizes each difference by max(1, |trajectory value|).  Also
     includes the G-ODE residual under the key "gode".
     """
-    from .hamiltonian_flow import eta_derivatives
+    from .hamiltonian_flow import _unpack_m2, eta_derivatives
 
     if state.M != 2:
         raise ValueError("recovery formulas exist for M=2 only")
     jet = eta_derivatives(state)
     rep = rep_formulas(jet)
     # the jet refuses a state off the physical branch, so x = iX, y = iY and
-    # xi, eta are real: x_i y_j = -X_i Y_j, on Python floats
-    X0, X1, X2, Y0, Y1, Y2 = state.u[1:12:2].tolist()
-    XI0, XI1, _, _, ETA1, ETA2 = state.u[12:24:2].tolist()
+    # xi, eta are real: x_i y_j = -X_i Y_j, on the right-hand side's floats
+    X0, X1, X2, Y0, Y1, Y2, XI0, XI1, _, _, ETA1, ETA2, _ = _unpack_m2(state.u)
     actual = {
         "xi0": XI0, "xi1": XI1, "eta1": ETA1, "eta2": ETA2,
         "x0y1": -X0 * Y1, "x1y2": -X1 * Y2, "x0y2": -X0 * Y2,
