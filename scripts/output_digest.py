@@ -24,7 +24,9 @@ alike, so a moved refusal shows too.
   a timestamp);
 - residuals: every state's ``first_integral_residuals``,
   ``structural_residuals`` and ``rhs`` on both certified cases' verify
-  grids, at tol 1e-8 and 1e-12;
+  grids, at tol 1e-8 and 1e-12, and on the Nystrom launch states at both
+  certified index sets, s0 = 1e-5 and s0 = 0.05 to 1, each the one row of
+  its own pass;
 - jets: ``eta_derivatives`` and ``verification.jet_residuals`` on the
   Nystrom launch states at nu=(0,-1/2,0), s0 = 0.05 to 1, which no stepper
   touches (residuals hashed as floats, whatever their scalar type).
@@ -131,13 +133,15 @@ def ode(h):
 
 
 def residuals(h):
-    for case in ("m1", "m2-special"):
-        for tol in (1e-8, 1e-12):
-            for st in integrate_case(case, tol=tol).states:
-                h.update(repr((flow.first_integral_residuals(st),
-                               flow.structural_residuals(st))).encode())
-                for arr in flow.rhs(st):
-                    h.update(arr.tobytes())
+    states = [st for case in ("m1", "m2-special") for tol in (1e-8, 1e-12)
+              for st in integrate_case(case, tol=tol).states]
+    states += [flow.launch_state(HardEdgeParams(nu), s0)
+               for nu in FLOW_NU for s0 in (1e-5, *JET_S0)]
+    for st in states:
+        h.update(repr((flow.first_integral_residuals(st),
+                       flow.structural_residuals(st))).encode())
+        for arr in flow.rhs(st):
+            h.update(arr.tobytes())
 
 
 def jets(h):

@@ -189,8 +189,8 @@ def gap_probability_hardedge(params_or_bundle, s: float,
     """E_M(0;(0,s)) by Nystrom discretization of K_M with node doubling.
 
     Every M is discretized on ``hardedge_rule``: x = (t/2)^2 on
-    (0, 2 sqrt(s)), with the Jacobian u/2 on the kernel's columns.  The
-    endpoint factors y^{nu_j} of K_M become (u/2)^{2 nu_j}, so with every
+    (0, 2 sqrt(s)), with the Jacobian t/2 on the kernel's columns.  The
+    endpoint factors y^{nu_j} of K_M become (t/2)^{2 nu_j}, so with every
     2 nu_j an integer the discretized kernel is analytic and node doubling
     converges exponentially.  Other index sets keep an algebraic endpoint
     factor, converge slowly and may hit the node cap.

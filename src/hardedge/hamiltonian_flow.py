@@ -24,10 +24,12 @@ A trajectory's states are read-only rows of one array that its pass
 first integrals, the structural residuals and the right-hand sides are
 evaluated on numpy arrays over all its rows, once per trajectory, and the
 per-state functions read their state's row; so is the M=2 eta_0 jet, row by
-row, on the same Python float parts as the right-hand sides.  The first
-integrals gate the launch state, as a one-row pass, before any integration,
-and every row of the trajectory's pass after it.  A state outside any pass
-is evaluated as a one-row pass of its own at each read.
+row, on the same Python float parts as the right-hand sides.  Every state
+is a frozen row of a pass: any state not from ``integrate`` (the launch
+state, the constructor's, a ``dataclasses.replace`` copy) is the one row of
+a pass of its own, over a read-only copy of its vector.  The first integrals
+gate the launch state's pass before any integration, and every row of the
+trajectory's pass after it.
 
 The launch state is read off the Nystrom resolvent on (0, s0), the
 Tracy-Widom construction (Tracy & Widom, CMP 163 (1994); Strahov,
@@ -47,7 +49,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from importlib import machinery, util
 
 import numpy as np
@@ -82,8 +84,11 @@ _Solution = collections.namedtuple("_Solution", "y nfev")
 # evaluations: M=1 at tol 1e-12, s = 2 to 60, from a carried first step)
 _MAX_STEPS = 100_000
 
+# each leg's absolute tolerance, relative to its relative one
+_ATOL_RATIO = 1e-2
 
-def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
+
+def solve_ivp(fun, t0, y0, t_eval, rtol):
     """y' = fun(t, y, out) from y(t0) = y0, with output at the increasing t_eval.
 
     fun writes y' at (t, y) into out, a float64 vector of y0's length, and
@@ -98,19 +103,19 @@ def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
     The stepper is Hairer's DOP853, scipy's compiled ``dopri853`` loaded by
     ``_dop853``, at the step-size limits of scipy's ``solve_ivp`` (growth at
     most 10x, shrink at least 0.2x per step).  It steps to each t_eval[i] in
-    turn, one leg at tolerances rtol[i], atol[i], so every output ends a
-    step.  A leg starts from the largest step that the leg before it
-    accepted (work[6], DOP853's WORK(7)), when that leg took three steps or
-    more; the first leg, and one after a leg of one or two steps, starts
-    from Hairer's first-step guess HINIT (work[6] = 0; Hairer, Norsett &
-    Wanner, Solving ODEs I, sec. II.4).  A fresh guess per leg cost 19,469
-    evaluations per perfbench flow pass, the carried step 16,744.  The legs
-    of one or two steps are left out because their steps are only the seed
-    and the remainder cut at the leg's end: carrying them froze the step on
-    dense grids, where M=1 on 1000 and 8000 geometric points to s=10 took
-    25,003 and 142,427 evaluations against 15,792 and 112,028 from fresh
-    guesses.  The legs share one work array: DOP853 leaves its settings,
-    work[0:21], as they are.
+    turn, one leg at tolerances rtol[i] and rtol[i] * _ATOL_RATIO (absolute),
+    so every output ends a step.  A leg starts from the largest step that
+    the leg before it accepted (work[6], DOP853's WORK(7)), when that leg
+    took three steps or more; the first leg, and one after a leg of one or
+    two steps, starts from Hairer's first-step guess HINIT (work[6] = 0;
+    Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  A fresh guess per
+    leg cost 19,469 evaluations per perfbench flow pass, the carried step
+    16,744.  The legs of one or two steps are left out because their steps
+    are only the seed and the remainder cut at the leg's end: carrying them
+    froze the step on dense grids, where M=1 on 1000 and 8000 geometric
+    points to s=10 took 25,003 and 142,427 evaluations against 15,792 and
+    112,028 from fresh guesses.  The legs share one work array: DOP853
+    leaves its settings, work[0:21], as they are.
 
     nfev counts the right-hand-side evaluations of every leg: DOP853's own
     count (NFCN, iwork[16]) less one per leg started from a carried step,
@@ -138,8 +143,9 @@ def solve_ivp(fun, t0, y0, t_eval, rtol, atol):
     record = np.zeros(n + 2)            # this call's own: solout's, then out
     record[0] = t0
     extra = (record[2:],)
-    for i, (t_next, leg_rtol, leg_atol) in enumerate(zip(t_eval, rtol, atol)):
-        t, y, code = _dop853()(fun, t, y, t_next, leg_rtol, leg_atol,
+    for i, (t_next, leg_rtol) in enumerate(zip(t_eval, rtol)):
+        t, y, code = _dop853()(fun, t, y, t_next, leg_rtol,
+                               leg_rtol * _ATOL_RATIO,
                                _step_output, 1, work, iwork, _MAX_STEPS,
                                -1, extra)
         # Hairer's IWORK(17), NFCN, which counts HINIT even when skipped
@@ -197,7 +203,7 @@ class FlowError(RuntimeError):
     """Integration or launch failure, with the offending quantity named."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HamiltonianState:
     """Phase-space point of the coupled system at abscissa s.
 
@@ -206,11 +212,11 @@ class HamiltonianState:
     physical branch x and y are purely imaginary while xi and eta are real.
     The flow stays on it exactly: its right-hand sides return exact zeros
     for Re x, Re y, Im xi and Im eta, so the imag_leakage monitor reads 0
-    by construction.  A state from ``integrate`` is row _row of its
-    trajectory's pass, and its u a read-only view of the pass's array; its
-    fields cannot be reassigned either, since the pass caches every result on
-    the row.  ``launch_state`` and ``replace`` make writable states outside
-    any pass.
+    by construction.  A state is frozen, row _row of a pass that caches
+    every result on the row, and u is a read-only view of the pass's array:
+    a state from ``integrate`` is a row of its trajectory's pass, any other
+    the one row of its own pass, over a read-only copy of the u it was
+    given.  Equality is identity, as the fields hold arrays.
     """
 
     s: float
@@ -220,41 +226,32 @@ class HamiltonianState:
     y: np.ndarray = field(init=False, repr=False)
     xi: np.ndarray = field(init=False, repr=False)
     eta: np.ndarray = field(init=False, repr=False)
-    _pass: "_Pass | None" = field(default=None, init=False, repr=False,
-                                  compare=False)
-    _row: int = field(default=0, init=False, repr=False, compare=False)
+    _pass: "_Pass" = field(init=False, repr=False)
+    _row: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.x, self.y, self.xi, self.eta = self.u.view(complex)[:-1].reshape(4, -1)
-
-    def __setattr__(self, name, value):
-        if self._pass is not None and name in _ROW_FIELDS:
-            raise FrozenInstanceError(
-                f"cannot assign to field {name!r}: this state is row "
-                f"{self._row} of its trajectory's pass, which caches the "
-                "row's results; dataclasses.replace makes a free copy")
-        object.__setattr__(self, name, value)
+        u = np.array([self.u], dtype=float)
+        u.setflags(write=False)
+        _bind([self], _Pass(self.params, [self.s], u))
 
     @classmethod
-    def _rows_of(cls, p: "_Pass", abscissas: list) -> list:
-        """The states of pass p's rows at the given abscissas, built without
-        ``__init__`` and so without running the guard above."""
-        views = p.u.view(complex)[:, :-1].reshape(len(p.u), 4, -1)
-        states = []
-        for i, (s, row, (x, y, xi, eta)) in enumerate(zip(abscissas, p.u, views)):
-            st = object.__new__(cls)
-            st.__dict__.update(s=s, u=row, params=p.params, x=x, y=y, xi=xi,
-                               eta=eta, _pass=p, _row=i)
-            states.append(st)
-        return states
+    def _rows_of(cls, p: "_Pass") -> list:
+        """The states of pass p's rows, built without ``__init__``."""
+        return _bind([object.__new__(cls) for _ in range(len(p.u))], p)
 
     @property
     def M(self) -> int:
         return self.params.M
 
 
-# the fields a pass-bound state may not reassign
-_ROW_FIELDS = frozenset({"s", "u", "params", "x", "y", "xi", "eta"})
+def _bind(states, p: "_Pass") -> list:
+    """Make states[i] row i of pass p, x, y, xi, eta views of its u."""
+    views = p.u.view(complex)[:, :-1].reshape(len(p.u), 4, -1)
+    for i, (st, s, row, (x, y, xi, eta)) in enumerate(
+            zip(states, p.s.tolist(), p.u, views)):
+        st.__dict__.update(s=s, u=row, params=p.params, x=x, y=y, xi=xi,
+                           eta=eta, _pass=p, _row=i)
+    return states
 
 
 @dataclass
@@ -289,9 +286,9 @@ class _Pass:
     """Abscissas s and real vectors u (one row each) evaluated once per evaluator.
 
     ``rows(evaluator)`` is the list of evaluator(pass)'s per-row results,
-    computed at the first ask.  Each state of a trajectory holds its pass;
-    the pass holds none of them, so no reference cycle keeps a trajectory
-    alive past its last reader.
+    computed at the first ask.  Each state holds its pass; the pass holds
+    none of its states, so no reference cycle keeps a trajectory alive past
+    its last reader.
     """
 
     def __init__(self, params, s, u):
@@ -305,15 +302,8 @@ class _Pass:
 
 
 def _read(state, evaluator):
-    """evaluator's result on state's row of its pass, or its refusal raised.
-
-    A state outside any pass is evaluated as a one-row pass of its own at
-    each read, so it reads its current values.
-    """
-    p = state._pass
-    if p is None:
-        p = _Pass(state.params, [state.s], state.u[None])
-    res = p.rows(evaluator)[state._row]
+    """evaluator's result on state's row of its pass, or its refusal raised."""
+    res = state._pass.rows(evaluator)[state._row]
     if isinstance(res, str):
         raise ValueError(res)
     return res
@@ -426,8 +416,8 @@ def _derivatives(p) -> list:
 def launch_state(params: HardEdgeParams, s0: float) -> HamiltonianState:
     """The certified launch state at s0, or a ``FlowError``.
 
-    Only nu=(0,0) and (0, -1/2, 0) launch; every other index set, or s0 > 1,
-    is refused before any work.  The state, log E(s0) in its slot u[-2]
+    Only nu=(0,0) and (0, -1/2, 0) launch; every other index set, s0 <= 0
+    or s0 > 1 is refused before any work.  The state, log E(s0) in its slot u[-2]
     included, comes from the Nystrom resolvent at ``fredholm``'s first node
     count, whose determinant ``fredholm_det`` refuses with its
     ``FloatingPointError``.
@@ -438,6 +428,8 @@ def launch_state(params: HardEdgeParams, s0: float) -> HamiltonianState:
             f"no certified launch at nu=({', '.join(f'{v:g}' for v in nu)}): "
             "only nu=(0,0) and (0,-1/2,0) launch (the other nu wait for "
             "ROADMAP item 2, step 2)")
+    if s0 <= 0:
+        raise ValueError("s0 must be positive: the system is singular at s = 0")
     # gap_probability_hardedge's first node count: 32 nodes move the launch
     # state by at most 1.2e-12 relative at s0 in [1e-8, 1], the range measured
     if not s0 <= 1.0:
@@ -490,8 +482,8 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
     integrated in one stepper pass, leg by leg, at tolerances graded below
     tol near the launch.  The states are read-only views of the rows of one
     ``_Pass``: the launch row, then the output rows.  The first-integral gate
-    runs twice, with one text: on the launch state, a one-row pass, before
-    any integration, and on every row of the trajectory's pass after it; a
+    runs twice, with one text: on the launch state's own pass before any
+    integration, and on every row of the trajectory's pass after it; a
     drift above 100*tol refuses the trajectory with the offending integral
     named.
     """
@@ -505,27 +497,23 @@ def integrate(params: HardEdgeParams, s0: float, s_targets,
         raise ValueError("s_targets must be strictly increasing")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}]")
-    if not s0 > 0:
-        raise ValueError("s0 must be positive: the system is singular at s = 0")
     if s0 >= s_targets[0]:
         raise ValueError("s0 must precede the first target")
     state0 = launch_state(params, s0)
-    _gate_first_integrals(_Pass(params, [state0.s], state0.u[None]), tol)
+    _gate_first_integrals(state0._pass, tol)
 
     # legs end at every target and at the grade edges the pass crosses
     ends = sorted({*s_targets, *(e for e in _GRADE_EDGES
                                  if s0 < e < s_targets[-1])})
     rtol = [max(tol * _GRADE_FACTORS[bisect.bisect_left(_GRADE_EDGES, s)],
                 _TOL_MIN * 0.1) for s in ends]
-    sol = solve_ivp(_RHS[params.M], s0, state0.u, ends, rtol,
-                    [r * 1e-2 for r in rtol])
+    sol = solve_ivp(_RHS[params.M], s0, state0.u, ends, rtol)
     targets = set(s_targets)
     u = np.vstack([state0.u, sol.y[[s in targets for s in ends]]])
     u.setflags(write=False)
-    abscissas = [state0.s, *s_targets]
-    p = _Pass(params, abscissas, u)
+    p = _Pass(params, [state0.s, *s_targets], u)
     _gate_first_integrals(p, tol)
-    return Trajectory(params=params, states=HamiltonianState._rows_of(p, abscissas),
+    return Trajectory(params=params, states=HamiltonianState._rows_of(p),
                       tol=tol, nfev=sol.nfev)
 
 

@@ -21,7 +21,9 @@ relation that pins eta_0 down:
 
 Residuals are normalized by the largest absolute summand of each relation so
 tolerances are scale-free in s.  Everything here is a pure function of a
-``ResolventJet``; building jets from trajectories lives in hamiltonian_flow.
+``ResolventJet``, except ``appendix_recover``, which takes a flow state and
+compares the formulas on its jet with the state's own variables; building
+jets from states lives in hamiltonian_flow.
 """
 
 from __future__ import annotations

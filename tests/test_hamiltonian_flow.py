@@ -20,7 +20,7 @@ from hardedge.kernels import HardEdgeParams
 from hardedge.fredholm import gap_probability_hardedge
 from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
-from hardedge.verification import integrate_case, verify
+from hardedge.verification import integrate_case, jet_residuals, verify
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -83,6 +83,15 @@ def _launch_vector(state):
     return np.concatenate([state.x, state.y, state.xi, state.eta, [state.u[-2]]])
 
 
+def _nudged(st, name, i, delta):
+    """A new state: st with entry i of its x, y, xi or eta (name) moved by
+    delta, on a copy of its vector."""
+    u = st.u.copy()
+    u.view(complex)[:-1].reshape(4, -1)[("x", "y", "xi", "eta").index(name),
+                                        i] += delta
+    return dataclasses.replace(st, u=u)
+
+
 def _max_relative(a, b):
     """max |a - b| over the largest |b|: normwise, as the state's small
     components carry no relative accuracy of their own."""
@@ -118,6 +127,19 @@ def test_launch_refused_past_its_measured_range(case, params_m1, params_m2,
         with pytest.raises(flow.FlowError, match=r"^no launch at s0=\S+: "
                                                  r"measured only to s0 = 1$"):
             flow.launch_state(params, s0)
+
+
+@pytest.mark.parametrize("s0", [0.0, -1e-3])
+@pytest.mark.parametrize("case", ["m1", "m2"])
+def test_launch_refuses_nonpositive_s0_before_any_work(case, s0, params_m1,
+                                                       params_m2, monkeypatch):
+    # the system is singular at s = 0: launch_state refuses s0 <= 0 with
+    # integrate's text before the resolvent, not inside the rule
+    monkeypatch.setattr(flow, "_resolvent_state", _no_work)
+    monkeypatch.setattr(flow, "build_kernel_bundle", _no_work)
+    with pytest.raises(ValueError, match="^s0 must be positive: the system "
+                                         "is singular at s = 0$"):
+        flow.launch_state(params_m1 if case == "m1" else params_m2, s0)
 
 
 def _run_fresh(code):
@@ -309,14 +331,16 @@ def test_rhs_unpacks_the_nonzero_parts(case, params_m1, params_m2):
                                         ("xi", "imag"), ("eta", "imag")])
 def test_rhs_refuses_a_state_off_the_physical_branch(name, part, params_m2):
     # the real form reads only Im x, Im y, Re xi, Re eta: a state with any
-    # other part nonzero is refused with the component named, not truncated
+    # other part nonzero is refused with the component named, not truncated;
+    # the state it was built from still reads its own right-hand side
     st = flow.launch_state(params_m2, 1e-5)
-    flow.rhs(st)
-    getattr(getattr(st, name), part)[1] = 1e-3
+    before = flow.rhs(st)
+    off = _nudged(st, name, 1, 1e-3 if part == "real" else 1e-3j)
     label = ("Re " if part == "real" else "Im ") + name
     with pytest.raises(ValueError, match=f"^off the physical branch: "
                                          f"{label}1 = 0.001, not 0$"):
-        flow.rhs(st)
+        flow.rhs(off)
+    assert repr(flow.rhs(st)) == repr(before)
 
 
 def _reference_real(s, u, out):
@@ -365,9 +389,8 @@ def test_nfev_counts_every_rhs_call(nu, monkeypatch):
 
 
 def test_rhs_rejects_s_zero(params_m1):
-    st = flow.launch_state(params_m1, 1e-5)
-    st.s = 0.0
-    with pytest.raises(ValueError):
+    st = dataclasses.replace(flow.launch_state(params_m1, 1e-5), s=0.0)
+    with pytest.raises(ValueError, match="^the system is singular at s = 0$"):
         flow.rhs(st)
 
 
@@ -511,9 +534,7 @@ def test_gate_refuses_launch_off_its_integrals(params_m2, monkeypatch):
     launch_state = flow.launch_state
 
     def nudged(params, s0):
-        st = launch_state(params, s0)
-        st.eta[0] += 1e-6
-        return st
+        return _nudged(launch_state(params, s0), "eta", 0, 1e-6)
 
     monkeypatch.setattr(flow, "launch_state", nudged)
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
@@ -526,8 +547,8 @@ def test_gate_refuses_drift_at_one_output_state(params_m2, monkeypatch):
     # a drift in one output state refuses the trajectory and names its s
     solve_ivp = flow.solve_ivp
 
-    def drifted(fun, t0, y0, t_eval, rtol, atol):
-        sol = solve_ivp(fun, t0, y0, t_eval, rtol, atol)
+    def drifted(fun, t0, y0, t_eval, rtol):
+        sol = solve_ivp(fun, t0, y0, t_eval, rtol)
         sol.y[t_eval.index(0.5)].view(complex)[9] += 1e-6     # eta_0, M=2
         return sol
 
@@ -568,7 +589,7 @@ def test_stepper_failure_names_dop853_return_code(params_m1, monkeypatch):
         warnings.simplefilter("always")
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
             flow.solve_ivp(_blow_up, 0.0, np.array([1.0]), t_eval=[0.5, 2.0],
-                           rtol=[1e-8, 1e-8], atol=[1e-10, 1e-10])
+                           rtol=[1e-8, 1e-8])
         monkeypatch.setitem(flow._RHS, 1, _blow_up)
         with pytest.raises(flow.FlowError, match=f"^{message}$"):
             flow.integrate(params_m1, 1e-5, [1e-4, 2.0])
@@ -816,44 +837,66 @@ def _per_state(st):
                          ids=["m1", "m2"])
 def test_pass_rows_match_states_evaluated_alone(nu):
     # each per-state result read off the trajectory's pass, the launch row
-    # included, is bit for bit that of a copy of the state outside any pass,
-    # evaluated as a one-row pass of its own
+    # included, is bit for bit that of a copy of the state, the one row of a
+    # pass of its own
     params = HardEdgeParams.from_nu(nu)
     traj = flow.integrate(params, 1e-5, _PIN_GRID)
     p = traj.states[0]._pass
     assert all(st._pass is p and st.u.base is p.u for st in traj.states)
     for st in traj.states:
-        alone = dataclasses.replace(st, u=st.u.copy())
-        assert alone._pass is None
+        alone = dataclasses.replace(st)
+        assert alone._pass is not p and len(alone._pass.u) == 1
         assert repr(_per_state(st)) == repr(_per_state(alone))
-    # a trajectory's states are read-only; a nudged copy reads its new values
+    # a trajectory's states are read-only; a nudged state reads its own
+    # values, as does a copy of it
     st = traj.states[5]
     with pytest.raises(ValueError, match="read-only"):
         st.eta[0] += 1e-6
-    nudged = dataclasses.replace(st, u=st.u.copy())
-    before = _per_state(nudged)
-    nudged.eta[0] += 1e-6
+    nudged = _nudged(st, "eta", 0, 1e-6)
     after = _per_state(nudged)
-    assert repr(after) != repr(before)
-    assert repr(after) == repr(
-        _per_state(dataclasses.replace(nudged, u=nudged.u.copy())))
+    assert repr(after) != repr(_per_state(st))
+    assert repr(after) == repr(_per_state(dataclasses.replace(nudged)))
 
 
 def test_pass_bound_states_refuse_reassignment():
-    # a trajectory's state reads its pass row's cached results, so a new s,
-    # params or u would be read with the old values: each is refused by name
+    # every state reads its pass row's cached results, so a new s, params or
+    # u, or a write into u, x, y, xi or eta, would be read with the old
+    # values: each is refused, a field by name, whether the state comes from
+    # integrate, launch_state, the constructor or replace.  A replace with a
+    # new s reads its new values
     params = HardEdgeParams.from_nu((0.0, 0.0))
     traj = flow.integrate(params, 1e-5, [1e-4, 0.5])
     st = traj.states[1]
-    for name, value in (("s", 0.0), ("params", params), ("u", st.u.copy())):
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
-            setattr(st, name, value)
-    assert st.s == 1e-4 and st.u.base is st._pass.u
-    # free states stay assignable and read their new values
-    for free in (flow.launch_state(params, 1e-4), dataclasses.replace(st)):
-        free.s = 0.0
+    given = st.u.copy()
+    built = flow.HamiltonianState(st.s, given, params)
+    given[:] = 0.0
+    assert np.array_equal(built.u, st.u)
+    for state in (st, flow.launch_state(params, 1e-4), built,
+                  dataclasses.replace(st)):
+        for name, value in (("s", 0.0), ("params", params),
+                            ("u", state.u.copy()), ("eta", state.eta.copy())):
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"'{name}'"):
+                setattr(state, name, value)
+        for name in ("u", "x", "y", "xi", "eta"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(state, name)[0] = 0.0
+        assert state.s == 1e-4 and state.u.base is state._pass.u
         with pytest.raises(ValueError, match="singular at s = 0"):
-            flow.rhs(free)
+            flow.rhs(dataclasses.replace(state, s=0.0))
+        flow.rhs(state)
+
+
+def test_states_compare_by_identity(traj_m2):
+    # a state equals itself alone: its fields hold arrays, which the
+    # generated equality could not compare, and it hashes
+    st = traj_m2.states[3]
+    copy = dataclasses.replace(st)
+    assert st == st and copy != st and not copy == st
+    assert hash(st) == hash(st) and len({st, copy, st}) == 2
+    assert traj_m2.states.index(st) == 3
+    with pytest.raises(ValueError, match="not in list"):
+        traj_m2.states.index(copy)
 
 
 @pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
@@ -872,6 +915,17 @@ def test_trajectory_freed_by_reference_counting(nu):
         gc.enable()
 
 
+def _counted_rows(monkeypatch, names):
+    """name -> the row count of each call of the evaluator flow.<name>."""
+    rows = {name: [] for name in names}
+    for name, calls in rows.items():
+        def counted(p, evaluator=getattr(flow, name), calls=calls):
+            calls.append(len(p.s))
+            return evaluator(p)
+        monkeypatch.setattr(flow, name, counted)
+    return rows
+
+
 @pytest.mark.parametrize("case", ["m1", "m2-special"])
 def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
     # the first integrals run on the launch row alone (the launch gate) and
@@ -879,19 +933,25 @@ def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
     # residuals and the right-hand sides once on every row; at M=2 the eta_0
     # jets too, which verify's jet checks and appendix_recover both read.
     # verify and the CSV only read rows
-    rows = {name: [] for name in ("_first_integrals", "_structural",
-                                  "_derivatives", "_jets")}
-    for name, calls in rows.items():
-        def counted(p, evaluator=getattr(flow, name), calls=calls):
-            calls.append(len(p.s))
-            return evaluator(p)
-        monkeypatch.setattr(flow, name, counted)
+    rows = _counted_rows(monkeypatch, ("_first_integrals", "_structural",
+                                       "_derivatives", "_jets"))
     traj = integrate_case(case)
     verify(traj)
     flow.trajectory_csv(traj)
     n = len(traj.states)
     assert rows == {"_first_integrals": [1, n], "_structural": [n],
                     "_derivatives": [n], "_jets": [n] if case != "m1" else []}
+
+
+def test_state_outside_a_trajectory_is_evaluated_once(params_m2, monkeypatch):
+    # a launch state is the one row of its own pass: reading its jet
+    # residuals twice (each read takes the jet twice, for the quartic and
+    # for appendix_recover) evaluates its right-hand side and its jet once
+    rows = _counted_rows(monkeypatch, ("_derivatives", "_jets"))
+    st = flow.launch_state(params_m2, 0.5)
+    first, again = jet_residuals(st), jet_residuals(st)
+    assert repr(first) == repr(again)
+    assert rows == {"_derivatives": [1], "_jets": [1]}
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +1010,7 @@ def test_jets_match_the_complex_scalar_reference(params_m2):
     # passes at four tolerances and on launch states; F is radical_F's
     passes = [flow.integrate(params_m2, 1e-5, _PIN_GRID, tol=tol).states[0]._pass
               for tol in (1e-6, 1e-8, 1e-10, 1e-12)]
-    passes += [flow._Pass(params_m2, [s0], flow.launch_state(params_m2, s0).u[None])
+    passes += [flow.launch_state(params_m2, s0)._pass
                for s0 in (1e-5, 0.05, 0.3, 1.0)]
     rows = 0
     for p in passes:
@@ -974,12 +1034,13 @@ def test_eta_derivatives_refusals_keep_their_texts(params_m2):
     # it is read: eta_0' = -x0 y2 vanishes with x0, and a state off the
     # physical branch keeps the right-hand side's refusal
     st = flow.launch_state(params_m2, 1e-5)
-    st.x[0] = 0.0
+    st = _nudged(st, "x", 0, -st.x[0])
+    assert st.x[0] == 0.0
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^eta_0' vanished; the jet is "
                                              r"undefined$"):
             flow.eta_derivatives(st)
-    st.xi[1] += 1e-3j
+    st = _nudged(st, "xi", 1, 1e-3j)
     with pytest.raises(ValueError, match=r"^off the physical branch: "
                                          r"Im xi1 = 0.001, not 0$"):
         flow.eta_derivatives(st)
@@ -1027,9 +1088,9 @@ def test_trajectory_csv_round_trip(traj_m2):
 @pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
                          ids=["m1", "m2"])
 def test_state_is_one_row_of_the_stepper(nu):
-    # x, y, xi, eta are complex views of the stepper's vector u: a write to
-    # a copy's eta shows in its u and in rhs; log_gap and each CSV row read
-    # u as it is
+    # x, y, xi, eta are complex views of the stepper's vector u: a state
+    # built on a u with eta_0 moved shows the move in its eta and in rhs;
+    # log_gap and each CSV row read u as it is
     params = HardEdgeParams.from_nu(nu)
     traj = flow.integrate(params, 1e-5, [1e-4, 0.5, 2.0])
     m1 = params.M + 1
@@ -1044,13 +1105,14 @@ def test_state_is_one_row_of_the_stepper(nu):
     for row, st, res in zip(rows, traj.states, residuals):
         want = [st.s, *st.u[:-2], st.u[-2], *(res[r] for r in names)]
         assert row == ",".join(f"{v:.17g}" for v in want)
-    st = dataclasses.replace(traj.states[2], u=traj.states[2].u.copy())
+    st = traj.states[2]
     before = np.array(flow.rhs(st)[1])
     eta_slot = 2 * 3 * m1                  # Re eta_0 in u
-    u0 = st.u[eta_slot]
-    st.eta[0] += 0.25
-    assert st.u[eta_slot] == u0 + 0.25
-    assert flow.HamiltonianState(st.s, st.u, params).eta[0] == st.eta[0]
+    u = st.u.copy()
+    u[eta_slot] += 0.25
+    st = flow.HamiltonianState(st.s, u, params)
+    assert st.eta[0] == traj.states[2].eta[0] + 0.25
+    assert np.shares_memory(st.eta, st.u)
     # eta_0 enters dy_0/ds as eta_0 y_0 / s
     assert np.array_equal(flow.rhs(st)[1][1:], before[1:])
     assert flow.rhs(st)[1][0] == pytest.approx(

@@ -8,10 +8,10 @@ from hardedge.verification import verify
 
 
 def _nudged(st):
-    """st with eta_0 moved by 1e-6, on a copy of its vector."""
-    out = dataclasses.replace(st, u=st.u.copy())
-    out.eta[0] += 1e-6
-    return out
+    """A new state: st with eta_0 moved by 1e-6, on a copy of its vector."""
+    u = st.u.copy()
+    u.view(complex)[:-1].reshape(4, -1)[3, 0] += 1e-6      # eta_0
+    return dataclasses.replace(st, u=u)
 
 
 def test_nudged_state_fails_where_nudged(traj_m2):
