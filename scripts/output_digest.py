@@ -8,8 +8,8 @@ outputs are the same bits.  Every family hashes values and refusal texts
 alike, so a moved refusal shows too.
 
 - trajectories: ``integrate`` at both certified index sets, three
-  tolerances and grids that cross the grade edges 0.1 and 2.0 (states,
-  log_gap, nfev);
+  tolerances and grids that cross the resolvent handover at 0.1 and the
+  grade edge 2.0 (states, log_gap, nfev);
 - gap_hardedge: ``gap_probability_hardedge`` on an index-set x s grid that
   holds node-cap and lost-positivity refusals;
 - gap_mb: ``gap_probability_mb`` at c = 0, 1, 2, the r = 15.5 refusal

@@ -27,9 +27,9 @@ from .kernels import (KernelBundle, MBParams, build_kernel_bundle,  # noqa: F401
                       kernel_matrix, borodin_factor_tables, borodin_kernel_matrix,
                       _ARG_MAX)
 
-__all__ = ["QuadratureRule", "make_rule", "hardedge_rule", "fredholm_det",
-           "GapPoint", "gap_probability_mb", "mb_logdet_column",
-           "gap_probability_hardedge", "NonConvergedError"]
+__all__ = ["QuadratureRule", "make_rule", "hardedge_rule", "hardedge_rules",
+           "fredholm_det", "GapPoint", "gap_probability_mb",
+           "mb_logdet_column", "gap_probability_hardedge", "NonConvergedError"]
 
 # node doubling runs from _N_START up to the cap _N_MAX
 _N_START = 16
@@ -72,17 +72,33 @@ def make_rule(n: int, b: float) -> QuadratureRule:
         raise ValueError("n must be >= 2")
     if not b > 0:
         raise ValueError("need b > 0")
+    return QuadratureRule(n, *_mapped(n, b))
+
+
+def _mapped(n: int, b):
+    """(nodes, weights) of the n-point rule mapped to (0, b); a column b of
+    shape (k, 1) maps k rules at once, row i with the bits of b[i]'s."""
     x, w = _reference_rule(n)
-    return QuadratureRule(n, 0.5 * b * x + 0.5 * b, 0.5 * b * w)
+    return 0.5 * b * x + 0.5 * b, 0.5 * b * w
 
 
 def hardedge_rule(n: int, s: float) -> tuple:
     """(rule, x, jac): the n-point rule on t in (0, 2 sqrt(s)), x = (t/2)^2 on
     (0, s) and the Jacobian t/2 that K(x, x) takes on its columns; the one
-    discretization of ``gap_probability_hardedge`` and the flow's launch."""
+    discretization of ``gap_probability_hardedge`` and the flow's resolvent
+    (which takes it for many s at once from ``hardedge_rules``)."""
     rule = make_rule(n, 2.0 * math.sqrt(s))
     half = rule.nodes / 2.0
     return rule, half ** 2, half
+
+
+def hardedge_rules(n: int, ss) -> tuple:
+    """(weights, x, jac) of ``hardedge_rule(n, s)`` for every s > 0 in ss, each
+    of shape (len(ss), n), row i with the bits of the rule at ss[i]."""
+    b = 2.0 * np.sqrt(np.asarray(ss, dtype=float))[:, None]
+    nodes, weights = _mapped(n, b)
+    half = nodes / 2.0
+    return weights, half ** 2, half
 
 
 def _checked_logdet(sign, logdet) -> float:

@@ -226,14 +226,19 @@ def kernel_matrix(bundle: KernelBundle, xs: np.ndarray, ys: np.ndarray) -> np.nd
 
 
 def _kernel_from_rows(xs, ys, phi, dphi, psi) -> np.ndarray:
-    """``kernel_matrix`` from ``bundle.evaluate`` at xs, or at xs then ys."""
-    nx = len(xs)
-    psi_x, psi_y = psi[:, :nx], (psi[:, nx:] if psi.shape[1] > nx else psi)
-    diag = np.sum(dphi[:, :nx] * psi_x, axis=0)
-    diff = xs[:, None] - ys[None, :]
-    near = np.abs(diff) < _DIAG_DELTA * np.maximum(xs[:, None], ys[None, :])
-    K = (phi[:, :nx].T @ psi_y) / np.where(near, 1.0, diff)
-    return np.where(near, diag[:, None], K)
+    """``kernel_matrix`` from ``bundle.evaluate`` at xs, or at xs then ys.
+
+    Leading axes batch: xs (..., nx), ys (..., ny) and phi, dphi, psi
+    (..., M+1, columns) give one (..., nx, ny) matrix per batch entry, each
+    with the bits of its own unbatched call."""
+    nx = xs.shape[-1]
+    psi_x, psi_y = psi[..., :nx], (psi[..., nx:] if psi.shape[-1] > nx else psi)
+    diag = np.sum(dphi[..., :nx] * psi_x, axis=-2)
+    diff = xs[..., :, None] - ys[..., None, :]
+    near = np.abs(diff) < _DIAG_DELTA * np.maximum(xs[..., :, None],
+                                                   ys[..., None, :])
+    K = (np.swapaxes(phi[..., :nx], -1, -2) @ psi_y) / np.where(near, 1.0, diff)
+    return np.where(near, diag[..., :, None], K)
 
 
 @dataclass(frozen=True)

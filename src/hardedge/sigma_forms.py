@@ -261,7 +261,15 @@ def _pipeline_solve(jet: ResolventJet):
              + h * xi2 * x1y1 + d1 * delta ** 2)
     A[3] = [c_xi0, c_xi1, c_eta1, c_eta2]
     rhs[3] = -const
-    sol = np.linalg.solve(A, rhs)
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        # an exact zero pivot.  On the flow at nu=(0,-1/2,0), c_xi0 =
+        # -c_eta2 and c_xi1 + c_eta1 vanish to rounding (|c_xi0| <= ~30 ulp),
+        # so row 3 is -c_xi1 times row 0 and det(A) is rounding; where it
+        # rounds to 0 the least-squares solution keeps sol finite and the
+        # pipeline value, det(A) times it, is 0
+        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
     detA = float(np.linalg.det(A))
     return sol, detA, (F, U, V, W, Z)
 

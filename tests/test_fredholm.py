@@ -107,6 +107,19 @@ def test_cached_rule_equals_direct_build(n):
             assert np.array_equal(rule.weights, 0.5 * (L - 0.0) * w)
 
 
+def test_batched_hardedge_rules_keep_every_bit():
+    # hardedge_rules scales the reference rule for many s at once; row i is
+    # hardedge_rule(n, ss[i])'s weights, nodes x and Jacobian, bit for bit
+    ss = np.geomspace(1e-8, 12.0, 37)
+    for n in (16, 64):
+        weights, x, jac = fredholm.hardedge_rules(n, ss)
+        assert weights.shape == x.shape == jac.shape == (len(ss), n)
+        for s, row in zip(ss, zip(weights, x, jac)):
+            rule, xs, js = fredholm.hardedge_rule(n, float(s))
+            for got, want in zip(row, (rule.weights, xs, js)):
+                assert got.tobytes() == want.tobytes()
+
+
 def test_zero_kernel_determinant():
     rule = make_rule(12, 2.0)
     logdet = fredholm_det(np.zeros((12, 12)), rule)

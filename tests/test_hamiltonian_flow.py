@@ -17,7 +17,8 @@ import pytest
 
 import hardedge
 from hardedge.kernels import HardEdgeParams
-from hardedge.fredholm import gap_probability_hardedge
+from hardedge.fredholm import (fredholm_det, gap_probability_hardedge,
+                               hardedge_rule)
 from hardedge import hamiltonian_flow as flow
 from hardedge.cli import main
 from hardedge.verification import integrate_case, jet_residuals, verify
@@ -58,7 +59,7 @@ def test_uncertified_launch_refused_before_any_work(nu, monkeypatch, tmp_path):
     monkeypatch.setattr(flow, "_first_integrals", _no_work)
     monkeypatch.setattr(flow, "first_integral_residuals", _no_work)
     monkeypatch.setattr(flow, "build_kernel_bundle", _no_work)
-    monkeypatch.setattr(flow, "_resolvent_state", _no_work)
+    monkeypatch.setattr(flow, "_resolvent_rows", _no_work)
     match = (r"no certified launch at nu=\(" + ", ".join(f"{v:g}" for v in nu)
              + r"\): only nu=\(0,0\) and \(0,-1/2,0\) launch")
     for s0, tol in ((1e-5, 1e-10), (1e-12, 1e-6)):
@@ -113,7 +114,8 @@ def test_launch_at_16_nodes_matches_32(case, s0, params_m1, params_m2):
     # the node count is pinned: doubling it moves no launch state
     params = params_m1 if case == "m1" else params_m2
     got = _launch_vector(flow.launch_state(params, s0))
-    ref = _launch_vector(flow._resolvent_state(params, s0, 32))
+    ref = _launch_vector(flow.HamiltonianState(
+        s0, flow._resolvent_rows(params, [s0], 32)[0], params))
     assert _max_relative(got, ref) <= 1e-11
 
 
@@ -122,11 +124,28 @@ def test_launch_refused_past_its_measured_range(case, params_m1, params_m2,
                                                 monkeypatch):
     # the 16-node count is measured for s0 <= 1 only; past it, no state
     params = params_m1 if case == "m1" else params_m2
-    monkeypatch.setattr(flow, "_resolvent_state", _no_work)
-    for s0 in (1.5, 10.0, float("nan")):
+    monkeypatch.setattr(flow, "_resolvent_rows", _no_work)
+    for s0 in (1.5, 10.0):
         with pytest.raises(flow.FlowError, match=r"^no launch at s0=\S+: "
                                                  r"measured only to s0 = 1$"):
             flow.launch_state(params, s0)
+
+
+@pytest.mark.parametrize("case", ["m1", "m2"])
+def test_launch_refuses_non_finite_s0_before_any_work(case, params_m1,
+                                                      params_m2, monkeypatch):
+    # a NaN or infinite s0 is a usage error (ValueError), refused by
+    # launch_state and integrate before the resolvent, not a numerical
+    # refusal (FlowError) of the measured range
+    params = params_m1 if case == "m1" else params_m2
+    monkeypatch.setattr(flow, "_resolvent_rows", _no_work)
+    monkeypatch.setattr(flow, "build_kernel_bundle", _no_work)
+    monkeypatch.setattr(flow, "solve_ivp", _no_work)
+    for s0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^s0 must be finite, got {s0}$"):
+            flow.launch_state(params, s0)
+    with pytest.raises(ValueError, match="^s0 must be finite, got nan$"):
+        flow.integrate(params, math.nan, [1e-4, 1.0])
 
 
 @pytest.mark.parametrize("s0", [0.0, -1e-3])
@@ -135,7 +154,7 @@ def test_launch_refuses_nonpositive_s0_before_any_work(case, s0, params_m1,
                                                        params_m2, monkeypatch):
     # the system is singular at s = 0: launch_state refuses s0 <= 0 with
     # integrate's text before the resolvent, not inside the rule
-    monkeypatch.setattr(flow, "_resolvent_state", _no_work)
+    monkeypatch.setattr(flow, "_resolvent_rows", _no_work)
     monkeypatch.setattr(flow, "build_kernel_bundle", _no_work)
     with pytest.raises(ValueError, match="^s0 must be positive: the system "
                                          "is singular at s = 0$"):
@@ -529,18 +548,21 @@ def test_integrate_validates_inputs(params_m2):
 
 
 def test_gate_refuses_launch_off_its_integrals(params_m2, monkeypatch):
-    # a launch state nudged off its integrals is refused before integration,
-    # with the integral and the launch abscissa named
-    launch_state = flow.launch_state
-
-    def nudged(params, s0):
-        return _nudged(launch_state(params, s0), "eta", 0, 1e-6)
-
-    monkeypatch.setattr(flow, "launch_state", nudged)
+    # a resolvent row nudged off its integrals (the launch, a target up to
+    # 0.1 or the handover row at 0.1) is refused before integration, with the
+    # integral and the row's abscissa named
+    resolvent_rows = flow._resolvent_rows
     monkeypatch.setattr(flow, "solve_ivp", _no_work)
-    with pytest.raises(flow.FlowError,
-                       match=r"^first-integral blow-up: \w+@s=1e-05 reached "):
-        flow.integrate(params_m2, 1e-5, [1e-4, 1.0])
+    for row, named in ((0, "1e-05"), (1, "0.0001"), (2, "0.1")):
+        def nudged(params, ss, n, row=row):
+            rows = resolvent_rows(params, ss, n)
+            rows.view(complex)[row, 9] += 1e-6             # eta_0, M=2
+            return rows
+
+        monkeypatch.setattr(flow, "_resolvent_rows", nudged)
+        with pytest.raises(flow.FlowError, match=r"^first-integral blow-up: "
+                                                 rf"\w+@s={named} reached "):
+            flow.integrate(params_m2, 1e-5, [1e-4, 1.0])
 
 
 def test_gate_refuses_drift_at_one_output_state(params_m2, monkeypatch):
@@ -570,8 +592,9 @@ _DOP853_FAILURE = (r"integrator failed: DOP853 return code -3 at t={}: step "
 def test_integrator_failure_is_a_flow_error(params_m2, monkeypatch, tmp_path,
                                             capsys):
     # a failed DOP853 leg raises FlowError, and ode exits 1 with one error
-    # line: the M=2 launch state's y2 = 315i blows up at s ~ 3.2e-3
-    message = _DOP853_FAILURE.format(r"0\.00318\d*")
+    # line: the legs start from the M=2 resolvent state at s = 0.1, whose
+    # y2 = 2.15i blows up at s ~ 0.565
+    message = _DOP853_FAILURE.format(r"0\.5645\d*")
     monkeypatch.setitem(flow._RHS, 2, _blow_up)
     with pytest.raises(flow.FlowError, match=f"^{message}$"):
         flow.integrate(params_m2, 1e-5, [1e-4, 1.0])
@@ -583,30 +606,29 @@ def test_integrator_failure_is_a_flow_error(params_m2, monkeypatch, tmp_path,
 def test_stepper_failure_names_dop853_return_code(params_m1, monkeypatch):
     # the real stepper on a blow-up raises FlowError with DOP853's code -3
     # (step size becomes too small) and no warning; so does integrate, whose
-    # state has a unit real component
-    message = _DOP853_FAILURE.format(r"1\.0\d*")
+    # legs start at s = 0.1 from a state with a unit real component
+    from_zero = _DOP853_FAILURE.format(r"1\.0\d*")
+    from_handover = _DOP853_FAILURE.format(r"1\.1\d*")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(flow.FlowError, match=f"^{message}$"):
+        with pytest.raises(flow.FlowError, match=f"^{from_zero}$"):
             flow.solve_ivp(_blow_up, 0.0, np.array([1.0]), t_eval=[0.5, 2.0],
                            rtol=[1e-8, 1e-8])
         monkeypatch.setitem(flow._RHS, 1, _blow_up)
-        with pytest.raises(flow.FlowError, match=f"^{message}$"):
+        with pytest.raises(flow.FlowError, match=f"^{from_handover}$"):
             flow.integrate(params_m1, 1e-5, [1e-4, 2.0])
     assert not caught, [str(w.message) for w in caught]
 
 
-def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
-    # one stepper pass per trajectory, with one DOP853 leg per target and
-    # per grade edge crossed, each at its graded tolerance; Trajectory.nfev
-    # sums the legs' own counts, less the first-step guess DOP853 counts but
-    # skips on a leg started from a carried step.  The legs share one work
-    # array, whose settings work[0:21] DOP853 leaves as they are
+def _recorded_legs(monkeypatch):
+    """(passes, legs): each solve_ivp call's (t0, t_eval) and each DOP853
+    leg's (start, end, rtol, evaluations less a skipped first-step guess),
+    checking that every leg leaves the settings work[0:21] as they are."""
     passes, legs = [], []
     solve_ivp, dop853 = flow.solve_ivp, flow._dop853()
 
     def counted(*args):
-        passes.append(list(args[3]))
+        passes.append((args[1], list(args[3])))
         return solve_ivp(*args)
 
     def leg(fun, t, y, t_next, rtol, atol, solout, iout, work, iwork, *rest):
@@ -614,18 +636,72 @@ def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
         out = dop853(fun, t, y, t_next, rtol, atol, solout, iout, work,
                      iwork, *rest)
         assert np.array_equal(work[:21], settings)
-        legs.append((t_next, rtol, int(iwork[16]) - (settings[6] != 0.0)))
+        legs.append((t, t_next, rtol,
+                     int(iwork[16]) - (settings[6] != 0.0)))
         return out
 
     monkeypatch.setattr(flow, "solve_ivp", counted)
     monkeypatch.setattr(flow, "_dop853", lambda: leg)
+    return passes, legs
+
+
+def test_trajectory_nfev_sums_its_legs(params_m2, monkeypatch):
+    # one stepper pass per trajectory, from the resolvent state at s = 0.1,
+    # with one DOP853 leg per target past it and per grade edge crossed, each
+    # at its graded tolerance; Trajectory.nfev sums the legs' own counts,
+    # less the first-step guess DOP853 counts but skips on a leg started from
+    # a carried step.  The legs share one work array, whose settings
+    # work[0:21] DOP853 leaves as they are
+    passes, legs = _recorded_legs(monkeypatch)
     traj = flow.integrate(params_m2, 1e-5, [0.05, 1.0, 3.0], tol=1e-8)
-    assert passes == [[0.05, 0.1, 1.0, 2.0, 3.0]]
-    assert [t for t, _, _ in legs] == passes[0]
-    assert [r / 1e-8 for _, r, _ in legs] == pytest.approx(
-        [1e-4, 1e-4, 1e-2, 1e-2, 1.0])
-    assert min(n for _, _, n in legs) > 0
-    assert traj.nfev == sum(n for _, _, n in legs)
+    assert passes == [(0.1, [1.0, 2.0, 3.0])]
+    assert [t for _, t, _, _ in legs] == passes[0][1]
+    assert [r / 1e-8 for _, _, r, _ in legs] == pytest.approx(
+        [1e-2, 1e-2, 1.0])
+    assert min(n for _, _, _, n in legs) > 0
+    assert traj.nfev == sum(n for _, _, _, n in legs)
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_states_up_to_the_handover_are_resolvent_rows(nu, monkeypatch):
+    # the launch state and every state at a target s <= 0.1 is
+    # launch_state's state at its s, bit for bit, and no DOP853 leg ends at
+    # or below 0.1: the first starts there, from the resolvent row
+    params = HardEdgeParams.from_nu(nu)
+    passes, legs = _recorded_legs(monkeypatch)
+    dense = np.geomspace(1e-4, 0.2, 600)   # 545 targets, 9 batches, to 0.1
+    for s0, grid in ((1e-5, _PIN_GRID), (1e-5, [1e-4, 0.05, 0.1, 0.5]),
+                     (1e-3, [0.01, 0.2]), (0.05, [0.06, 0.08]),
+                     (0.2, [0.3, 1.0]), (1e-5, dense)):
+        del legs[:]
+        traj = flow.integrate(params, s0, grid)
+        resolvent = [st for st in traj.states if st.s <= max(s0, 0.1)]
+        assert len(resolvent) == 1 + sum(s <= 0.1 for s in grid)
+        for st in resolvent:
+            alone = flow.launch_state(params, st.s)
+            assert st.u.tobytes() == alone.u.tobytes()
+        if resolvent[-1] is traj.states[-1]:
+            assert not legs and traj.nfev == 0
+        else:
+            assert legs[0][0] == max(s0, 0.1)
+            assert all(t > 0.1 for _, t, _, _ in legs)
+
+
+@pytest.mark.parametrize("nu, bound", [((0.0, 0.0), 1e-11),
+                                       ((0.0, -0.5, 0.0), 1e-8)],
+                         ids=["m1", "m2"])
+def test_states_past_the_handover_match_the_64_node_resolvent(nu, bound):
+    # at tol 1e-10 every state with 0.1 < s <= 6 is within the bound, slot by
+    # slot, of the 64-node resolvent at its s.  Launched at s0 = 1e-5 and
+    # stepped through (1e-5, 0.1] the M=2 states read up to 1.2e-8; from
+    # the resolvent at 0.1 they read 5.3e-9 (M=1: 2.1e-12 either way)
+    params = HardEdgeParams.from_nu(nu)
+    traj = flow.integrate(params, 1e-5, _PIN_GRID, tol=1e-10)
+    states = [st for st in traj.states if 0.1 < st.s <= 6.0]
+    ref = flow._resolvent_rows(params, [st.s for st in states], 64)
+    assert len(states) == 14
+    assert max(np.max(np.abs(st.u - r)) for st, r in zip(states, ref)) <= bound
 
 
 def test_legs_start_from_the_largest_step_of_the_leg_before(params_m2,
@@ -675,8 +751,9 @@ def test_carried_steps_take_fewer_evaluations():
 
 
 def test_integrate_returns_each_target_once_on_a_long_grid(params_m1):
-    # the grade edges 0.1 and 2.0 are legs' ends whether asked for or not;
-    # asked for, each target still comes back once, in order, at its own s
+    # the handover 0.1 is a resolvent row and the grade edge 2.0 a leg's end
+    # whether asked for or not; asked for, each target still comes back
+    # once, in order, at its own s
     targets = sorted({*np.geomspace(1e-4, 10.0, 3000).tolist(), 0.1, 2.0})
     traj = flow.integrate(params_m1, 1e-5, targets, tol=1e-6)
     assert [st.s for st in traj.states[1:]] == targets
@@ -726,19 +803,20 @@ def test_integrate_keeps_no_memory_per_trajectory(nu):
     # 0.4-4.9 KB; 48 KB with a closure per pass; 510-655 KB when the wrapper
     # is handed the integrator's own bound solout, which keeps every stepper
     # alive.  The short trajectory keeps the run brief: tracemalloc slows
-    # each RHS call ~20x.
+    # each RHS call ~20x.  It is launched at s0 = 0.1, where DOP853 takes
+    # over from the resolvent, so each pass runs two legs
     params = HardEdgeParams.from_nu(nu)
-    targets = [1.1e-5, 1.2e-5]
+    targets = [0.11, 0.12]
     tols = [1e-6 * (1.0 - 0.02 * (k % 2) * (1 + k // 2 % 12))
             for k in range(220)]
     tracemalloc.start()
     try:
         for tol in tols[:20]:
-            flow.integrate(params, 1e-5, targets, tol=tol)
+            flow.integrate(params, 0.1, targets, tol=tol)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         for tol in tols[20:]:
-            flow.integrate(params, 1e-5, targets, tol=tol)
+            flow.integrate(params, 0.1, targets, tol=tol)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -887,6 +965,45 @@ def test_pass_bound_states_refuse_reassignment():
         flow.rhs(state)
 
 
+def test_state_refuses_a_vector_of_another_m(params_m1, params_m2):
+    # u holds 8(M+1)+2 floats: an M=1 vector with M=2 params, or the other
+    # way round, is refused when the state is built, with both lengths
+    # named, not when one of its values is first read
+    u1 = flow.launch_state(params_m1, 1e-5).u
+    u2 = flow.launch_state(params_m2, 1e-5).u
+    for u, params, want in (
+            (u1, params_m2, r"^u holds 18 floats; M=2 takes 26$"),
+            (u2, params_m1, r"^u holds 26 floats; M=1 takes 18$")):
+        with pytest.raises(ValueError, match=want):
+            flow.HamiltonianState(1e-5, u, params)
+    with pytest.raises(ValueError, match=r"^u holds 17 floats; M=1 takes 18$"):
+        flow.HamiltonianState(1e-5, u1[:-1], params_m1)
+
+
+def test_resolvent_refuses_a_determinant_as_fredholm_det(params_m1,
+                                                         monkeypatch):
+    # a resolvent row whose determinant fredholm_det refuses raises its
+    # FloatingPointError (exit 1 from ode) before any integration: here the
+    # second row's kernel values are NaN
+    bundle = flow.build_kernel_bundle(params_m1)
+
+    class Poisoned:
+        def evaluate(self, x):
+            phi, dphi, psi = bundle.evaluate(x)
+            phi[:, 17:34] = np.nan
+            return phi, dphi, psi
+
+    monkeypatch.setattr(flow, "build_kernel_bundle", lambda params: Poisoned())
+    monkeypatch.setattr(flow, "solve_ivp", _no_work)
+    message = r"^Fredholm log-determinant is not finite \(nan\)$"
+    rule, _, _ = hardedge_rule(16, 1e-4)
+    with np.errstate(invalid="ignore"):         # slogdet of a NaN matrix
+        with pytest.raises(FloatingPointError, match=message):
+            flow.integrate(params_m1, 1e-5, [1e-4, 0.5])
+        with pytest.raises(FloatingPointError, match=message):
+            fredholm_det(np.full((16, 16), np.nan), rule)
+
+
 def test_states_compare_by_identity(traj_m2):
     # a state equals itself alone: its fields hold arrays, which the
     # generated equality could not compare, and it hashes
@@ -928,18 +1045,20 @@ def _counted_rows(monkeypatch, names):
 
 @pytest.mark.parametrize("case", ["m1", "m2-special"])
 def test_integrate_and_verify_evaluate_each_state_once(case, monkeypatch):
-    # the first integrals run on the launch row alone (the launch gate) and
-    # on every row of the trajectory's pass (its gate), the structural
-    # residuals and the right-hand sides once on every row; at M=2 the eta_0
-    # jets too, which verify's jet checks and appendix_recover both read.
-    # verify and the CSV only read rows
+    # the first integrals run once on every row: on the resolvent rows (the
+    # launch and the targets up to 0.1, the handover among them) before any
+    # integration, and on the stepped rows after it, each the gate of its
+    # rows; the structural residuals and the right-hand sides once on every
+    # row; at M=2 the eta_0 jets too, which verify's jet checks and
+    # appendix_recover both read.  verify and the CSV only read rows
     rows = _counted_rows(monkeypatch, ("_first_integrals", "_structural",
                                        "_derivatives", "_jets"))
     traj = integrate_case(case)
     verify(traj)
     flow.trajectory_csv(traj)
     n = len(traj.states)
-    assert rows == {"_first_integrals": [1, n], "_structural": [n],
+    assert traj.states[4].s == 0.1
+    assert rows == {"_first_integrals": [5, n - 5], "_structural": [n],
                     "_derivatives": [n], "_jets": [n] if case != "m1" else []}
 
 

@@ -14,6 +14,7 @@ from hardedge.kernels import (
     borodin_kernel_matrix,
     mb_params_for_hardedge,
 )
+from hardedge import kernels
 from hardedge.special_functions import N_TERMS, wright_bessel_coefficients
 
 SQRT_PI = math.sqrt(math.pi)
@@ -105,6 +106,23 @@ def test_kernel_matrix_matches_scalar():
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
             assert K[i, j] == pytest.approx(kernel_value(b, x, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0), (0.0, -0.5, 0.0)],
+                         ids=["m1", "m2"])
+def test_kernel_from_rows_batches_leading_axes(nu):
+    # the kernel matrix builder takes leading batch axes: each entry of a
+    # stack of abscissa sets is its own unbatched kernel_matrix, bit for bit,
+    # the exact diagonal included
+    b = build_kernel_bundle(HardEdgeParams.from_nu(nu))
+    xs = np.geomspace(1e-3, 5.0, 4 * 9).reshape(4, 9)
+    xs[2, 4] = xs[2, 3] * (1.0 + 1e-7)       # a pair inside the diagonal window
+    m1 = len(nu)
+    rows = [np.moveaxis(f.reshape(m1, 4, 9), 0, 1) for f in b.evaluate(xs.ravel())]
+    K = kernels._kernel_from_rows(xs, xs, *rows)
+    assert K.shape == (4, 9, 9)
+    for x, Kb in zip(xs, K):
+        assert Kb.tobytes() == kernel_matrix(b, x, x).tobytes()
 
 
 @pytest.mark.parametrize("v", [-0.5, 0.0, 1.0, 2.5])

@@ -99,6 +99,22 @@ def test_quartic_dual_path_on_other_indices():
         assert abs(p_t - p_p) <= 1e-9 * max(abs(p_t), 1.0)
 
 
+def test_dual_path_survives_a_singular_pipeline_system(params_m2, capsys):
+    # on the flow at nu=(0,-1/2,0) the pipeline's 4x4 system is singular up
+    # to rounding; at this s the resolvent state's system has an exact zero
+    # pivot (numpy 2.4 with OpenBLAS), which made the solve raise
+    # LinAlgError and `hardedge sigma` exit 1.  The dual path reads rounding
+    # there as elsewhere, and sigma reports the abscissa
+    from hardedge.cli import main
+    from hardedge.verification import jet_residuals
+
+    s = 0.082176508297626
+    res = jet_residuals(flow.launch_state(params_m2, s))
+    assert res["quartic_dual_path"] <= 1e-12
+    assert main(["sigma", "--s", repr(s)]) == 0
+    assert '"quartic_dual_path"' in capsys.readouterr().out
+
+
 def test_quartic_requires_nonzero_slope(params_m2):
     jet = sf.ResolventJet(s=1.0, d=(1.0, 0.0, 1.0, 1.0, 1.0), F=1.0, U=0.0,
                           V=0.0, params=params_m2)
